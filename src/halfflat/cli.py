@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import corpus, obstruct, search
+from . import corpus, obstruct
 from .classify3d import classify
 from .errors import HalfFlatError, JacobiError, ParseError
 from .exterior import DIM, KForm
@@ -234,23 +234,34 @@ def _cmd_obstruct(args) -> int:
             print(rep.to_text())
             return EXIT_NEGATIVE
     # refined arguments for the two resistant algebras
-    try:
-        if obstruct.refined_h3_r2R(L):
+    for check, detail in (
+        (obstruct.refined_h3_r2R, "refined isotropy argument for h3 (+) r2R"),
+        (obstruct.refined_r2R_R3, "K_rho(e_2) proportional to e_2, lambda >= 0"),
+    ):
+        if _refined_holds(check, L):
             print("verdict: NoHalfFlatSU3")
-            print("detail: refined isotropy argument for h3 (+) r2R")
+            print(f"detail: {detail}")
             return EXIT_NEGATIVE
-    except HalfFlatError:
-        pass
-    try:
-        if obstruct.refined_r2R_R3(L):
-            print("verdict: NoHalfFlatSU3")
-            print("detail: K_rho(e_2) proportional to e_2, lambda >= 0")
-            return EXIT_NEGATIVE
-    except HalfFlatError:
-        pass
     print("verdict: Inconclusive")
     print(f"coherent_splittings: {len(splittings)}")
     return EXIT_POSITIVE
+
+
+def _refined_holds(check, L: LieAlgebra) -> bool:
+    """A refined check on L, retried with the summands swapped when it does not apply.
+
+    The refined checks expect their summands in one order; swapping the
+    summands permutes the basis, which preserves the verdict.
+    """
+    try:
+        return check(L)
+    except HalfFlatError:
+        pass
+    L1, L2 = L.summands
+    try:
+        return check(direct_sum(L2, L1))
+    except HalfFlatError:
+        return False
 
 
 def _resplit(L: LieAlgebra) -> LieAlgebra:
@@ -269,6 +280,8 @@ def _resplit(L: LieAlgebra) -> LieAlgebra:
 
 
 def _cmd_search(args) -> int:
+    from . import search  # scipy is loaded only for this command
+
     L, _, _ = _load(args.file)
     if L.dim != 6:
         raise ParseError("search needs a six-dimensional algebra", 0, 0)

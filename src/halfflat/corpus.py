@@ -90,7 +90,7 @@ def metric_matrix(entries: Iterable[tuple[str, str, Scalar]]):
         if i == j:
             g[i][i] = g[i][i] + c
         else:
-            half = c / 2
+            half = c * F(1, 2)  # exact for int, Fraction and QuadExt alike
             g[i][j] = g[i][j] + half
             g[j][i] = g[j][i] + half
     return g

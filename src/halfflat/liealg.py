@@ -26,10 +26,11 @@ class LieAlgebra:
     ``diffs[k-1]`` is d e^k as a two-form.  Instances are validated at
     construction (antisymmetry is structural, Jacobi is checked) unless
     ``unchecked=True``, which exists only to represent invalid constants in
-    negative tests.
+    negative tests.  An instance does not change after construction, so the
+    closed-form spaces are computed once per degree and cached.
     """
 
-    __slots__ = ("dim", "diffs", "name", "params", "summands", "checked")
+    __slots__ = ("dim", "diffs", "name", "params", "summands", "checked", "_closed")
 
     def __init__(
         self,
@@ -56,6 +57,7 @@ class LieAlgebra:
         self.params = dict(params or {})
         self.summands = summands
         self.checked = not unchecked
+        self._closed: dict[int, Subspace] = {}
         if self.checked and not self.check_jacobi():
             raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
 
@@ -145,22 +147,24 @@ class LieAlgebra:
     # -- constructions -------------------------------------------------------
 
     def closed_forms(self, k: int) -> "Subspace":
-        """Kernel of d on Lambda^k, by exact elimination."""
+        """Kernel of d on Lambda^k, by exact elimination.
+
+        Computed once per degree; the returned subspace is shared between
+        callers and must not be modified, like a ``KForm``.
+        """
+        if k not in self._closed:
+            self._closed[k] = self._kernel_of_d(k)
+        return self._closed[k]
+
+    def _kernel_of_d(self, k: int) -> "Subspace":
         masks = [m for m in basis_masks(k) if not m >> self.dim]
         out_masks = [m for m in basis_masks(k + 1) if not m >> self.dim] if k < self.dim else []
-        rows: list[list[Scalar]] = []
         images = [self.d(KForm(k, {m: Fraction(1)})) for m in masks]
-        for om in out_masks:
-            rows.append([img.coeff(om) for img in images])
+        rows = [[img.coeff(om) for img in images] for om in out_masks]
         if not rows:
-            basis = [KForm(k, {m: Fraction(1)}) for m in masks]
-            return Subspace(k, basis)
+            return Subspace(k, [KForm(k, {m: Fraction(1)}) for m in masks])
         ker = linalg.nullspace(rows)
-        basis = [
-            KForm(k, {m: c for m, c in zip(masks, vec)})
-            for vec in ker
-        ]
-        return Subspace(k, basis)
+        return Subspace(k, [KForm(k, {m: c for m, c in zip(masks, vec)}) for vec in ker])
 
 
 @dataclass
@@ -186,22 +190,6 @@ class Subspace:
         masks = basis_masks(self.degree)
         rows = linalg.transpose([b.coefficients(masks) for b in self.basis])
         return linalg.solve(rows, a.coefficients(masks)) is not None
-
-
-def d(L: LieAlgebra, a: KForm) -> KForm:
-    return L.d(a)
-
-
-def check_jacobi(L: LieAlgebra) -> bool:
-    return L.check_jacobi()
-
-
-def is_unimodular(L: LieAlgebra) -> bool:
-    return L.is_unimodular()
-
-
-def closed_forms(L: LieAlgebra, k: int) -> Subspace:
-    return L.closed_forms(k)
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

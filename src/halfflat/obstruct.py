@@ -20,6 +20,7 @@ it does not prove.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,9 +28,9 @@ from itertools import combinations
 
 from . import linalg
 from .errors import HalfFlatError
-from .exterior import DIM, KForm, Vector, basis_masks, contract, covector, form, wedge, wedge_all
+from .exterior import DIM, KForm, Vector, basis_masks, contract, covector, evaluate, wedge, wedge_all
 from .liealg import LieAlgebra, catalog
-from .scalars import Scalar, scalar_is_zero
+from .scalars import scalar_is_zero
 
 VERDICT_OBSTRUCTED = "NoHalfFlatSU3"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -137,25 +138,26 @@ def _complete_to_basis(v_pair: tuple[KForm, KForm]) -> list[KForm]:
     return [covector(i + 1) for i in range(DIM) if i not in pivots]
 
 
-def _adapted_components(forms_in: list[KForm], coframe: list[KForm]) -> list[list[Scalar]]:
-    """Coefficients of k-forms in the wedge basis of the given coframe."""
-    if not forms_in:
-        return []
-    k = forms_in[0].degree
+def _dual_frame(coframe: list[KForm]) -> list[Vector]:
+    """Vectors dual to a coframe, given as one-forms in the standard basis."""
     c_mat = [[c.coeff(1 << i) for i in range(DIM)] for c in coframe]
     inv = linalg.invert(c_mat)
     if inv is None:
         raise HalfFlatError("coframe is not a basis")
-    duals = [Vector(tuple(col)) for col in linalg.transpose(inv)]
-    out = []
-    for f in forms_in:
-        from .exterior import evaluate
+    return [Vector(tuple(col)) for col in linalg.transpose(inv)]
 
-        coeffs = []
-        for subset in combinations(range(DIM), k):
-            coeffs.append(evaluate(f, [duals[i] for i in subset]))
-        out.append(coeffs)
-    return out
+
+def _pure_w_vanishes(forms_in: list[KForm], duals: list[Vector]) -> bool:
+    """True when every k-form has zero Lambda^k W component.
+
+    W is spanned by the coframe elements after the first two (the V slots);
+    the coefficient on w^I is the form evaluated on the dual vectors of I, so
+    only the pure-W subsets of the last four slots are evaluated.
+    """
+    if not forms_in:
+        return True
+    subsets = list(combinations(duals[2:], forms_in[0].degree))
+    return all(scalar_is_zero(evaluate(f, list(s))) for f in forms_in for s in subsets)
 
 
 def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> ObstructionReport:
@@ -168,7 +170,6 @@ def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> Obstruction
     if not is_coherent(L, v_pair):
         raise HalfFlatError("splitting is not coherent")
     w_basis = _complete_to_basis(v_pair)
-    coframe = list(v_pair) + w_basis
 
     # rank route: d restricted to Lambda^3 W and Lambda^4 W
     w3 = [wedge_all(list(t)) for t in combinations(w_basis, 3)]
@@ -177,8 +178,9 @@ def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> Obstruction
     rank4 = _rank_of_images(L, w4, 5)
 
     # direct route: closed forms must have zero pure-W components
-    h03 = _zero_pure_w_components(L, 3, coframe)
-    h04 = _zero_pure_w_components(L, 4, coframe)
+    duals = _dual_frame(list(v_pair) + w_basis)
+    h03 = _pure_w_vanishes(L.closed_forms(3).basis, duals)
+    h04 = _pure_w_vanishes(L.closed_forms(4).basis, duals)
     assert h03 == (rank3 == len(w3)) and h04 == (rank4 == len(w4))
 
     verdict = VERDICT_OBSTRUCTED if (h03 and h04) else VERDICT_INCONCLUSIVE
@@ -198,15 +200,6 @@ def _rank_of_images(L: LieAlgebra, forms_in: list[KForm], out_degree: int) -> in
     masks = basis_masks(out_degree)
     rows = [L.d(f).coefficients(masks) for f in forms_in]
     return linalg.rank(rows)
-
-
-def _zero_pure_w_components(L: LieAlgebra, degree: int, coframe: list[KForm]) -> bool:
-    closed = L.closed_forms(degree).basis
-    comps = _adapted_components(closed, coframe)
-    # pure-W subsets avoid the first two coframe slots
-    subsets = list(combinations(range(DIM), degree))
-    pure_w = [i for i, s in enumerate(subsets) if 0 not in s and 1 not in s]
-    return all(scalar_is_zero(row[i]) for row in comps for i in pure_w)
 
 
 # -- refined arguments ----------------------------------------------------------
@@ -314,29 +307,24 @@ class ScanReport:
 def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
     """Draw seeded random rational closed three-forms and test lambda >= 0.
 
-    Coefficients are drawn from [-10, 10] rational with denominator <= 4;
-    each draw is cleared to an integer form before the exact lambda sign is
-    taken (lambda scales by a fourth power, so the sign is unaffected).
+    Coefficients are drawn from [-10, 10] rational with denominator 4, one
+    per basis element of Z^3.  The basis is cleared to integers once, by
+    the positive lcm D of its denominators, so each sample is taken as
+    sum n_i * row_i in pure integers with n_i = randint(-40, 40): that is
+    4 * D times the drawn rational form.  lambda scales by the fourth power
+    of a factor, so the sign of the exact lambda is that of the drawn form.
     """
     rng = random.Random(seed)
     basis = L.closed_forms(3).basis
     masks = basis_masks(3)
-    basis_rows = [[b.coeff(m) for m in masks] for b in basis]
+    den = math.lcm(*(b.coeff(m).denominator for b in basis for m in masks))
+    basis_rows = [[int(b.coeff(m) * den) for m in masks] for b in basis]
     all_nonneg = True
     first_neg = None
     for sample in range(n_samples):
-        coeffs = [
-            Fraction(rng.randint(-10 * 4, 10 * 4), 4) for _ in range(len(basis))
-        ]
-        row = [
-            sum((c * br[k] for c, br in zip(coeffs, basis_rows)), Fraction(0))
-            for k in range(len(masks))
-        ]
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        lam6 = _lambda_six_int({m: c for m, c in zip(masks, ints) if c})
+        coeffs = [rng.randint(-10 * 4, 10 * 4) for _ in range(len(basis))]
+        row = [sum(c * br[k] for c, br in zip(coeffs, basis_rows)) for k in range(len(masks))]
+        lam6 = _lambda_six_int({m: c for m, c in zip(masks, row) if c})
         if lam6 < 0:
             all_nonneg = False
             first_neg = sample
@@ -348,12 +336,6 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
         all_nonnegative=all_nonneg,
         first_negative=first_neg,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _lambda_six_int(terms: dict[int, int]) -> int:
@@ -406,16 +388,8 @@ def unimodular_no_splitting(L: LieAlgebra, k: int = 50, seed: int = 0) -> bool:
         coframe = _random_coframe(rng)
         if coframe is None:
             continue
-        comp3 = _adapted_components(z3, coframe)
-        subsets3 = list(combinations(range(DIM), 3))
-        pure3 = [i for i, s in enumerate(subsets3) if 0 not in s and 1 not in s]
-        if any(not scalar_is_zero(row[i]) for row in comp3 for i in pure3):
-            defeated += 1
-            continue
-        comp4 = _adapted_components(z4, coframe)
-        subsets4 = list(combinations(range(DIM), 4))
-        pure4 = [i for i, s in enumerate(subsets4) if 0 not in s and 1 not in s]
-        if any(not scalar_is_zero(row[i]) for row in comp4 for i in pure4):
+        duals = _dual_frame(coframe)
+        if not (_pure_w_vanishes(z3, duals) and _pure_w_vanishes(z4, duals)):
             defeated += 1
             continue
         return False  # a surviving decomposition: obstruction applies

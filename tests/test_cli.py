@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from halfflat import cli, corpus
+from halfflat import cli, corpus, linalg
 from halfflat.errors import ParseError
 from halfflat.exterior import form
 from halfflat.liealg import catalog, direct_sum
@@ -134,6 +137,47 @@ def test_cli_obstruct_refined(tmp_path):
     code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_NEGATIVE)
     assert "NoHalfFlatSU3" in out
     assert "refined" in out
+
+
+@pytest.mark.parametrize(
+    "g1, g2, detail",
+    [
+        ("h3", "r2R", "refined isotropy argument for h3 (+) r2R"),
+        ("r2R", "h3", "refined isotropy argument for h3 (+) r2R"),
+        ("r2R", "R3", "K_rho(e_2) proportional to e_2, lambda >= 0"),
+        ("R3", "r2R", "K_rho(e_2) proportional to e_2, lambda >= 0"),
+    ],
+)
+def test_cli_obstruct_refined_either_factor_order(tmp_path, g1, g2, detail):
+    _, out, _ = run_cli(["catalog", g1, "--sum", g2], expect=0)
+    p = tmp_path / "g.alg"
+    p.write_text(out)
+    code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_NEGATIVE)
+    assert out.splitlines() == ["verdict: NoHalfFlatSU3", f"detail: {detail}"]
+
+
+def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatch):
+    # R3 + R3 has 169 coherent splittings; Z^3 and Z^4 are each computed once
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counted(rows):
+        calls.append(len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    p = tmp_path / "flat.alg"
+    p.write_text(cli.emit(direct_sum(catalog("R3"), catalog("R3"))))
+    code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_POSITIVE)
+    assert "coherent_splittings: 169" in out
+    assert len(calls) == 2
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, halfflat.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_obstruct_inconclusive(tmp_path):

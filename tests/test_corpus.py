@@ -67,3 +67,9 @@ def test_witness_lookup():
     assert inst3.label.startswith("T4.2")
     with pytest.raises(Exception):
         corpus.witness("h3", "r2R")  # obstructed class: no witness exists
+
+
+def test_printed_metrics_are_exact():
+    for table in (0, 3, 4, 5):
+        for inst in corpus.iter_instances(table=table):
+            assert not any(isinstance(x, float) for row in inst.g0 for x in row), inst.label

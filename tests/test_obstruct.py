@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from halfflat import obstruct
+from halfflat import linalg, obstruct
 from halfflat.errors import HalfFlatError
-from halfflat.exterior import KForm, basis_masks, covector, wedge, volume_ratio, contract, Vector
+from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, volume_ratio, contract, Vector
 from halfflat.liealg import catalog, direct_sum
 from halfflat.stable import lambda_of
 
@@ -146,6 +147,63 @@ def test_lambda_scan_matches_exact_path():
         exact = lambda_of(rho)
         assert (lam6 > 0) == (exact > 0) and (lam6 < 0) == (exact < 0)
         assert Fraction(lam6, 6) == exact
+
+
+def _reference_scan(L, n_samples, seed):
+    """The scan on the exact KForm path: Fraction draws, lambda_of per sample."""
+    rng = random.Random(seed)
+    z3 = L.closed_forms(3).basis
+    for sample in range(n_samples):
+        rho = KForm(3)
+        for b in z3:
+            rho = rho + b.scale(Fraction(rng.randint(-40, 40), 4))
+        if lambda_of(rho) < 0:
+            return False, sample
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "g1, g2, mu",
+    [
+        ("h3", "r3mu", Fraction(-3, 4)),
+        ("r2R", "r3pmu", Fraction(1, 4)),
+        ("R3", "r3", None),
+        ("su2", "su2", None),
+        ("su2", "e11", None),
+    ],
+)
+def test_lambda_scan_matches_reference_scan(g1, g2, mu):
+    L = direct_sum(catalog(g1), catalog(g2, mu))
+    for seed in (1, 7, 20240817):
+        rep = obstruct.lambda_nonneg_scan(L, 40, seed=seed)
+        assert (rep.all_nonnegative, rep.first_negative) == _reference_scan(L, 40, seed)
+
+
+def _reference_pure_w_vanishes(forms_in, coframe):
+    """All C(6, k) coefficients in the adapted wedge basis, then the pure-W ones."""
+    c_mat = [[c.coeff(1 << i) for i in range(6)] for c in coframe]
+    duals = [Vector(tuple(col)) for col in linalg.transpose(linalg.invert(c_mat))]
+    for f in forms_in:
+        for subset in combinations(range(6), f.degree):
+            if 0 not in subset and 1 not in subset:
+                if evaluate(f, [duals[i] for i in subset]) != 0:
+                    return False
+    return True
+
+
+def test_pure_w_components_match_reference(rng):
+    for names in (("su2", "e2"), ("e11", "e11"), ("r2R", "r3"), ("h3", "r2R"), ("R3", "R3")):
+        L = direct_sum(catalog(names[0]), catalog(names[1]))
+        coframes = [list(v) + obstruct._complete_to_basis(v) for v in obstruct.coherent_splittings(L)[:3]]
+        while len(coframes) < 8:
+            coframe = obstruct._random_coframe(rng)
+            if coframe is not None:
+                coframes.append(coframe)
+        for coframe in coframes:
+            duals = obstruct._dual_frame(coframe)
+            for k in (3, 4):
+                z = L.closed_forms(k).basis
+                assert obstruct._pure_w_vanishes(z, duals) == _reference_pure_w_vanishes(z, coframe)
 
 
 def test_unimodular_no_splitting():
