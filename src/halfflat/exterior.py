@@ -163,10 +163,6 @@ class Vector:
     def basis(i: int) -> "Vector":
         return Vector(tuple(Fraction(1 if j == i else 0) for j in range(1, DIM + 1)))
 
-    @staticmethod
-    def zero() -> "Vector":
-        return Vector((Fraction(0),) * DIM)
-
     def __add__(self, other: "Vector") -> "Vector":
         return Vector(tuple(a + b for a, b in zip(self.components, other.components)))
 
@@ -182,10 +178,6 @@ class VolumeRatio:
     """Element of Lambda^6 V* as an exact multiple of nu = e^123456."""
 
     value: Scalar
-
-
-def zero(degree: int) -> KForm:
-    return KForm(degree)
 
 
 def basis_masks(degree: int) -> list[int]:

@@ -78,11 +78,6 @@ class LieAlgebra:
         comps += [Fraction(0)] * (DIM - self.dim)
         return Vector(tuple(comps))
 
-    def ad(self, x: Vector) -> linalg.Matrix:
-        """Matrix of ad_x on the basis."""
-        cols = [self.bracket(x, Vector.basis(j)) for j in range(1, self.dim + 1)]
-        return [[cols[j].components[i] for j in range(self.dim)] for i in range(self.dim)]
-
     def trace_ad(self) -> list[Scalar]:
         """tr(ad_{e_m}) for each basis vector; zero vector iff unimodular."""
         out = []
@@ -135,15 +130,6 @@ class LieAlgebra:
     def is_abelian(self) -> bool:
         return all(dk.is_zero() for dk in self.diffs)
 
-    def is_solvable_3d(self) -> bool:
-        """For dim 3: solvable iff not simple, detected by d surjectivity onto Lambda^2."""
-        if self.dim != 3:
-            raise ValueError("only for three-dimensional algebras")
-        masks = [m for m in basis_masks(2) if not m >> 3]
-        rows = [dk.coefficients(masks) for dk in self.diffs]
-        # simple (su(2), sl(2,R)) iff the three d e^k span all of Lambda^2
-        return linalg.rank(rows) < 3
-
     # -- constructions -------------------------------------------------------
 
     def closed_forms(self, k: int) -> "Subspace":
@@ -184,16 +170,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, a: KForm) -> bool:
-        if a.degree != self.degree:
-            return False
-        masks = basis_masks(self.degree)
-        rows = linalg.transpose([b.coefficients(masks) for b in self.basis])
-        return linalg.solve(rows, a.coefficients(masks)) is not None
 
+def direct_sum(L1: LieAlgebra, L2: LieAlgebra, unchecked: bool = False) -> LieAlgebra:
+    """Direct sum with basis order e1,e2,e3,f1,f2,f3 and no cross terms.
 
-def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
-    """Direct sum with basis order e1,e2,e3,f1,f2,f3 and no cross terms."""
+    ``unchecked`` is passed to ``LieAlgebra`` (for unchecked summands).
+    """
     if L1.dim != 3 or L2.dim != 3:
         raise ValueError("direct sums are formed from three-dimensional algebras")
     diffs = list(L1.diffs)
@@ -210,6 +192,7 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
         name=f"{L1.name}+{L2.name}" if L1.name and L2.name else "",
         params=params,
         summands=(L1, L2),
+        unchecked=unchecked,
     )
     assert out.is_unimodular() == (L1.is_unimodular() and L2.is_unimodular())
     return out
@@ -274,9 +257,6 @@ CATALOG_INFO: dict[str, tuple[str, str, bool]] = {
     "r3mu": ("r3,mu", "VI", False),
     "r3pmu": ("r3',mu", "VII", False),
 }
-
-CATALOG_NAMES = tuple(CATALOG_INFO)
-
 
 def catalog(name: str, mu: Fraction | int | str | None = None) -> LieAlgebra:
     """Standard bracket of the named class, exactly as tabulated.

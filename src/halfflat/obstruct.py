@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
+from . import linalg, stable
 from .errors import HalfFlatError
 from .exterior import DIM, KForm, Vector, basis_masks, contract, covector, evaluate, wedge, wedge_all
 from .liealg import LieAlgebra, catalog
@@ -94,7 +94,7 @@ def _alpha_works(L3: LieAlgebra, alpha: KForm) -> bool:
     if not L3.d(alpha).is_zero():
         return False
     # beta in alpha ^ g*  <=>  beta ^ alpha = 0 (two-forms on a 3-space)
-    return all(wedge(L3.d(covector(k)), alpha).is_zero() for k in (1, 2, 3))
+    return all(wedge(dk, alpha).is_zero() for dk in L3.diffs)
 
 
 def coherent_splittings(L: LieAlgebra) -> list[tuple[KForm, KForm]]:
@@ -128,7 +128,7 @@ def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:
     vv = wedge(a1, a2)
     if vv.is_zero():
         return False
-    return all(wedge(L.d(covector(k)), vv).is_zero() for k in range(1, DIM + 1))
+    return all(wedge(dk, vv).is_zero() for dk in L.diffs)
 
 
 def _complete_to_basis(v_pair: tuple[KForm, KForm]) -> list[KForm]:
@@ -255,8 +255,6 @@ def refined_r2R_R3(L: LieAlgebra, enforce: bool = True) -> bool:
     lambda(rho) = c^2 >= 0 for every closed rho, so no SU(p,q) structure of
     any signature exists.
     """
-    from .exterior import kappa
-
     if enforce and not _is_standard(L, ("r2R", "R3")):
         raise HalfFlatError("refined check expects r2R (+) R^3 in the standard basis")
     if enforce and L.closed_forms(1).dim != 5:
@@ -264,9 +262,8 @@ def refined_r2R_R3(L: LieAlgebra, enforce: bool = True) -> bool:
     z3 = L.closed_forms(3).basis
 
     def k_e2_off_axis(rho: KForm) -> bool:
-        xi = wedge(contract(Vector.basis(2), rho), rho)
-        x, _ = kappa(xi)
-        return all(scalar_is_zero(x.components[i]) for i in range(6) if i != 1)
+        K = stable.k_matrix(rho)
+        return all(scalar_is_zero(K[i][1]) for i in range(DIM) if i != 1)
 
     for i in range(len(z3)):
         for j in range(i, len(z3)):
@@ -324,7 +321,8 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
     for sample in range(n_samples):
         coeffs = [rng.randint(-10 * 4, 10 * 4) for _ in range(len(basis))]
         row = [sum(c * br[k] for c, br in zip(coeffs, basis_rows)) for k in range(len(masks))]
-        lam6 = _lambda_six_int({m: c for m, c in zip(masks, row) if c})
+        K = stable.k_from_terms({m: c for m, c in zip(masks, row) if c}, 0)
+        lam6 = stable.trace_of_square(K, 0)
         if lam6 < 0:
             all_nonneg = False
             first_neg = sample
@@ -336,38 +334,6 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
         all_nonnegative=all_nonneg,
         first_negative=first_neg,
     )
-
-
-def _lambda_six_int(terms: dict[int, int]) -> int:
-    """6 * lambda for an integer-coefficient three-form, in pure integers."""
-    from .exterior import _SIGN
-
-    nu_mask = (1 << DIM) - 1
-    k = [[0] * DIM for _ in range(DIM)]
-    for j in range(DIM):
-        bit_j = 1 << j
-        # (e_{j+1} -| rho) with sign bookkeeping
-        contracted: dict[int, int] = {}
-        for mask, c in terms.items():
-            if mask & bit_j:
-                below = bin(mask & (bit_j - 1)).count("1")
-                s = -c if below & 1 else c
-                contracted[mask & ~bit_j] = contracted.get(mask & ~bit_j, 0) + s
-        # wedge with rho, then kappa
-        for m2, c2 in contracted.items():
-            for m3, c3 in terms.items():
-                if m2 & m3:
-                    continue
-                prod = c2 * c3 * _SIGN[(m2, m3)]
-                missing = nu_mask & ~(m2 | m3)
-                u = missing.bit_length() - 1
-                val = -prod if u & 1 else prod
-                k[u][j] += val
-    tr = 0
-    for i in range(DIM):
-        for j in range(DIM):
-            tr += k[i][j] * k[j][i]
-    return tr
 
 
 def unimodular_no_splitting(L: LieAlgebra, k: int = 50, seed: int = 0) -> bool:

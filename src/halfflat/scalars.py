@@ -21,10 +21,6 @@ Scalar = Union[int, Fraction, "QuadExt"]
 _RAT = (int, Fraction)
 
 
-def is_rational(x: Scalar) -> bool:
-    return isinstance(x, _RAT)
-
-
 def is_square(q: Fraction | int) -> bool:
     """True iff q is the square of a rational."""
     q = Fraction(q)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import stable
-from .exterior import DIM, KForm, Vector, basis_masks, contract, kappa, wedge
+from .exterior import DIM, KForm, basis_masks
 from .liealg import LieAlgebra
 from .verify import HalfFlatReport, verify
 
@@ -117,21 +117,12 @@ class FloatKernels:
         return out
 
     def _k_tensor(self) -> np.ndarray:
-        """T[u,v,i,j] with K_{uv}(rho) = sum T[u,v,i,j] rho_i rho_j."""
+        """T[u,v,i,j] with K_{uv}(rho) = sum T[u,v,i,j] rho_i rho_j, from stable.K_TABLE."""
+        idx = {m: n for n, m in enumerate(self.b3)}
         out = np.zeros((DIM, DIM, len(self.b3), len(self.b3)))
-        for v in range(DIM):
-            ev = Vector.basis(v + 1)
-            for i, mi in enumerate(self.b3):
-                ci = contract(ev, KForm(3, {mi: Fraction(1)}))
-                for j, mj in enumerate(self.b3):
-                    prod = wedge(ci, KForm(3, {mj: Fraction(1)}))
-                    if prod.is_zero():
-                        continue
-                    x, _ = kappa(prod)
-                    for u in range(DIM):
-                        c = float(x.components[u])
-                        if c:
-                            out[u, v, i, j] += c
+        for mi, entries in stable.K_TABLE.items():
+            for v, mj, u, sign in entries:
+                out[u, v, idx[mi], idx[mj]] = sign
         return out
 
     # -- float evaluations ------------------------------------------------

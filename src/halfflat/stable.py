@@ -11,22 +11,34 @@ orientation conventions.  The calibration constants (one per sign of
 lambda) are re-derived at import from the two model frames below, which
 must reproduce their standard metrics.
 
+K_rho is quadratic in the coefficients of rho.  ``K_TABLE`` holds that
+quadratic map once, derived at import from the wedge sign table: for each
+three-mask i and each bit v of i, the (mask j, row u, sign) with
+K[u][v] += sign * c_i * c_j, 240 entries in all.  ``k_from_terms``
+evaluates it over any coefficient ring, so the exact path (``Fraction`` and
+``QuadExt``), the integer lambda scan of ``obstruct`` and the float tensor
+of ``search`` share one implementation of K.
+
 A compatible (omega ^ rho = 0) pair of stable forms induces the metric
 g = eps * omega(. , J_rho .).  The matrix G_raw with
 G_raw[u][v] = eps * omega(e_u, K_rho e_v) satisfies g = G_raw/sqrt(|lambda|)
 up to the orientation branch, so definiteness and signatures are decided
-without leaving the field of the coefficients.
+without leaving the field of the coefficients.  ``StablePair`` is the one
+place where K, lambda, phi(omega), G_raw and the structure verdict of a
+pair are formed, each once; ``structure_type``, ``induced_metric_raw`` and
+``normalization_scale`` read them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from . import exterior, linalg
+from . import linalg
 from .errors import NotCompatibleError, NotStableError
-from .exterior import DIM, KForm, Vector, contract, form, kappa, volume_ratio, wedge
+from .exterior import _SIGN, DIM, NU_MASK, KForm, Vector, basis_masks, contract, form
+from .exterior import volume_ratio, wedge
 from .scalars import (
     Scalar,
     scalar_abs,
@@ -66,26 +78,72 @@ class StructureType:
         return self.kind in STABILIZER_KINDS
 
 
+def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
+    """Quadratic table of K_rho: mask i -> entries (v, j, u, sign).
+
+    e_v -| e^i = (-1)^(bits of i below v) e^(i - v); its wedge with a disjoint
+    e^j misses index u only, and kappa reads that coefficient with (-1)^u.
+    """
+    table = {}
+    for i in basis_masks(3):
+        entries = []
+        for v in range(DIM):
+            bit = 1 << v
+            if not i & bit:
+                continue
+            rest = i & ~bit
+            s_v = -1 if bin(i & (bit - 1)).count("1") & 1 else 1
+            for j in basis_masks(3):
+                if rest & j:
+                    continue
+                u = (NU_MASK & ~(rest | j)).bit_length() - 1
+                s_u = -1 if u & 1 else 1
+                entries.append((v, j, u, s_v * _SIGN[(rest, j)] * s_u))
+        table[i] = tuple(entries)
+    return table
+
+
+#: K[u][v] = sum over i and (v, j, u, sign) in K_TABLE[i] of sign * c_i * c_j
+K_TABLE = _k_table()
+
+
+def k_from_terms(terms: Mapping[int, Scalar], zero: Scalar = Fraction(0)) -> linalg.Matrix:
+    """K_rho from the coefficients {three-mask: c} of rho, over the ring of ``zero``."""
+    K = [[zero] * DIM for _ in range(DIM)]
+    get = terms.get
+    for i, ci in terms.items():
+        for v, j, u, sign in K_TABLE[i]:
+            cj = get(j)
+            if cj is not None:
+                if sign > 0:
+                    K[u][v] += ci * cj
+                else:
+                    K[u][v] -= ci * cj
+    return K
+
+
 def k_matrix(rho: KForm) -> linalg.Matrix:
     """K_rho relative to the reference volume; column j is K_rho(e_j)."""
     if rho.degree != 3:
         raise NotStableError("K is defined for three-forms")
-    cols = []
-    for j in range(1, DIM + 1):
-        xi = wedge(contract(Vector.basis(j), rho), rho)
-        x, _ = kappa(xi)
-        cols.append(x.components)
-    return [[cols[j][i] for j in range(DIM)] for i in range(DIM)]
+    return k_from_terms(rho.terms)
+
+
+def trace_of_square(K: linalg.Matrix, zero: Scalar = Fraction(0)) -> Scalar:
+    """tr(K^2), which is 6 lambda for K = K_rho."""
+    diag = off = zero
+    for i in range(DIM):
+        row = K[i]
+        diag += row[i] * row[i]
+        for j in range(i + 1, DIM):
+            off += row[j] * K[j][i]
+    return diag + 2 * off
 
 
 def lambda_of(rho: KForm, K: linalg.Matrix | None = None) -> Scalar:
     """Quartic invariant lambda(rho) = tr(K_rho^2)/6 relative to nu^2."""
     K = k_matrix(rho) if K is None else K
-    tr: Scalar = Fraction(0)
-    for i in range(DIM):
-        for j in range(DIM):
-            tr = tr + K[i][j] * K[j][i]
-    return tr / 6
+    return trace_of_square(K) / 6
 
 
 def phi_omega(omega: KForm) -> Scalar:
@@ -106,6 +164,21 @@ def omega_matrix(omega: KForm) -> linalg.Matrix:
         m[u - 1][v - 1] = coeff
         m[v - 1][u - 1] = -coeff
     return m
+
+
+def _omega_times_k(omega: KForm, K: linalg.Matrix, eps: int) -> linalg.Matrix:
+    """eps * omega_matrix(omega) @ K, summed over the terms of omega only."""
+    G = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for mask, c in omega.terms.items():
+        a = (mask & -mask).bit_length() - 1
+        b = mask.bit_length() - 1
+        if eps < 0:
+            c = -c
+        Ga, Gb, Ka, Kb = G[a], G[b], K[a], K[b]
+        for v in range(DIM):
+            Ga[v] += c * Kb[v]
+            Gb[v] -= c * Ka[v]
+    return G
 
 
 MODEL_OMEGA = form(2, [("e1f1", Fraction(-1)), ("e2f2", Fraction(-1)), ("e3f3", Fraction(-1))])
@@ -133,7 +206,7 @@ def _calibrate_epsilon(rho: KForm, expected: linalg.Matrix) -> int:
     K = k_matrix(rho)
     lam = lambda_of(rho, K)
     root = sqrt_scalar(scalar_abs(lam))
-    g_unsigned = linalg.mat_mul(omega_matrix(MODEL_OMEGA), K)
+    g_unsigned = _omega_times_k(MODEL_OMEGA, K, 1)
     for eps in (1, -1):
         g = [[eps * x / root for x in row] for row in g_unsigned]
         if linalg.mat_eq(g, expected):
@@ -163,16 +236,12 @@ def induced_metric_raw(omega: KForm, rho: KForm) -> tuple[linalg.Matrix, int]:
     Symmetry of G_raw is equivalent to compatibility; an asymmetric result
     raises NotCompatibleError.
     """
-    lam = lambda_of(rho)
-    if scalar_is_zero(lam) or scalar_is_zero(phi_omega(omega)):
+    pair = StablePair(omega, rho)
+    if pair.norm_c4 is None:
         raise NotStableError("both forms must be stable")
-    eps = epsilon_for(lam)
-    K = k_matrix(rho)
-    g = linalg.mat_mul(omega_matrix(omega), K)
-    g = [[eps * x for x in row] for row in g]
-    if not linalg.is_symmetric(g):
+    if not pair.symmetric:
         raise NotCompatibleError("omega(., K_rho .) is not symmetric: pair not compatible")
-    return g, eps
+    return pair.G_raw, pair.eps
 
 
 def signature(m: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
@@ -189,12 +258,10 @@ def normalization_scale(omega: KForm, rho: KForm) -> tuple[Scalar, int]:
     scaling: with phi(rho) the positive root, it is the orientation
     sign(phi(omega)).
     """
-    lam = lambda_of(rho)
-    w = phi_omega(omega)
-    if scalar_is_zero(lam) or scalar_is_zero(w):
+    pair = StablePair(omega, rho)
+    if pair.norm_c4 is None:
         raise NotStableError("normalization requires both forms stable")
-    c4 = 4 * w * w / scalar_abs(lam)
-    return c4, scalar_sign(w)
+    return pair.norm_c4, pair.norm_sign
 
 
 def structure_type(omega: KForm, rho: KForm) -> StructureType:
@@ -206,27 +273,7 @@ def structure_type(omega: KForm, rho: KForm) -> StructureType:
     """
     if omega.degree != 2 or rho.degree != 3:
         return StructureType(KIND_NOT_STABLE)
-    w = phi_omega(omega)
-    lam = lambda_of(rho)
-    if scalar_is_zero(w) or scalar_is_zero(lam):
-        return StructureType(KIND_NOT_STABLE)
-    if not is_compatible(omega, rho):
-        return StructureType(KIND_NOT_COMPATIBLE)
-    g, _ = induced_metric_raw(omega, rho)
-    o = scalar_sign(w)
-    if o < 0:
-        g = [[-x for x in row] for row in g]
-    p, q, z = linalg.inertia(g)
-    if z > 0:
-        return StructureType(KIND_NOT_NORMALIZABLE, (p, q, z))
-    if scalar_sign(lam) < 0:
-        kind = _SU_KIND_BY_SIGNATURE.get((p, q))
-        if kind is None:
-            return StructureType(KIND_NOT_NORMALIZABLE, (p, q, z))
-        return StructureType(kind, (p, q, z))
-    if (p, q) == (3, 3):
-        return StructureType(KIND_SL3R, (p, q, z))
-    return StructureType(KIND_NOT_NORMALIZABLE, (p, q, z))
+    return StablePair(omega, rho).structure
 
 
 def j_apply_oneform(rho: KForm, alpha: KForm, v: Vector, lam: Scalar | None = None) -> Scalar:
@@ -257,7 +304,11 @@ def j_matrix_values(rho: KForm, alpha: KForm) -> list[Scalar]:
 
 
 class StablePair:
-    """A candidate pair (omega, rho) with all derived data computed once."""
+    """A candidate pair (omega, rho) with K, lambda, G_raw and the verdict computed once.
+
+    Wrong degrees raise NotStableError; omega ^ rho = 0 with an asymmetric
+    G_raw raises NotCompatibleError.
+    """
 
     __slots__ = (
         "omega",
@@ -269,6 +320,8 @@ class StablePair:
         "eps",
         "norm_c4",
         "norm_sign",
+        "symmetric",
+        "compatible",
         "structure",
     )
 
@@ -286,13 +339,25 @@ class StablePair:
         else:
             self.norm_c4 = None
             self.norm_sign = 0
-        g = linalg.mat_mul(omega_matrix(omega), self.K)
-        self.G_raw = [[self.eps * x for x in row] for row in g]
-        self.structure = structure_type(omega, rho)
+        self.G_raw = _omega_times_k(omega, self.K, self.eps)
+        self.symmetric = linalg.is_symmetric(self.G_raw)
+        wedge_zero = is_compatible(omega, rho)
+        self.compatible = self.symmetric and wedge_zero
+        self.structure = self._verdict(stable, wedge_zero)
 
-    @property
-    def compatible(self) -> bool:
-        return linalg.is_symmetric(self.G_raw) and is_compatible(self.omega, self.rho)
+    def _verdict(self, stable: bool, wedge_zero: bool) -> StructureType:
+        if not stable:
+            return StructureType(KIND_NOT_STABLE)
+        if not wedge_zero:
+            return StructureType(KIND_NOT_COMPATIBLE)
+        if not self.symmetric:
+            raise NotCompatibleError("omega(., K_rho .) is not symmetric: pair not compatible")
+        p, q, z = linalg.inertia(self.oriented_metric_raw())
+        if z == 0 and scalar_sign(self.lam) < 0 and (p, q) in _SU_KIND_BY_SIGNATURE:
+            return StructureType(_SU_KIND_BY_SIGNATURE[(p, q)], (p, q, z))
+        if z == 0 and scalar_sign(self.lam) > 0 and (p, q) == (3, 3):
+            return StructureType(KIND_SL3R, (p, q, z))
+        return StructureType(KIND_NOT_NORMALIZABLE, (p, q, z))
 
     def oriented_metric_raw(self) -> linalg.Matrix:
         """G_raw with the orientation branch applied (positive branch)."""

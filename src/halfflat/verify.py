@@ -89,6 +89,13 @@ def verify(
     their span is isotropic for the induced metric and J-invariant; both
     checks stay rational by scaling with phi(rho).
     """
+    return _verify_pair(L, omega, rho, plane)[0]
+
+
+def _verify_pair(
+    L: LieAlgebra, omega: KForm, rho: KForm, plane: tuple[KForm, KForm] | None = None
+) -> tuple[HalfFlatReport, stable.StablePair]:
+    """``verify`` plus the StablePair its verdict was read from."""
     if L.dim != 6:
         raise ValueError("verification runs on six-dimensional algebras")
     d_rho = L.d(rho)
@@ -112,7 +119,7 @@ def verify(
             report.detail = (
                 f"plane isotropic: {_yn(isotropic)}, J-invariant: {_yn(invariant)}"
             )
-    return report
+    return report, pair
 
 
 def _plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[bool, bool]:
@@ -358,19 +365,12 @@ def _ortho_iic(xi2, p, q, r, s) -> tuple[LieAlgebra, KForm, KForm]:
         name="iic-g2",
         unchecked=True,
     )
-    L = direct_sum_unchecked(g1, g2)
+    L = direct_sum(g1, g2, unchecked=True)
     if not L.check_jacobi():
         raise DomainError("case IIc parameters violate the Jacobi identity")
     a, b = Fraction(1), Fraction(0)
     psi = _psi0_type_II(a, b) + _phi0_type_II(a, b).scale(-xi2)
     return L, _omega_type_II(a, b), psi
-
-
-def direct_sum_unchecked(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
-    diffs = list(L1.diffs)
-    for dk in L2.diffs:
-        diffs.append(KForm(2, {m << 3: c for m, c in dk.terms.items()}))
-    return LieAlgebra(6, diffs, summands=(L1, L2), unchecked=True)
 
 
 # -- para-complex construction -------------------------------------------------

@@ -71,6 +71,32 @@ def dense_contract(v_components, k, dense):
     return k - 1, out
 
 
+def dense_k_matrix(form):
+    """K_rho with column v = kappa((e_v -| rho) ^ rho), from the dense formulas.
+
+    kappa by hand: X -| e^123456 evaluated on the increasing tuple missing u
+    is X_u times the sign of the permutation (u, rest), so X_u is the
+    five-form's value there times that sign.
+    """
+    k, dense = dense_from_sparse(form)
+    cols = []
+    for v in range(1, DIM + 1):
+        e_v = [Fraction(int(i == v)) for i in range(1, DIM + 1)]
+        kc, dc = dense_contract(e_v, k, dense)
+        _, five = dense_wedge(kc, dc, k, dense)
+        col = []
+        for u in range(1, DIM + 1):
+            rest = tuple(i for i in range(1, DIM + 1) if i != u)
+            col.append(dense_value(five, rest) * perm_sign((u,) + rest))
+        cols.append(col)
+    return [[cols[v][u] for v in range(DIM)] for u in range(DIM)]
+
+
+def dense_lambda(K):
+    """tr(K^2) / 6 by the plain double sum."""
+    return sum(K[i][j] * K[j][i] for i in range(DIM) for j in range(DIM)) / 6
+
+
 def dense_equal_sparse(kd, dense, form) -> bool:
     fk, fd = dense_from_sparse(form)
     if fk != kd:

@@ -69,6 +69,18 @@ def test_jacobi_detects_invalid_constants():
     assert not bad.check_jacobi()
 
 
+def test_direct_sum_unchecked_flag():
+    diffs = [form(2, [("e23", 1)]), form(2, [("e12", 1)]), form(2)]
+    bad = LieAlgebra(3, diffs, name="bad", unchecked=True)
+    with pytest.raises(JacobiError):
+        direct_sum(bad, catalog("su2"))
+    s = direct_sum(bad, catalog("su2"), unchecked=True)
+    assert not s.checked and not s.check_jacobi()
+    assert s.summands[0] is bad and s.d(covector(1)) == form(2, [("e23", 1)])
+    assert s.d(covector(4)) == direct_sum(catalog("R3"), catalog("su2")).d(covector(4))
+    assert direct_sum(catalog("h3"), catalog("r2R")).checked
+
+
 def test_jacobi_on_catalog():
     for L in all_class_instances():
         assert L.check_jacobi()

@@ -6,11 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from halfflat import linalg, obstruct
+from halfflat import linalg, obstruct, stable
 from halfflat.errors import HalfFlatError
-from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, volume_ratio, contract, Vector
+from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, volume_ratio, contract, Vector, kappa
 from halfflat.liealg import catalog, direct_sum
 from halfflat.stable import lambda_of
+
+from .conftest import random_form
+from .oracles import dense_k_matrix, dense_lambda
 
 V_STD = None
 
@@ -133,7 +136,8 @@ def test_lambda_scan_control_finds_negative():
 
 
 def test_lambda_scan_matches_exact_path():
-    # the integer fast path must agree in sign with the exact KForm pipeline
+    # the integer path of the scan must agree with the exact KForm pipeline,
+    # and both with a K that does not use the library's table
     rng = random.Random(5)
     L = direct_sum(catalog("e11"), catalog("r3"))
     z3 = L.closed_forms(3).basis
@@ -143,10 +147,12 @@ def test_lambda_scan_matches_exact_path():
         for b in z3:
             rho = rho + b.scale(Fraction(rng.randint(-8, 8)))
         ints = {m: int(rho.coeff(m)) for m in masks if rho.coeff(m) != 0}
-        lam6 = obstruct._lambda_six_int(ints)
+        lam6 = stable.trace_of_square(stable.k_from_terms(ints, 0), 0)
         exact = lambda_of(rho)
         assert (lam6 > 0) == (exact > 0) and (lam6 < 0) == (exact < 0)
         assert Fraction(lam6, 6) == exact
+        # independent side: K from the dense permutation formulas
+        assert dense_lambda(dense_k_matrix(rho)) == exact
 
 
 def _reference_scan(L, n_samples, seed):
@@ -246,3 +252,52 @@ def test_j_invariance_of_v_on_obstructed_algebras(rng):
             if found_stable >= 20:
                 break
         assert found_stable > 0
+
+
+def _coherent_reference(L, v_pair):
+    """Coherence with d e^k taken through the antiderivation ``L.d``."""
+    a1, a2 = v_pair
+    if not (L.d(a1).is_zero() and L.d(a2).is_zero()):
+        return False
+    vv = wedge(a1, a2)
+    return not vv.is_zero() and all(
+        wedge(L.d(covector(k)), vv).is_zero() for k in range(1, 7)
+    )
+
+
+def test_is_coherent_matches_antiderivation_reference():
+    rng = random.Random(3)
+    candidates = [covector(k) for k in range(1, 7)] + [
+        covector(1) + covector(4), covector(2) - covector(5), covector(3) + covector(6)
+    ]
+    hits = 0
+    for g1, g2 in (("r2R", "r3"), ("h3", "r2R"), ("R3", "R3"), ("e2", "r3mu"), ("su2", "r31")):
+        L = direct_sum(catalog(g1), catalog(g2, Fraction(1, 2)) if g2 == "r3mu" else catalog(g2))
+        for a1, a2 in combinations(candidates, 2):
+            got = obstruct.is_coherent(L, (a1, a2))
+            assert got == _coherent_reference(L, (a1, a2))
+            hits += got
+        for _ in range(20):
+            pair = tuple(
+                KForm(1, {1 << i: Fraction(rng.randint(-1, 1)) for i in range(6)}) for _ in range(2)
+            )
+            assert obstruct.is_coherent(L, pair) == _coherent_reference(L, pair)
+    assert hits > 0
+
+
+def test_refined_r2R_R3_reads_column_of_k(rng):
+    from halfflat.stable import k_matrix
+
+    # column 2 of K is kappa((e_2 -| rho) ^ rho), the vector the check inspects
+    for _ in range(30):
+        rho = random_form(rng, 3, span=3, density=0.5)
+        x, _ = kappa(wedge(contract(Vector.basis(2), rho), rho))
+        assert [row[1] for row in k_matrix(rho)] == list(x.components)
+    verdicts = {
+        (g1, g2): obstruct.refined_r2R_R3(direct_sum(catalog(g1), catalog(g2)), enforce=False)
+        for g1, g2 in (("r2R", "R3"), ("R3", "r2R"), ("su2", "su2"), ("r2R", "r3"), ("h3", "r2R"))
+    }
+    assert verdicts == {
+        ("r2R", "R3"): True, ("R3", "r2R"): False, ("su2", "su2"): False,
+        ("r2R", "r3"): False, ("h3", "r2R"): False,
+    }

@@ -34,6 +34,35 @@ def test_gradient_matches_finite_differences():
                 assert abs(fd - g[idx]) / denom < 1e-5
 
 
+def _reference_k_tensor(b3):
+    """The float K tensor built by contract, wedge and kappa on basis forms."""
+    from halfflat.exterior import DIM, KForm, Vector, contract, kappa, wedge
+
+    out = np.zeros((DIM, DIM, len(b3), len(b3)))
+    for v in range(DIM):
+        ev = Vector.basis(v + 1)
+        for i, mi in enumerate(b3):
+            ci = contract(ev, KForm(3, {mi: Fraction(1)}))
+            for j, mj in enumerate(b3):
+                prod = wedge(ci, KForm(3, {mj: Fraction(1)}))
+                if prod.is_zero():
+                    continue
+                x, _ = kappa(prod)
+                for u in range(DIM):
+                    c = float(x.components[u])
+                    if c:
+                        out[u, v, i, j] += c
+    return out
+
+
+def test_float_k_tensor_matches_reference_loop():
+    ref = _reference_k_tensor(basis_masks(3))
+    for names in (("su2", "su2"), ("r2R", "r3")):
+        kern = search.FloatKernels(direct_sum(catalog(names[0]), catalog(names[1])))
+        assert np.array_equal(kern.kt, ref)
+    assert np.count_nonzero(ref) == 240
+
+
 def test_float_kernels_agree_with_exact(rng):
     """Float lambda, K and G_raw match the exact pipeline to 1e-10 relative."""
     L = direct_sum(catalog("e2"), catalog("r3"))

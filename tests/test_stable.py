@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from halfflat import linalg, stable
-from halfflat.errors import NotStableError
-from halfflat.exterior import KForm, Vector, form, wedge
-from halfflat.scalars import scalar_abs, sqrt_scalar
+from halfflat import corpus, linalg, stable
+from halfflat.errors import NotCompatibleError, NotStableError
+from halfflat.exterior import KForm, Vector, basis_masks, form, wedge
+from halfflat.scalars import QuadExt, scalar_abs, sqrt_scalar
 from halfflat.stable import (
     MODEL_OMEGA,
     MODEL_RHO,
+    MODEL_RHO_PARA,
     StablePair,
     induced_metric_raw,
     is_compatible,
@@ -25,6 +26,7 @@ from halfflat.stable import (
 )
 
 from .conftest import random_fraction, random_form
+from .oracles import dense_k_matrix, dense_lambda
 
 RHO_SPLIT = form(3, [("e123", 1), ("f123", 1)])
 
@@ -283,3 +285,115 @@ def _metric_identity_check(rng, pair, cases):
         ) * root
         rhs = gab * volume_ratio(omega3) / 3
         assert lhs == rhs
+
+
+# -- the quadratic K table against an independent K -----------------------------
+
+
+def _quad_form(rng, radicand, density=0.5):
+    terms = {}
+    for mask in basis_masks(3):
+        if rng.random() < density:
+            terms[mask] = QuadExt.make(
+                random_fraction(rng, 3), random_fraction(rng, 3), radicand
+            )
+    return KForm(3, terms)
+
+
+def test_k_matrix_matches_dense_oracle_rational(rng):
+    for _ in range(60):
+        rho = random_form(rng, 3, span=5, density=rng.choice((0.3, 0.6, 1.0)))
+        K = k_matrix(rho)
+        assert K == dense_k_matrix(rho)
+        assert lambda_of(rho, K) == dense_lambda(K)
+
+
+def test_k_matrix_matches_dense_oracle_quadratic_extension(rng):
+    # table 5 sl2 + r3mu (0 < mu <= 1): coefficients in Q(sqrt(2 mu + 1))
+    rows = [inst for inst in corpus.iter_instances(table=5) if inst.label.startswith("T5.7[")]
+    rows += [
+        corpus.row_t5_sl2_r3mu_pos(Fraction(m, d)) for m, d in ((1, 3), (2, 3), (1, 5), (2, 5))
+    ]
+    rhos = [inst.rho for inst in rows]
+    assert all(any(isinstance(c, QuadExt) for c in r.terms.values()) for r in rhos)
+    rhos += [_quad_form(rng, D) for D in (2, 3, 5, Fraction(3, 2)) for _ in range(3)]
+    assert len(rhos) >= 20
+    for rho in rhos:
+        K = k_matrix(rho)
+        oracle = dense_k_matrix(rho)
+        assert all(K[u][v] == oracle[u][v] for u in range(6) for v in range(6))
+        assert lambda_of(rho, K) == dense_lambda(oracle)
+
+
+def test_k_table_size_and_integer_path(rng):
+    assert sum(len(entries) for entries in stable.K_TABLE.values()) == 240
+    for _ in range(50):
+        rho = random_form(rng, 3, span=6, density=0.6)
+        ints = {m: int(4 * c) for m, c in rho.terms.items() if (4 * c).denominator == 1}
+        K_int = stable.k_from_terms(ints, 0)
+        assert all(type(x) is int for row in K_int for x in row)
+        assert K_int == dense_k_matrix(KForm(3, ints))
+        assert Fraction(stable.trace_of_square(K_int, 0), 6) == lambda_of(KForm(3, ints))
+
+
+# -- StablePair is the one place the verdict is formed ---------------------------
+
+
+def _pairs_of_this_file():
+    omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
+    return [
+        (MODEL_OMEGA, MODEL_RHO),
+        (omega, RHO_SPLIT),
+        (omega, form(3, [("e123", 1)])),
+        (form(2, [("e12", 1)]), MODEL_RHO),
+        (form(2, [("e12", 1)]), form(3, [("f123", 1)])),
+        (MODEL_OMEGA, MODEL_RHO_PARA),
+    ]
+
+
+def test_structure_type_equals_stable_pair_structure(rng):
+    pairs = [(inst.omega, inst.rho) for inst in corpus.iter_instances() + corpus.iter_instances(table=0)]
+    pairs += _pairs_of_this_file()
+    for _ in range(40):
+        pairs.append((random_form(rng, 2, span=3, density=0.5), random_form(rng, 3, span=3, density=0.4)))
+    kinds = set()
+    for omega, rho in pairs:
+        t = structure_type(omega, rho)
+        assert t == StablePair(omega, rho).structure
+        kinds.add(t.kind)
+    assert {"SU(3)", "SL(3,R)", "NotStable", "NotCompatible"} <= kinds
+
+
+def test_wrong_degrees_not_stable():
+    assert structure_type(MODEL_RHO, MODEL_OMEGA).kind == "NotStable"
+    assert structure_type(MODEL_OMEGA, MODEL_OMEGA).kind == "NotStable"
+    for omega, rho in ((MODEL_RHO, MODEL_RHO), (MODEL_OMEGA, MODEL_OMEGA)):
+        with pytest.raises(NotStableError):
+            StablePair(omega, rho)
+        with pytest.raises(NotStableError):
+            induced_metric_raw(omega, rho)
+        with pytest.raises(NotStableError):
+            normalization_scale(omega, rho)
+
+
+def test_asymmetric_metric_raises_not_compatible():
+    omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
+    rho = form(3, [("e123", 1), ("f123", 1), ("e12f1", 1)])
+    pair = StablePair(omega, rho)
+    assert pair.norm_c4 is not None and not pair.symmetric and not pair.compatible
+    assert pair.structure.kind == "NotCompatible"
+    with pytest.raises(NotCompatibleError):
+        induced_metric_raw(omega, rho)
+    # the wrappers read what the pair holds
+    assert normalization_scale(omega, rho) == (pair.norm_c4, pair.norm_sign)
+    g, eps = induced_metric_raw(MODEL_OMEGA, MODEL_RHO)
+    assert g == StablePair(MODEL_OMEGA, MODEL_RHO).G_raw and eps == stable.EPSILON
+
+
+def test_sparse_metric_matches_dense_product(rng):
+    for _ in range(60):
+        omega = random_form(rng, 2, span=4, density=0.5)
+        rho = random_form(rng, 3, span=4, density=0.5)
+        pair = StablePair(omega, rho)
+        dense = linalg.mat_mul(stable.omega_matrix(omega), k_matrix(rho))
+        assert pair.G_raw == [[pair.eps * x for x in row] for row in dense]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfflat import corpus
+from halfflat import corpus, stable
 from halfflat.classify3d import classify
 from halfflat.errors import DomainError
 from halfflat.exterior import covector, form
@@ -202,3 +202,40 @@ def test_sl3r_example():
     rep = verify(inst.algebra, inst.omega, inst.rho)
     assert rep.half_flat and rep.structure.kind == "SL(3,R)"
     assert rep.structure.signature == (3, 3, 0)
+
+
+# -- K_rho is formed once per pair ------------------------------------------------
+
+
+def _count_k_matrix(monkeypatch):
+    calls = []
+    orig = stable.k_matrix
+
+    def counting(rho):
+        calls.append(rho)
+        return orig(rho)
+
+    monkeypatch.setattr(stable, "k_matrix", counting)
+    return calls
+
+
+def test_verify_forms_k_once(monkeypatch):
+    calls = _count_k_matrix(monkeypatch)
+    inst = corpus.row_t4_e2()
+    rep = verify(inst.algebra, inst.omega, inst.rho)
+    assert rep.half_flat and calls == [inst.rho]
+    calls.clear()
+    L = direct_sum(catalog("su2"), catalog("su2"))
+    omega, rho = ortho_type_I(catalog("su2"), catalog("su2"), 1, 1)
+    verify(L, omega, rho, plane=(covector(1), covector(4)))
+    assert len(calls) == 1
+
+
+def test_verify_instance_forms_k_once(monkeypatch):
+    calls = _count_k_matrix(monkeypatch)
+    rows = corpus.iter_instances(table=5) + corpus.iter_instances(table=0)
+    for inst in rows:
+        calls.clear()
+        res = corpus.verify_instance(inst)
+        assert res.ok, inst.label
+        assert calls == [inst.rho], inst.label
