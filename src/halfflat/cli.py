@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import corpus, obstruct
 from .classify3d import classify
 from .errors import HalfFlatError, JacobiError, ParseError
-from .exterior import DIM, KForm
+from .exterior import DIM, KForm, sorted_monomial
 from .liealg import CATALOG_INFO, LieAlgebra, catalog, direct_sum
 from .verify import verify
 
@@ -147,14 +147,7 @@ def _terms_to_form(terms, degree: int) -> KForm:
     for coeff, idx in terms:
         if len(set(idx)) != len(idx):
             continue  # repeated factor wedges to zero
-        sign = 1
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                if idx[a] > idx[b]:
-                    sign = -sign
-        mask = 0
-        for k in idx:
-            mask |= 1 << (k - 1)
+        mask, sign = sorted_monomial(idx)
         acc[mask] = acc.get(mask, Fraction(0)) + sign * coeff
     return KForm(degree, acc)
 

@@ -210,12 +210,17 @@ def mono(spec: str) -> tuple[int, int]:
         raise ValueError(f"bad monomial {spec!r}")
     if len(set(order)) != len(order):
         raise ValueError(f"repeated index in {spec!r}")
+    return sorted_monomial(order)
+
+
+def sorted_monomial(indices: Sequence[int]) -> tuple[int, int]:
+    """(mask, sign) with e^i1 ^ ... ^ e^ik = sign * e^mask, for distinct 1-based indices."""
     sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
+    for i in range(len(indices)):
+        for j in range(i + 1, len(indices)):
+            if indices[i] > indices[j]:
                 sign = -sign
-    return _indices_mask(order), sign
+    return _indices_mask(indices), sign
 
 
 def form(degree: int, terms: Iterable[tuple[str, Scalar]] = ()) -> KForm:

@@ -142,11 +142,20 @@ class LieAlgebra:
             self._closed[k] = self._kernel_of_d(k)
         return self._closed[k]
 
+    def d_matrix(self, k: int) -> linalg.Matrix:
+        """Exact matrix of d from Lambda^k to Lambda^(k+1), not cached.
+
+        Column j is d of the j-th k-monomial and row i the coefficient on the
+        i-th (k+1)-monomial, both over the sorted monomials within ``dim``.
+        """
+        masks = [m for m in basis_masks(k) if not m >> self.dim]
+        out_masks = [m for m in basis_masks(k + 1) if not m >> self.dim]
+        images = [self.d(KForm(k, {m: Fraction(1)})) for m in masks]
+        return [[img.coeff(om) for img in images] for om in out_masks]
+
     def _kernel_of_d(self, k: int) -> "Subspace":
         masks = [m for m in basis_masks(k) if not m >> self.dim]
-        out_masks = [m for m in basis_masks(k + 1) if not m >> self.dim] if k < self.dim else []
-        images = [self.d(KForm(k, {m: Fraction(1)})) for m in masks]
-        rows = [[img.coeff(om) for img in images] for om in out_masks]
+        rows = self.d_matrix(k)
         if not rows:
             return Subspace(k, [KForm(k, {m: Fraction(1)}) for m in masks])
         ker = linalg.nullspace(rows)

@@ -9,10 +9,12 @@ splittings come from factor one-forms alpha_i with im(d|g_i*) in
 alpha_i ^ g_i*, and the two component conditions reduce to d being
 injective on Lambda^3 W and Lambda^4 W.
 
-Two algebras resist the direct rank argument and get refined checks:
-h3 (+) r2R through the isotropy of f^1 against every closed (rho, sigma),
-and r2R (+) R^3 through K_rho(e_2) being proportional to e_2 for every
-closed rho, which forces lambda(rho) >= 0 and rules out every SU(p,q).
+Two algebras resist the direct rank argument and get refined checks, both
+reading entries of K_rho on closed three-forms (alpha ^ (v -| rho) ^ rho is
+alpha(K_rho v) nu): h3 (+) r2R through the isotropy of f^1 against every
+closed (rho, sigma), and r2R (+) R^3 through K_rho(e_2) being proportional
+to e_2 for every closed rho, which forces lambda(rho) >= 0 and rules out
+every SU(p,q).
 A seeded random scan certifies lambda >= 0 on sampled closed three-forms
 for the nine class pairs where that argument applies; the scan falsifies,
 it does not prove.
@@ -24,11 +26,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import linalg, stable
 from .errors import HalfFlatError
-from .exterior import DIM, KForm, Vector, basis_masks, contract, covector, evaluate, wedge, wedge_all
+from .exterior import DIM, KForm, Vector, basis_masks, covector, evaluate, mono, wedge, wedge_all
 from .liealg import LieAlgebra, catalog
 from .scalars import scalar_is_zero
 
@@ -212,64 +214,50 @@ def _is_standard(L: LieAlgebra, names: tuple[str, str]) -> bool:
     return all(s.diffs == w.diffs for s, w in zip(L.summands, want))
 
 
-def refined_h3_r2R(L: LieAlgebra, enforce: bool = True) -> bool:
+def refined_h3_r2R(L: LieAlgebra) -> bool:
     """Isotropy obstruction specific to h3 (+) r2R.
 
     Returns True when (1) f^1 ^ sigma lies in span{f^1 e^12 f^23,
-    f^1 e^123 f^3} for every closed four-form sigma and (2) the polarized
-    quadratic map f^1 ^ (v -| rho1) ^ rho2 + f^1 ^ (v -| rho2) ^ rho1
-    vanishes on Z^3 x Z^3 for v in {e_3, f_2}.  Together those force f^1 to
-    be isotropic for every half-flat pair, so no half-flat SU(3) exists.
+    f^1 e^123 f^3} for every closed four-form sigma and (2) f^1(K_rho e_3)
+    and f^1(K_rho f_2) vanish for every closed rho; since
+    f^1 ^ (v -| rho) ^ rho = f^1(K_rho v) nu, (2) is the vanishing of two
+    entries of K.  Together those force f^1 to be isotropic for every
+    half-flat pair, so no half-flat SU(3) exists.
     """
-    if enforce and not _is_standard(L, ("h3", "r2R")):
+    if not _is_standard(L, ("h3", "r2R")):
         raise HalfFlatError("refined check expects h3 (+) r2R in the standard basis")
     f1 = covector(4)
-    span_masks = _span_masks([("f1e12f23"), ("f1e123f3")])
+    span_masks = {mono(s)[0] for s in ("f1e12f23", "f1e123f3")}
     for sigma in L.closed_forms(4).basis:
         prod = wedge(f1, sigma)
         if any(m not in span_masks for m in prod.terms):
             return False
-    z3 = L.closed_forms(3).basis
-    for v in (Vector.basis(3), Vector.basis(5)):
-        for i in range(len(z3)):
-            for j in range(i, len(z3)):
-                s = wedge(wedge(f1, contract(v, z3[i])), z3[j]) + wedge(
-                    wedge(f1, contract(v, z3[j])), z3[i]
-                )
-                if not s.is_zero():
-                    return False
-    return True
+    return _k_entries_vanish(L, ((3, 2), (3, 4)))
 
 
-def _span_masks(specs: list[str]) -> set[int]:
-    from .exterior import mono
-
-    return {mono(s)[0] for s in specs}
-
-
-def refined_r2R_R3(L: LieAlgebra, enforce: bool = True) -> bool:
+def refined_r2R_R3(L: LieAlgebra) -> bool:
     """K_rho(e_2) proportional to e_2 for every closed rho on r2R (+) R^3.
 
-    Verified on a basis of Z^3 and on all pairwise sums, which polarizes
-    the quadratic map completely; together with dim Z^1 = 5 this forces
+    Together with dim Z^1 = 5 (which the standard basis fixes) this forces
     lambda(rho) = c^2 >= 0 for every closed rho, so no SU(p,q) structure of
     any signature exists.
     """
-    if enforce and not _is_standard(L, ("r2R", "R3")):
+    if not _is_standard(L, ("r2R", "R3")):
         raise HalfFlatError("refined check expects r2R (+) R^3 in the standard basis")
-    if enforce and L.closed_forms(1).dim != 5:
-        return False
+    return _k_entries_vanish(L, ((u, 1) for u in range(DIM) if u != 1))
+
+
+def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
+    """K_rho[u][v] = 0 for every closed three-form rho and every (u, v) in ``entries``.
+
+    K is quadratic in rho, so checking a basis z_i of Z^3 and all sums
+    z_i + z_j polarizes the condition completely.
+    """
+    entries = tuple(entries)
     z3 = L.closed_forms(3).basis
-
-    def k_e2_off_axis(rho: KForm) -> bool:
-        K = stable.k_matrix(rho)
-        return all(scalar_is_zero(K[i][1]) for i in range(DIM) if i != 1)
-
-    for i in range(len(z3)):
-        for j in range(i, len(z3)):
-            if not k_e2_off_axis(z3[i] + z3[j]):
-                return False
-        if not k_e2_off_axis(z3[i]):
+    for i, j in combinations_with_replacement(range(len(z3)), 2):
+        K = stable.k_matrix(z3[i] if i == j else z3[i] + z3[j])
+        if not all(scalar_is_zero(K[u][v]) for u, v in entries):
             return False
     return True
 

@@ -28,6 +28,11 @@ from .exterior import DIM, KForm, basis_masks
 from .liealg import LieAlgebra
 from .verify import HalfFlatReport, verify
 
+#: eigenvalue margin, relative to |S|_F, that the penalty pushes the metric past
+MARGIN_OPT = 1e-2
+#: smallest trace-normalized metric eigenvalue the su3 gate accepts
+GATE_MARGIN = 1e-4
+
 TARGET_KINDS = {
     "su3": (stable.KIND_SU3,),
     "su12": (stable.KIND_SU12, stable.KIND_SU21),
@@ -75,40 +80,23 @@ class FloatKernels:
     """Dense float tensors mirroring the exact operations for one algebra."""
 
     def __init__(self, L: LieAlgebra):
-        self.L = L
         self.b2 = basis_masks(2)
         self.b3 = basis_masks(3)
-        self.b4 = basis_masks(4)
-        self.b5 = basis_masks(5)
-        self.i2 = {m: i for i, m in enumerate(self.b2)}
-        self.i4 = {m: i for i, m in enumerate(self.b4)}
-        self.i5 = {m: i for i, m in enumerate(self.b5)}
-        self.d3 = self._d_matrix(3)
-        self.d4 = self._d_matrix(4)
-        self.w22 = self._wedge_tensor(self.b2, self.b2, self.i4)
-        self.w23 = self._wedge_tensor(self.b2, self.b3, self.i5)
+        self.d3 = np.array(L.d_matrix(3), dtype=float)
+        self.d4 = np.array(L.d_matrix(4), dtype=float)
+        self.w22 = self._wedge_tensor(self.b2, self.b2, basis_masks(4))
+        self.w23 = self._wedge_tensor(self.b2, self.b3, basis_masks(5))
         self.kt = self._k_tensor()
         z3 = L.closed_forms(3).basis
-        self.z3_exact = z3
         self.z3 = np.array(
             [[float(b.coeff(m)) for b in z3] for m in self.b3]
         )  # shape (20, dim Z3)
 
-    def _d_matrix(self, k: int) -> np.ndarray:
-        src = basis_masks(k)
-        dst = basis_masks(k + 1)
-        dst_i = {m: i for i, m in enumerate(dst)}
-        out = np.zeros((len(dst), len(src)))
-        for j, m in enumerate(src):
-            img = self.L.d(KForm(k, {m: Fraction(1)}))
-            for mm, c in img.terms.items():
-                out[dst_i[mm], j] = float(c)
-        return out
-
     @staticmethod
-    def _wedge_tensor(ba, bb, out_index) -> np.ndarray:
+    def _wedge_tensor(ba, bb, out_masks) -> np.ndarray:
         from .exterior import _SIGN
 
+        out_index = {m: i for i, m in enumerate(out_masks)}
         out = np.zeros((len(ba), len(bb), len(out_index)))
         for i, ma in enumerate(ba):
             for j, mb in enumerate(bb):
@@ -143,6 +131,16 @@ class FloatKernels:
         k = self.k_of(r)
         return float(np.trace(k @ k)) / 6.0
 
+    def residuals(self, w: np.ndarray, r: np.ndarray) -> dict:
+        """Float residuals of d rho, d omega^2 and omega ^ rho, plus lambda."""
+        q = np.einsum("ijm,i,j->m", self.w22, w, w)
+        return {
+            "resid_drho": float(np.linalg.norm(self.d3 @ r)),
+            "resid_domega2": float(np.linalg.norm(self.d4 @ q)),
+            "resid_omega_rho": float(np.linalg.norm(np.einsum("ijm,i,j->m", self.w23, w, r))),
+            "lambda_float": self.lam_of(r),
+        }
+
     def metric_raw(self, w: np.ndarray, r: np.ndarray, k: np.ndarray | None = None):
         k = self.k_of(r) if k is None else k
         lam = float(np.trace(k @ k)) / 6.0
@@ -157,10 +155,9 @@ def _hinge(x: float) -> float:
 class _Penalty:
     """Smooth penalty and analytic gradient for one target kind."""
 
-    def __init__(self, kern: FloatKernels, target: str, margin_opt: float = 1e-2):
+    def __init__(self, kern: FloatKernels, target: str):
         self.k = kern
         self.target = target
-        self.margin_opt = margin_opt
         self.nz = kern.z3.shape[1]
         self.lam_gap = 1e-2
 
@@ -225,7 +222,7 @@ class _Penalty:
         s = 0.5 * (g + g.T)
         evals, evecs = np.linalg.eigh(s)
         scale = max(float(np.linalg.norm(s)), 1e-12)
-        m0 = self.margin_opt * scale
+        m0 = MARGIN_OPT * scale
         p4 = 0.0
         ds = np.zeros((DIM, DIM))
         wants = self._wanted_signs(evals)
@@ -239,7 +236,7 @@ class _Penalty:
                 ds -= 2.0 * h * sgn * np.outer(evecs[:, idx], evecs[:, idx])
         if hsum > 0.0:
             # the margin itself scales with |S|_F
-            ds += hsum * self.margin_opt * s / scale
+            ds += hsum * MARGIN_OPT * s / scale
         if p4 > 0.0:
             # dS from omega: d g = eps * d omega_matrix @ K (antisymmetric slots)
             dg = eps * (ds @ kmat.T)
@@ -286,7 +283,6 @@ def find_halfflat(
     restarts: int = 10_000,
     seed: int = 0,
     tol: float = 1e-8,
-    margin: float = 1e-4,
     max_iter: int = 600,
 ) -> SearchResult:
     """Random-restart penalty minimization for a half-flat pair on L.
@@ -314,7 +310,7 @@ def find_halfflat(
         )
         if res.fun > 1e-14:
             continue
-        gate = _gate(kern, pen, res.x, target, tol, margin)
+        gate = _gate(kern, pen, res.x, target, tol)
         if gate is not None:
             w, r, residuals = gate
             return SearchResult(
@@ -329,7 +325,7 @@ def find_halfflat(
     return SearchResult(found=False, target=target, seed=seed, restarts_used=restarts)
 
 
-def _gate(kern, pen, x, target, tol, margin):
+def _gate(kern, pen, x, target, tol):
     """Float acceptance gate: residuals, lambda sign and metric margin."""
     w, z = pen.split(x)
     rho_raw = kern.z3 @ z
@@ -337,21 +333,12 @@ def _gate(kern, pen, x, target, tol, margin):
     if n < 1e-9:
         return None
     r = rho_raw / n
-    resid_drho = float(np.linalg.norm(kern.d3 @ r))
-    q = np.einsum("ijm,i,j->m", kern.w22, w, w)
-    resid_dw2 = float(np.linalg.norm(kern.d4 @ q))
-    resid_wr = float(np.linalg.norm(np.einsum("ijm,i,j->m", kern.w23, w, r)))
+    residuals = kern.residuals(w, r)
+    if max(residuals["resid_drho"], residuals["resid_domega2"], residuals["resid_omega_rho"]) > tol:
+        return None
     g, lam = kern.metric_raw(w, r)
     s = 0.5 * (g + g.T)
     evals = np.linalg.eigvalsh(s)
-    residuals = {
-        "resid_drho": resid_drho,
-        "resid_domega2": resid_dw2,
-        "resid_omega_rho": resid_wr,
-        "lambda_float": lam,
-    }
-    if max(resid_drho, resid_dw2, resid_wr) > tol:
-        return None
     if target in ("su3", "su12") and lam >= 0:
         return None
     if target == "sl3r" and lam <= 0:
@@ -362,7 +349,7 @@ def _gate(kern, pen, x, target, tol, margin):
             return None
         min_eig = float(np.min(evals / tr))
         residuals["min_eig_normalized"] = min_eig
-        if min_eig <= margin:
+        if min_eig <= GATE_MARGIN:
             return None
     else:
         scale = max(float(np.linalg.norm(s)), 1e-12)
@@ -379,7 +366,6 @@ def rationalize(
     L: LieAlgebra,
     result: SearchResult,
     max_den: int = 64,
-    target: str | None = None,
 ) -> tuple[KForm, KForm] | None:
     """Continued-fraction rounding of a found pair plus exact re-verification.
 
@@ -389,8 +375,7 @@ def rationalize(
     """
     if not result.found or result.omega is None:
         return None
-    target = target or result.target
-    kinds = TARGET_KINDS[target]
+    kinds = TARGET_KINDS[result.target]
     b2, b3 = basis_masks(2), basis_masks(3)
     ladder = sorted({d for d in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64) if d <= max_den})
     scale = float(np.max(np.abs(result.rho)))
@@ -421,16 +406,4 @@ def rationalize(
 
 def float_reverify(L: LieAlgebra, result: SearchResult) -> dict:
     """Recompute the residual block for a found pair (fresh kernels)."""
-    kern = FloatKernels(L)
-    w, r = result.omega, result.rho
-    out = {
-        "resid_drho": float(np.linalg.norm(kern.d3 @ r)),
-        "resid_domega2": float(
-            np.linalg.norm(kern.d4 @ np.einsum("ijm,i,j->m", kern.w22, w, w))
-        ),
-        "resid_omega_rho": float(
-            np.linalg.norm(np.einsum("ijm,i,j->m", kern.w23, w, r))
-        ),
-        "lambda_float": kern.lam_of(r),
-    }
-    return out
+    return FloatKernels(L).residuals(result.omega, result.rho)

@@ -17,7 +17,9 @@ three-mask i and each bit v of i, the (mask j, row u, sign) with
 K[u][v] += sign * c_i * c_j, 240 entries in all.  ``k_from_terms``
 evaluates it over any coefficient ring, so the exact path (``Fraction`` and
 ``QuadExt``), the integer lambda scan of ``obstruct`` and the float tensor
-of ``search`` share one implementation of K.
+of ``search`` share one implementation of K.  The J values of one-forms
+read K as well: alpha ^ (v -| rho) ^ rho = alpha(K_rho v) nu, so
+``j_matrix_values`` is the row alpha^T K.
 
 A compatible (omega ^ rho = 0) pair of stable forms induces the metric
 g = eps * omega(. , J_rho .).  The matrix G_raw with
@@ -37,8 +39,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import NotCompatibleError, NotStableError
-from .exterior import _SIGN, DIM, NU_MASK, KForm, Vector, basis_masks, contract, form
-from .exterior import volume_ratio, wedge
+from .exterior import _SIGN, DIM, NU_MASK, KForm, Vector, basis_masks, form, volume_ratio, wedge
 from .scalars import (
     Scalar,
     scalar_abs,
@@ -276,31 +277,35 @@ def structure_type(omega: KForm, rho: KForm) -> StructureType:
     return StablePair(omega, rho).structure
 
 
-def j_apply_oneform(rho: KForm, alpha: KForm, v: Vector, lam: Scalar | None = None) -> Scalar:
+def j_matrix_values(rho: KForm, alpha: KForm, K: linalg.Matrix | None = None) -> list[Scalar]:
+    """phi-scaled values alpha(K_rho e_v) for v = 1..6: the row alpha^T K.
+
+    These are sqrt(|lambda|) * (J* alpha)(e_v) = alpha ^ (e_v -| rho) ^ rho / nu,
+    rational whenever the inputs are, which lets invariance and isotropy
+    checks stay in the base field.
+    """
+    K = k_matrix(rho) if K is None else K
+    return [
+        sum((c * K[m.bit_length() - 1][v] for m, c in alpha.terms.items()), Fraction(0))
+        for v in range(DIM)
+    ]
+
+
+def j_apply_oneform(rho: KForm, alpha: KForm, v: Vector) -> Scalar:
     """J*_rho alpha (v), exactly, as an element of Q(sqrt(|lambda|)).
 
-    Uses J* alpha (v) phi(rho) = alpha ^ (v -| rho) ^ rho with
-    phi(rho) = sqrt(|lambda|) nu (positive root).
+    Uses J* alpha (v) phi(rho) = alpha(K_rho v) nu with phi(rho) =
+    sqrt(|lambda|) nu (positive root).
     """
-    lam = lambda_of(rho) if lam is None else lam
+    K = k_matrix(rho)
+    lam = lambda_of(rho, K)
     if scalar_is_zero(lam):
         raise NotStableError("J_rho requires a stable three-form")
     if not isinstance(lam, (int, Fraction)):
         raise NotStableError("J on one-forms needs a rational lambda")
-    num = volume_ratio(wedge(wedge(alpha, contract(v, rho)), rho))
+    row = j_matrix_values(rho, alpha, K)
+    num = sum((x * c for x, c in zip(row, v.components)), Fraction(0))
     return num / sqrt_scalar(scalar_abs(lam))
-
-
-def j_matrix_values(rho: KForm, alpha: KForm) -> list[Scalar]:
-    """phi-scaled values [alpha ^ (e_v -| rho) ^ rho / nu] for v = 1..6.
-
-    These are sqrt(|lambda|) * (J* alpha)(e_v): rational whenever the inputs
-    are, which lets invariance and isotropy checks stay in the base field.
-    """
-    out = []
-    for v in range(1, DIM + 1):
-        out.append(volume_ratio(wedge(wedge(alpha, contract(Vector.basis(v), rho)), rho)))
-    return out
 
 
 class StablePair:

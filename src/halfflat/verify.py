@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg, stable
 from .errors import DomainError, NotStableError
-from .exterior import KForm, Vector, contract, form, volume_ratio, wedge
+from .exterior import KForm, form, volume_ratio, wedge
 from .liealg import LieAlgebra, direct_sum
 from .scalars import Scalar, is_square, rational_sqrt, scalar_is_zero
 from .stable import STABILIZER_KINDS, StructureType
@@ -125,31 +125,23 @@ def _verify_pair(
 def _plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[bool, bool]:
     """Exact isotropy and J-invariance of a span of two one-forms.
 
+    Both read the rows alpha^T K_rho = sqrt(|lambda|) J*alpha of the plane.
     Isotropy uses alpha ^ J*beta ^ omega^2 = (1/3) g(alpha, beta) omega^3
     scaled by phi(rho), so everything stays in the coefficient field.
-    J-invariance checks alpha ^ (v -| rho) ^ rho = 0 for v annihilating the
-    plane.
+    J-invariance checks alpha(K_rho v) = 0 for v annihilating the plane.
     """
-    alpha, beta = plane
     omega2 = wedge(pair.omega, pair.omega)
-    isotropic = True
-    for a in (alpha, beta):
-        for b in (alpha, beta):
-            vals = stable.j_matrix_values(pair.rho, b)
-            jb = KForm(1, {1 << v: vals[v] for v in range(6)})
-            if not scalar_is_zero(volume_ratio(wedge(wedge(a, jb), omega2))):
-                isotropic = False
-    rows = [[a.coeff(1 << i) for i in range(6)] for a in (alpha, beta)]
-    ann = linalg.nullspace(rows)
-    invariant = True
-    for vec in ann:
-        v = Vector(tuple(vec))
-        # J* a (v) phi = a ^ (v -| rho) ^ rho must vanish on Ann(plane)
-        for a in (alpha, beta):
-            if not scalar_is_zero(
-                volume_ratio(wedge(wedge(a, contract(v, pair.rho)), pair.rho))
-            ):
-                invariant = False
+    j_rows = [stable.j_matrix_values(pair.rho, a, pair.K) for a in plane]
+    j_forms = [KForm(1, {1 << v: x for v, x in enumerate(row)}) for row in j_rows]
+    isotropic = all(
+        scalar_is_zero(volume_ratio(wedge(wedge(a, jb), omega2))) for a in plane for jb in j_forms
+    )
+    ann = linalg.nullspace([[a.coeff(1 << i) for i in range(6)] for a in plane])
+    invariant = all(
+        scalar_is_zero(sum((x * c for x, c in zip(row, vec)), Fraction(0)))
+        for vec in ann
+        for row in j_rows
+    )
     return isotropic, invariant
 
 

@@ -48,6 +48,13 @@ def test_parse_sign_normalization():
     b = cli.parse("dim 3\nbasis e1 e2 e3\nd e2 = -1 e1^e2\n")[0]
     assert a.diffs == b.diffs
     assert a.diffs == catalog("r2R").diffs
+    # a repeated factor wedges to zero; a permuted three-form term picks up its sign
+    c = cli.parse("dim 3\nbasis e1 e2 e3\nd e2 = 1 e2^e1 + 3 e1^e1\n")[0]
+    assert c.diffs == a.diffs
+    _, _, rho = cli.parse(
+        "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform rho = 2 f1^e3^e2 + 1 e1^e2^e3 + 5 e1^f2^e1\n"
+    )
+    assert rho == form(3, [("e23f1", -2), ("e123", 1)])
 
 
 def test_parse_errors_carry_position():

@@ -221,3 +221,17 @@ def _random_unimodular_triangular(rng: random.Random, n: int):
     from halfflat import linalg
 
     return linalg.mat_mul(lower, upper)
+
+
+def test_d_matrix_matches_d_on_basis_monomials():
+    algebras = [catalog(n) for n in ("su2", "r3", "h3")]
+    algebras += [direct_sum(catalog("sl2"), catalog("r2R")), direct_sum(catalog("e2"), catalog("r3mu", Fraction(1, 2)))]
+    for L in algebras:
+        for k in range(L.dim + 1):
+            masks = [m for m in basis_masks(k) if not m >> L.dim]
+            out_masks = [m for m in basis_masks(k + 1) if not m >> L.dim]
+            M = L.d_matrix(k)
+            assert len(M) == len(out_masks)
+            for j, m in enumerate(masks):
+                image = L.d(KForm(k, {m: Fraction(1)}))
+                assert [row[j] for row in M] == image.coefficients(out_masks)

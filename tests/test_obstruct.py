@@ -80,7 +80,7 @@ def test_refined_h3_r2R():
     L = direct_sum(catalog("h3"), catalog("r2R"))
     assert obstruct.refined_h3_r2R(L)
     control = direct_sum(catalog("su2"), catalog("su2"))
-    assert not obstruct.refined_h3_r2R(control, enforce=False)
+    assert not obstruct._k_entries_vanish(control, ((3, 2), (3, 4)))
     with pytest.raises(HalfFlatError):
         obstruct.refined_h3_r2R(control)
 
@@ -105,7 +105,7 @@ def test_refined_r2R_R3():
     assert obstruct.refined_r2R_R3(L)
     assert L.closed_forms(1).dim == 5
     flat = direct_sum(catalog("R3"), catalog("R3"))
-    assert not obstruct.refined_r2R_R3(flat, enforce=False)
+    assert not obstruct._k_entries_vanish(flat, ((u, 1) for u in range(6) if u != 1))
 
 
 def test_refined_r2R_R3_implies_lambda_nonneg(rng):
@@ -294,10 +294,40 @@ def test_refined_r2R_R3_reads_column_of_k(rng):
         x, _ = kappa(wedge(contract(Vector.basis(2), rho), rho))
         assert [row[1] for row in k_matrix(rho)] == list(x.components)
     verdicts = {
-        (g1, g2): obstruct.refined_r2R_R3(direct_sum(catalog(g1), catalog(g2)), enforce=False)
+        (g1, g2): obstruct._k_entries_vanish(direct_sum(catalog(g1), catalog(g2)), ((u, 1) for u in range(6) if u != 1))
         for g1, g2 in (("r2R", "R3"), ("R3", "r2R"), ("su2", "su2"), ("r2R", "r3"), ("h3", "r2R"))
     }
     assert verdicts == {
         ("r2R", "R3"): True, ("R3", "r2R"): False, ("su2", "su2"): False,
         ("r2R", "r3"): False, ("h3", "r2R"): False,
     }
+
+
+def _polarized_reference(L, entries):
+    """e^u ^ (e_v -| rho1) ^ rho2 + e^u ^ (e_v -| rho2) ^ rho1 = 0 on Z^3 x Z^3, by wedges."""
+    z3 = L.closed_forms(3).basis
+    for u, v in entries:
+        alpha, ev = covector(u + 1), Vector.basis(v + 1)
+        for i in range(len(z3)):
+            for j in range(i, len(z3)):
+                s = wedge(wedge(alpha, contract(ev, z3[i])), z3[j]) + wedge(
+                    wedge(alpha, contract(ev, z3[j])), z3[i]
+                )
+                if not s.is_zero():
+                    return False
+    return True
+
+
+def test_k_entries_vanish_matches_polarization_loop():
+    h3_entries = ((3, 2), (3, 4))
+    r2R_entries = tuple((u, 1) for u in range(6) if u != 1)
+    verdicts = {}
+    for g1, g2 in (("h3", "r2R"), ("r2R", "h3"), ("su2", "su2"), ("h3", "R3"), ("r2R", "R3"),
+                   ("h3", "h3"), ("r2R", "r2R")):
+        L = direct_sum(catalog(g1), catalog(g2))
+        for entries in (h3_entries, r2R_entries):
+            got = obstruct._k_entries_vanish(L, entries)
+            assert got == _polarized_reference(L, entries), (g1, g2, entries)
+            verdicts[(g1, g2, entries is h3_entries)] = got
+    assert verdicts[("h3", "r2R", True)] and verdicts[("r2R", "R3", False)]
+    assert not verdicts[("su2", "su2", True)] and not verdicts[("r2R", "h3", True)]

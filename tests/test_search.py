@@ -63,6 +63,37 @@ def test_float_k_tensor_matches_reference_loop():
     assert np.count_nonzero(ref) == 240
 
 
+def _reference_d_matrix(L, k):
+    """Float matrix of d assembled from the images of basis monomials."""
+    from halfflat.exterior import KForm
+
+    src, dst = basis_masks(k), basis_masks(k + 1)
+    dst_i = {m: i for i, m in enumerate(dst)}
+    out = np.zeros((len(dst), len(src)))
+    for j, m in enumerate(src):
+        for mm, c in L.d(KForm(k, {m: Fraction(1)})).terms.items():
+            out[dst_i[mm], j] = float(c)
+    return out
+
+
+def test_float_d_matrices_match_reference_assembly():
+    for n1, n2 in (("su2", "su2"), ("r2R", "r3"), ("h3", "r2R"), ("sl2", "r2R"), ("e2", "R3")):
+        L = direct_sum(catalog(n1), catalog(n2))
+        kern = search.FloatKernels(L)
+        assert np.array_equal(kern.d3, _reference_d_matrix(L, 3))
+        assert np.array_equal(kern.d4, _reference_d_matrix(L, 4))
+
+
+def test_float_reverify_equals_gate_residuals():
+    # the two criterion-8 hits found within two restarts (the other two take 17 and 22)
+    for (n1, n2), target in ((("e2", "R3"), "su3"), (("sl2", "r2R"), "su3")):
+        L = direct_sum(catalog(n1), catalog(n2))
+        res = search.find_halfflat(L, target, restarts=10_000, seed=20240817, tol=1e-8)
+        assert res.found
+        again = search.float_reverify(L, res)
+        assert again == {key: res.residuals[key] for key in again}
+
+
 def test_float_kernels_agree_with_exact(rng):
     """Float lambda, K and G_raw match the exact pipeline to 1e-10 relative."""
     L = direct_sum(catalog("e2"), catalog("r3"))

@@ -6,7 +6,7 @@ import pytest
 
 from halfflat import corpus, linalg, stable
 from halfflat.errors import NotCompatibleError, NotStableError
-from halfflat.exterior import KForm, Vector, basis_masks, form, wedge
+from halfflat.exterior import KForm, Vector, basis_masks, contract, form, volume_ratio, wedge
 from halfflat.scalars import QuadExt, scalar_abs, sqrt_scalar
 from halfflat.stable import (
     MODEL_OMEGA,
@@ -223,6 +223,39 @@ def test_j_values_define_involution_squares(rng):
             vals = j_matrix_values(rho, covector(i))
             # vals[v-1] = sqrt|lam| (J* e^i)(e_v) = (e^i o K)(e_v) = K[i-1][v-1]
             assert vals == [K[i - 1][v] for v in range(6)]
+
+
+def _wedge_j_value(rho, alpha, v):
+    """alpha ^ (v -| rho) ^ rho / nu by contraction and wedges, without K."""
+    return volume_ratio(wedge(wedge(alpha, contract(v, rho)), rho))
+
+
+def _check_j_values_against_wedges(rng, rho):
+    alpha = random_form(rng, 1, span=4, density=0.6)
+    v = Vector(tuple(random_fraction(rng, 3) for _ in range(6)))
+    ref = [_wedge_j_value(rho, alpha, Vector.basis(i)) for i in range(1, 7)]
+    assert j_matrix_values(rho, alpha) == ref
+    assert j_matrix_values(rho, alpha, k_matrix(rho)) == ref
+    lam = lambda_of(rho)
+    if lam == 0 or isinstance(lam, QuadExt):
+        with pytest.raises(NotStableError):
+            j_apply_oneform(rho, alpha, v)
+    else:
+        assert j_apply_oneform(rho, alpha, v) == _wedge_j_value(rho, alpha, v) / sqrt_scalar(
+            scalar_abs(lam)
+        )
+
+
+def test_j_values_match_wedge_formula(rng):
+    # alpha ^ (v -| rho) ^ rho = alpha(K_rho v) nu, on rational and Q(sqrt D) forms
+    for _ in range(60):
+        _check_j_values_against_wedges(rng, random_form(rng, 3, span=4, density=rng.choice((0.3, 0.6))))
+    rows = [inst for inst in corpus.iter_instances(table=5) if inst.label.startswith("T5.7[")]
+    rows += [corpus.row_t5_sl2_r3mu_pos(Fraction(m, d)) for m, d in ((1, 3), (2, 3))]
+    assert all(any(isinstance(c, QuadExt) for c in inst.rho.terms.values()) for inst in rows)
+    for inst in rows:
+        for _ in range(3):
+            _check_j_values_against_wedges(rng, inst.rho)
 
 
 def test_para_eigenspace_dimensions_for_positive_lambda(rng):

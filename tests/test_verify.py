@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from halfflat import corpus, stable
+from halfflat import corpus, linalg, stable
 from halfflat.classify3d import classify
 from halfflat.errors import DomainError
-from halfflat.exterior import covector, form
+from halfflat.exterior import KForm, Vector, contract, covector, form, volume_ratio, wedge
 from halfflat.liealg import catalog, direct_sum
 from halfflat.verify import (
+    _plane_checks,
+    _verify_pair,
     ortho_type_I,
     ortho_type_II,
     para_eigenspace_pair,
@@ -239,3 +241,43 @@ def test_verify_instance_forms_k_once(monkeypatch):
         res = corpus.verify_instance(inst)
         assert res.ok, inst.label
         assert calls == [inst.rho], inst.label
+
+
+# -- plane checks read K_rho ------------------------------------------------------
+
+
+def _plane_checks_reference(pair, plane):
+    """Isotropy and J-invariance of a plane through contractions and wedges only."""
+    rho = pair.rho
+    omega2 = wedge(pair.omega, pair.omega)
+
+    def j_value(a, v):
+        return volume_ratio(wedge(wedge(a, contract(v, rho)), rho))
+
+    isotropic = True
+    for a in plane:
+        for b in plane:
+            jb = KForm(1, {1 << v: j_value(b, Vector.basis(v + 1)) for v in range(6)})
+            if volume_ratio(wedge(wedge(a, jb), omega2)) != 0:
+                isotropic = False
+    ann = linalg.nullspace([[a.coeff(1 << i) for i in range(6)] for a in plane])
+    invariant = all(j_value(a, Vector(tuple(vec))) == 0 for vec in ann for a in plane)
+    return isotropic, invariant
+
+
+def test_plane_checks_match_wedge_reference():
+    planes = [(covector(a), covector(b)) for a, b in ((1, 4), (1, 2), (2, 5), (3, 6), (4, 5))]
+    planes += [(covector(1) + covector(4), covector(2) - covector(5)), (covector(1) + 2 * covector(3), covector(6))]
+    seen = set()
+    for inst in corpus.iter_instances() + corpus.iter_instances(table=0):
+        rep, pair = _verify_pair(inst.algebra, inst.omega, inst.rho)
+        assert rep.structure.is_stabilizer, inst.label
+        for plane in planes:
+            got = _plane_checks(pair, plane)
+            assert got == _plane_checks_reference(pair, plane), (inst.label, plane)
+            seen.add(got)
+            with_plane = verify(inst.algebra, inst.omega, inst.rho, plane=plane)
+            assert with_plane.witness_plane_invariant == got[1]
+            assert (with_plane.isotropic_witness is not None) == (got == (True, True))
+    # witness planes, invariant non-isotropic planes and neither all occur
+    assert {(True, True), (False, True), (False, False)} <= seen
