@@ -226,35 +226,18 @@ def _cmd_obstruct(args) -> int:
         if rep.verdict == obstruct.VERDICT_OBSTRUCTED:
             print(rep.to_text())
             return EXIT_NEGATIVE
-    # refined arguments for the two resistant algebras
-    for check, detail in (
-        (obstruct.refined_h3_r2R, "refined isotropy argument for h3 (+) r2R"),
-        (obstruct.refined_r2R_R3, "K_rho(e_2) proportional to e_2, lambda >= 0"),
-    ):
-        if _refined_holds(check, L):
+    if splittings:  # both resistant class pairs are solvable
+        refined = {
+            frozenset(("h3", "r2R")): (obstruct.refined_h3_r2R, "refined isotropy argument for h3 (+) r2R"),
+            frozenset(("r2R", "R3")): (obstruct.refined_r2R_R3, "K_rho(e_2) proportional to e_2, lambda >= 0"),
+        }.get(frozenset(classify(s).name for s in L.summands))
+        if refined is not None and refined[0](L):
             print("verdict: NoHalfFlatSU3")
-            print(f"detail: {detail}")
+            print(f"detail: {refined[1]}")
             return EXIT_NEGATIVE
     print("verdict: Inconclusive")
     print(f"coherent_splittings: {len(splittings)}")
     return EXIT_POSITIVE
-
-
-def _refined_holds(check, L: LieAlgebra) -> bool:
-    """A refined check on L, retried with the summands swapped when it does not apply.
-
-    The refined checks expect their summands in one order; swapping the
-    summands permutes the basis, which preserves the verdict.
-    """
-    try:
-        return check(L)
-    except HalfFlatError:
-        pass
-    L1, L2 = L.summands
-    try:
-        return check(direct_sum(L2, L1))
-    except HalfFlatError:
-        return False
 
 
 def _resplit(L: LieAlgebra) -> LieAlgebra:

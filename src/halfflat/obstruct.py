@@ -4,17 +4,35 @@ The core obstruction: if g* = V (+) W with dim V = 2 is a coherent
 splitting (dV in Lambda^2 V, dW in Lambda^2 V (+) V^W) and every closed
 three-form has zero Lambda^3 W component while every closed four-form has
 zero Lambda^4 W component, then V is isotropic and J-invariant for every
-half-flat pair, which rules out a definite metric.  On direct sums the
-splittings come from factor one-forms alpha_i with im(d|g_i*) in
-alpha_i ^ g_i*, and the two component conditions reduce to d being
-injective on Lambda^3 W and Lambda^4 W.
+half-flat pair, which rules out a definite metric.  The two component
+conditions reduce to d being injective on Lambda^3 W and Lambda^4 W.  They
+depend on V only: a zero Lambda^k W component says that the form lies in
+the ideal generated by V, whichever complement W is taken.
 
-Two algebras resist the direct rank argument and get refined checks, both
-reading entries of K_rho on closed three-forms (alpha ^ (v -| rho) ^ rho is
-alpha(K_rho v) nu): h3 (+) r2R through the isotropy of f^1 against every
-closed (rho, sigma), and r2R (+) R^3 through K_rho(e_2) being proportional
-to e_2 for every closed rho, which forces lambda(rho) >= 0 and rules out
-every SU(p,q).
+On a direct sum g1 (+) g2 the factor-wise coherent splittings are
+V = span(alpha1, alpha2) with alpha_i a nonzero element of
+
+    A(g_i) = {alpha in g_i* : d alpha = 0 and d beta ^ alpha = 0 for all beta},
+
+the closed one-forms with im(d) in alpha ^ g_i*.  In every
+three-dimensional class A(g) is 0 (su2, sl2), a line, span{e^1, e^2} (h3)
+or all of g* (R^3), and Aut(g) acts transitively on its lines.  So one
+splitting, from the first basis vector of each A(g_i), decides the
+obstruction for every basis of either factor.
+
+Two class pairs resist the rank argument and get refined checks.  Both are
+stated without coordinates, through Z^1, [g, g] = ann(Z^1) and entries of
+K_rho on closed three-forms (alpha ^ (v -| rho) ^ rho is alpha(K_rho v) nu),
+with the summands located by ``classify3d.classify``:
+
+- h3 (+) r2R, with a spanning A(r2R): (1) a ^ sigma ^ beta = 0 for every
+  closed four-form sigma and beta in Z^1, that is a ^ sigma = X -| nu with
+  X in [g, g]; (2) a(K_rho X) = 0 for X in [g, g] and every closed rho.
+  Together they make the form a isotropic for all closed (rho, sigma).
+- r2R (+) R^3: beta(K_rho X) = 0 for beta in Z^1 and X in [g, g], so K_rho
+  keeps the line [g, g] for every closed rho; with dim Z^1 = 5 this forces
+  lambda(rho) >= 0 and rules out every SU(p,q).
+
 A seeded random scan certifies lambda >= 0 on sampled closed three-forms
 for the nine class pairs where that argument applies; the scan falsifies,
 it does not prove.
@@ -25,13 +43,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from . import linalg, stable
+from .classify3d import classify
 from .errors import HalfFlatError
-from .exterior import DIM, KForm, Vector, basis_masks, covector, evaluate, mono, wedge, wedge_all
-from .liealg import LieAlgebra, catalog
+from .exterior import DIM, KForm, Vector, basis_masks, covector, evaluate, wedge, wedge_all
+from .liealg import LieAlgebra
 from .scalars import scalar_is_zero
 
 VERDICT_OBSTRUCTED = "NoHalfFlatSU3"
@@ -66,55 +84,37 @@ class ObstructionReport:
         return "\n".join(lines)
 
 
-def factor_alpha_candidates(L3: LieAlgebra) -> list[KForm]:
-    """Closed one-forms alpha with im(d) contained in alpha ^ g*.
+def annihilating_forms(L3: LieAlgebra) -> list[KForm]:
+    """Basis of A(g) = {alpha : d alpha = 0 and d beta ^ alpha = 0 for every beta}.
 
-    Simple factors admit none; non-abelian solvable factors admit e^1 from
-    the standard basis (unique projectively for most classes); for abelian
-    factors every one-form qualifies and a small projective grid is
-    returned.
+    The nonzero elements are the one-forms that can be a factor of a
+    coherent splitting.  A(g) is the nullspace of d on one-forms stacked
+    with the e^123 coefficients of d e^k ^ e^j.
     """
     if L3.dim != 3:
-        raise ValueError("factor candidates are for three-dimensional algebras")
-    if L3.is_abelian():
-        grid = []
-        coeffs = (Fraction(0), Fraction(1), Fraction(-1))
-        for c1 in (Fraction(1),):
-            for c2 in coeffs:
-                for c3 in coeffs:
-                    grid.append(KForm(1, {1: c1, 2: c2, 4: c3}))
-        grid += [covector(2), covector(3), covector(2) + covector(3), covector(2) - covector(3)]
-        return grid
-    out = []
-    for alpha in (covector(1), covector(2), covector(3)):
-        if _alpha_works(L3, alpha):
-            out.append(alpha)
-    return out
+        raise ValueError("annihilating forms are for three-dimensional algebras")
+    rows = L3.d_matrix(1) + [[wedge(dk, covector(j)).coeff(0b111) for j in (1, 2, 3)] for dk in L3.diffs]
+    return [KForm(1, {1 << i: c for i, c in enumerate(v)}) for v in linalg.nullspace(rows)]
 
 
-def _alpha_works(L3: LieAlgebra, alpha: KForm) -> bool:
-    if not L3.d(alpha).is_zero():
-        return False
-    # beta in alpha ^ g*  <=>  beta ^ alpha = 0 (two-forms on a 3-space)
-    return all(wedge(dk, alpha).is_zero() for dk in L3.diffs)
+def _in_block(alpha: KForm, block: int) -> KForm:
+    """A form of a summand moved to its block of the sum (0 for e, 1 for f)."""
+    return KForm(alpha.degree, {m << 3 * block: c for m, c in alpha.terms.items()})
 
 
 def coherent_splittings(L: LieAlgebra) -> list[tuple[KForm, KForm]]:
-    """Factor-wise coherent splittings V = span(alpha1, alpha2) of a direct sum.
+    """The factor-wise coherent splitting of a direct sum, when there is one.
 
+    V = span(alpha1, alpha2) from the first basis vector of each A(g_i);
+    every other factor-wise coherent splitting gives the same verdict.
     Nonempty exactly when both summands are solvable.
     """
     if L.summands is None:
         raise HalfFlatError("coherent splittings need the direct-sum structure")
-    L1, L2 = L.summands
-    out = []
-    for a1 in factor_alpha_candidates(L1):
-        for a2 in factor_alpha_candidates(L2):
-            shifted = KForm(1, {m << 3: c for m, c in a2.terms.items()})
-            pair = (a1, shifted)
-            if is_coherent(L, pair):
-                out.append(pair)
-    return out
+    a1, a2 = (annihilating_forms(s) for s in L.summands)
+    if not (a1 and a2):
+        return []
+    return [(a1[0], _in_block(a2[0], 1))]
 
 
 def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:
@@ -207,57 +207,66 @@ def _rank_of_images(L: LieAlgebra, forms_in: list[KForm], out_degree: int) -> in
 # -- refined arguments ----------------------------------------------------------
 
 
-def _is_standard(L: LieAlgebra, names: tuple[str, str]) -> bool:
-    if L.summands is None:
-        return False
-    want = [catalog(n) for n in names]
-    return all(s.diffs == w.diffs for s, w in zip(L.summands, want))
+def _blocks_by_class(L: LieAlgebra, names: tuple[str, str]) -> dict[str, int]:
+    """Block of each summand keyed by its class; raises unless the classes are ``names``."""
+    if L.summands is not None:
+        blocks = {classify(s).name: block for block, s in enumerate(L.summands)}
+        if sorted(blocks) == sorted(names):
+            return blocks
+    raise HalfFlatError(f"refined check expects {names[0]} (+) {names[1]}")
+
+
+def _derived_algebra(L: LieAlgebra) -> list[Vector]:
+    """Basis of [g, g] = ann(Z^1), for an algebra with nonzero Z^1."""
+    rows = [[beta.coeff(1 << i) for i in range(DIM)] for beta in L.closed_forms(1).basis]
+    return [Vector(tuple(v)) for v in linalg.nullspace(rows)]
 
 
 def refined_h3_r2R(L: LieAlgebra) -> bool:
-    """Isotropy obstruction specific to h3 (+) r2R.
+    """Isotropy obstruction specific to h3 (+) r2R, in any basis of either factor.
 
-    Returns True when (1) f^1 ^ sigma lies in span{f^1 e^12 f^23,
-    f^1 e^123 f^3} for every closed four-form sigma and (2) f^1(K_rho e_3)
-    and f^1(K_rho f_2) vanish for every closed rho; since
-    f^1 ^ (v -| rho) ^ rho = f^1(K_rho v) nu, (2) is the vanishing of two
-    entries of K.  Together those force f^1 to be isotropic for every
-    half-flat pair, so no half-flat SU(3) exists.
+    With a spanning A(r2R), returns True when (1) a ^ sigma ^ beta = 0 for
+    every closed four-form sigma and beta in Z^1, so a ^ sigma = X -| nu
+    with X in [g, g], and (2) a(K_rho X) vanishes for X in [g, g] and every
+    closed rho; since a ^ (X -| rho) ^ rho = a(K_rho X) nu, (2) is the
+    vanishing of entries of K.  Together those force a to be isotropic for
+    every half-flat pair, so no half-flat SU(3) exists.
     """
-    if not _is_standard(L, ("h3", "r2R")):
-        raise HalfFlatError("refined check expects h3 (+) r2R in the standard basis")
-    f1 = covector(4)
-    span_masks = {mono(s)[0] for s in ("f1e12f23", "f1e123f3")}
-    for sigma in L.closed_forms(4).basis:
-        prod = wedge(f1, sigma)
-        if any(m not in span_masks for m in prod.terms):
-            return False
-    return _k_entries_vanish(L, ((3, 2), (3, 4)))
+    block = _blocks_by_class(L, ("h3", "r2R"))["r2R"]
+    a = _in_block(annihilating_forms(L.summands[block])[0], block)
+    z1 = L.closed_forms(1).basis
+    if any(not wedge(wedge(a, sigma), beta).is_zero() for sigma in L.closed_forms(4).basis for beta in z1):
+        return False
+    return _k_entries_vanish(L, [(a, x) for x in _derived_algebra(L)])
 
 
 def refined_r2R_R3(L: LieAlgebra) -> bool:
-    """K_rho(e_2) proportional to e_2 for every closed rho on r2R (+) R^3.
+    """K_rho keeps the line [g, g] for every closed rho on r2R (+) R^3.
 
-    Together with dim Z^1 = 5 (which the standard basis fixes) this forces
-    lambda(rho) = c^2 >= 0 for every closed rho, so no SU(p,q) structure of
-    any signature exists.
+    beta(K_rho X) = 0 for beta in Z^1 = ann[g, g] and X in [g, g].  Together
+    with dim Z^1 = 5 this forces lambda(rho) = c^2 >= 0 for every closed
+    rho, so no SU(p,q) structure of any signature exists.
     """
-    if not _is_standard(L, ("r2R", "R3")):
-        raise HalfFlatError("refined check expects r2R (+) R^3 in the standard basis")
-    return _k_entries_vanish(L, ((u, 1) for u in range(DIM) if u != 1))
+    _blocks_by_class(L, ("r2R", "R3"))
+    return _k_entries_vanish(L, product(L.closed_forms(1).basis, _derived_algebra(L)))
 
 
 def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
-    """K_rho[u][v] = 0 for every closed three-form rho and every (u, v) in ``entries``.
+    """alpha(K_rho x) = 0 for every closed three-form rho and every (alpha, x) in ``entries``.
 
-    K is quadratic in rho, so checking a basis z_i of Z^3 and all sums
-    z_i + z_j polarizes the condition completely.
+    ``entries`` holds (one-form, Vector) pairs.  K is quadratic in rho, so
+    checking a basis z_i of Z^3 and all sums z_i + z_j polarizes the
+    condition completely.
     """
-    entries = tuple(entries)
+    terms = [
+        [(u, v, alpha.coeff(1 << u) * xv) for u in range(DIM) for v, xv in enumerate(x.components)
+         if xv and alpha.coeff(1 << u)]
+        for alpha, x in entries
+    ]
     z3 = L.closed_forms(3).basis
     for i, j in combinations_with_replacement(range(len(z3)), 2):
         K = stable.k_matrix(z3[i] if i == j else z3[i] + z3[j])
-        if not all(scalar_is_zero(K[u][v]) for u, v in entries):
+        if not all(scalar_is_zero(sum(c * K[u][v] for u, v, c in t)) for t in terms):
             return False
     return True
 
@@ -322,38 +331,3 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
         all_nonnegative=all_nonneg,
         first_negative=first_neg,
     )
-
-
-def unimodular_no_splitting(L: LieAlgebra, k: int = 50, seed: int = 0) -> bool:
-    """Randomized confirmation that no splitting satisfies both conditions.
-
-    For k random decompositions g* = V (+) W exhibit a closed three-form
-    with nonzero Lambda^3 W component or a closed four-form with nonzero
-    Lambda^4 W component.  True when every sampled decomposition is
-    defeated; intended for unimodular sums.
-    """
-    rng = random.Random(seed)
-    z3 = L.closed_forms(3).basis
-    z4 = L.closed_forms(4).basis
-    defeated = 0
-    trials = 0
-    while defeated < k and trials < 20 * k:
-        trials += 1
-        coframe = _random_coframe(rng)
-        if coframe is None:
-            continue
-        duals = _dual_frame(coframe)
-        if not (_pure_w_vanishes(z3, duals) and _pure_w_vanishes(z4, duals)):
-            defeated += 1
-            continue
-        return False  # a surviving decomposition: obstruction applies
-    return defeated >= k
-
-
-def _random_coframe(rng: random.Random) -> list[KForm] | None:
-    rows = [
-        [Fraction(rng.randint(-3, 3)) for _ in range(DIM)] for _ in range(DIM)
-    ]
-    if linalg.det(rows) == 0:
-        return None
-    return [KForm(1, {1 << i: r[i] for i in range(DIM)}) for r in rows]

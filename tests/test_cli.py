@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from halfflat import cli, corpus, linalg
 from halfflat.errors import ParseError
 from halfflat.exterior import form
-from halfflat.liealg import catalog, direct_sum
+from halfflat.liealg import LieAlgebra, catalog, catalog_classes, change_basis, direct_sum
 
 
 def run_cli(argv, expect=None):
@@ -164,20 +167,92 @@ def test_cli_obstruct_refined_either_factor_order(tmp_path, g1, g2, detail):
 
 
 def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatch):
-    # R3 + R3 has 169 coherent splittings; Z^3 and Z^4 are each computed once
+    # R3 + R3 is decided on its one coherent splitting; Z^3 and Z^4 are each computed once
     calls = []
-    nullspace = linalg.nullspace
+    kernel_of_d = LieAlgebra._kernel_of_d
 
-    def counted(rows):
-        calls.append(len(rows))
-        return nullspace(rows)
+    def counted(self, k):
+        calls.append(k)
+        return kernel_of_d(self, k)
 
-    monkeypatch.setattr(linalg, "nullspace", counted)
+    monkeypatch.setattr(LieAlgebra, "_kernel_of_d", counted)
     p = tmp_path / "flat.alg"
     p.write_text(cli.emit(direct_sum(catalog("R3"), catalog("R3"))))
     code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_POSITIVE)
-    assert "coherent_splittings: 169" in out
-    assert len(calls) == 2
+    assert "coherent_splittings: 1" in out.splitlines()
+    assert sorted(calls) == [3, 4]
+
+
+#: a fixed basis change for each factor, as columns of new basis vectors in old coordinates
+_B1 = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(2)], [Fraction(1), Fraction(0), Fraction(1)]]
+_B2 = [[Fraction(2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
+
+
+@pytest.mark.parametrize(
+    "g1, g2, detail",
+    [
+        ("h3", "r2R", "refined isotropy argument for h3 (+) r2R"),
+        ("r2R", "R3", "K_rho(e_2) proportional to e_2, lambda >= 0"),
+    ],
+)
+def test_cli_obstruct_refined_in_non_standard_basis(tmp_path, g1, g2, detail):
+    L1, L2 = change_basis(catalog(g1), _B1), change_basis(catalog(g2), _B2)
+    assert all(M.is_abelian() or M.diffs != catalog(g).diffs for M, g in ((L1, g1), (L2, g2)))
+    p = tmp_path / "g.alg"
+    p.write_text(cli.emit(direct_sum(L1, L2)))
+    code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_NEGATIVE)
+    assert out.splitlines() == ["verdict: NoHalfFlatSU3", f"detail: {detail}"]
+
+
+def _random_gl3(rng):
+    """A random invertible rational 3x3 matrix: the rows of L U in random order.
+
+    L is unit lower triangular with entries in [-1, 1]; U is upper triangular
+    with diagonal in {+-1/2, +-1, +-2} and entries in [-1, 1] above it.
+    """
+    lo = [[Fraction(1 if i == j else rng.randint(-1, 1) if i > j else 0) for j in range(3)] for i in range(3)]
+    up = [
+        [Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2))) if i == j else Fraction(rng.randint(-1, 1) if i < j else 0)
+         for j in range(3)]
+        for i in range(3)
+    ]
+    rows = linalg.mat_mul(lo, up)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_cli_obstruct_output_independent_of_basis_and_order(tmp_path):
+    # 200 sums over the 78 class pairs: both factors in a random rational basis
+    # (three drawn per catalog instance) and the summands in random order,
+    # against the standard basis of the same instances in the standard order
+    rng = random.Random(20240817)
+    classes = [[(L, [change_basis(L, _random_gl3(rng)) for _ in range(3)]) for L in spec.instances()]
+               for spec in catalog_classes()]
+    pairs = [
+        (rng.choice(classes[i]), rng.choice(classes[j]))
+        for i, j in combinations_with_replacement(range(len(classes)), 2)
+    ]
+    p = tmp_path / "g.alg"
+
+    def obstruct(L):
+        p.write_text(cli.emit(L))
+        code, out, _ = run_cli(["obstruct", str(p)])
+        return code, out
+
+    want = [obstruct(direct_sum(a, b)) for (a, _), (b, _) in pairs]
+    seen = set()
+    for case in range(200):
+        (a, bases_a), (b, bases_b) = pairs[case % len(pairs)]
+        ca, cb = rng.choice(bases_a), rng.choice(bases_b)
+        swap = rng.random() < 0.5
+        got = obstruct(direct_sum(cb, ca) if swap else direct_sum(ca, cb))
+        assert got == want[case % len(pairs)], (a.name, a.params, b.name, b.params, swap)
+        seen.add((swap, got[1].splitlines()[-1]))
+    assert {line for _, line in seen} >= {
+        "coherent_splittings: 0", "coherent_splittings: 1", "rank_d_lambda4W: 1",
+        "detail: refined isotropy argument for h3 (+) r2R", "detail: K_rho(e_2) proportional to e_2, lambda >= 0",
+    }
+    assert {swap for swap, _ in seen} == {False, True}
 
 
 def test_import_cli_leaves_scipy_unloaded():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -23,15 +23,15 @@ def _v_std():
 
 
 def test_factor_candidates():
-    assert obstruct.factor_alpha_candidates(catalog("su2")) == []
-    assert obstruct.factor_alpha_candidates(catalog("sl2")) == []
-    r2R = obstruct.factor_alpha_candidates(catalog("r2R"))
-    assert covector(1) in r2R and len(r2R) == 1
-    r3mu = obstruct.factor_alpha_candidates(catalog("r3mu", Fraction(1, 2)))
-    assert covector(1) in r3mu
-    h3 = obstruct.factor_alpha_candidates(catalog("h3"))
-    assert covector(1) in h3 and covector(2) in h3  # projective family
-    assert len(obstruct.factor_alpha_candidates(catalog("R3"))) > 5
+    # A(g): closed one-forms alpha with d e^k ^ alpha = 0, the factors of coherent splittings
+    dims = {"su2": 0, "sl2": 0, "r2R": 1, "r3mu": 1, "h3": 2, "R3": 3}
+    for name, dim in dims.items():
+        L3 = catalog(name, Fraction(1, 2) if name == "r3mu" else None)
+        forms = obstruct.annihilating_forms(L3)
+        assert len(forms) == dim, name
+        for alpha in forms:
+            assert L3.d(alpha).is_zero()
+            assert all(wedge(L3.d(covector(k)), alpha).is_zero() for k in (1, 2, 3))
 
 
 def test_coherent_splittings_iff_solvable():
@@ -42,6 +42,27 @@ def test_coherent_splittings_iff_solvable():
             assert obstruct.coherent_splittings(L) == []
     L = direct_sum(catalog("h3"), catalog("r3"))
     assert len(obstruct.coherent_splittings(L)) >= 1
+
+
+def test_one_coherent_splitting_decides(rng):
+    # every nonzero alpha_i in A(g_i) gives a coherent V = span(alpha1, alpha2) with
+    # the verdict of the one splitting that coherent_splittings returns
+    solvable = [catalog(n) for n in ("e2", "h3", "R3", "r2R", "r3")] + [catalog("r3mu", Fraction(1, 2))]
+    for L1, L2 in combinations_with_replacement(solvable, 2):
+        if {L1.name, L2.name}.isdisjoint({"h3", "R3"}):
+            continue  # A(g1) and A(g2) are lines: nothing else to choose
+        L = direct_sum(L1, L2)
+        (pair,) = obstruct.coherent_splittings(L)
+        want = obstruct.check_obstruction(L, pair).verdict
+        for _ in range(3):
+            alphas = []
+            for block, L3 in enumerate((L1, L2)):
+                alpha = KForm(1)
+                while alpha.is_zero():
+                    for b in obstruct.annihilating_forms(L3):
+                        alpha = alpha + b.scale(Fraction(rng.randint(-2, 2)))
+                alphas.append(obstruct._in_block(alpha, block))
+            assert obstruct.check_obstruction(L, tuple(alphas)).verdict == want, (L1.name, L2.name)
 
 
 def test_check_obstruction_ranks_r2R_r2R():
@@ -80,7 +101,7 @@ def test_refined_h3_r2R():
     L = direct_sum(catalog("h3"), catalog("r2R"))
     assert obstruct.refined_h3_r2R(L)
     control = direct_sum(catalog("su2"), catalog("su2"))
-    assert not obstruct._k_entries_vanish(control, ((3, 2), (3, 4)))
+    assert not obstruct._k_entries_vanish(control, ((covector(4), Vector.basis(3)), (covector(4), Vector.basis(5))))
     with pytest.raises(HalfFlatError):
         obstruct.refined_h3_r2R(control)
 
@@ -105,7 +126,7 @@ def test_refined_r2R_R3():
     assert obstruct.refined_r2R_R3(L)
     assert L.closed_forms(1).dim == 5
     flat = direct_sum(catalog("R3"), catalog("R3"))
-    assert not obstruct._k_entries_vanish(flat, ((u, 1) for u in range(6) if u != 1))
+    assert not obstruct._k_entries_vanish(flat, [(covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1])
 
 
 def test_refined_r2R_R3_implies_lambda_nonneg(rng):
@@ -197,28 +218,25 @@ def _reference_pure_w_vanishes(forms_in, coframe):
     return True
 
 
+def _random_coframe(rng):
+    """Six random one-forms with entries in [-3, 3] that form a basis."""
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(6)]
+        if linalg.det(rows) != 0:
+            return [KForm(1, {1 << i: r[i] for i in range(6)}) for r in rows]
+
+
 def test_pure_w_components_match_reference(rng):
     for names in (("su2", "e2"), ("e11", "e11"), ("r2R", "r3"), ("h3", "r2R"), ("R3", "R3")):
         L = direct_sum(catalog(names[0]), catalog(names[1]))
         coframes = [list(v) + obstruct._complete_to_basis(v) for v in obstruct.coherent_splittings(L)[:3]]
         while len(coframes) < 8:
-            coframe = obstruct._random_coframe(rng)
-            if coframe is not None:
-                coframes.append(coframe)
+            coframes.append(_random_coframe(rng))
         for coframe in coframes:
             duals = obstruct._dual_frame(coframe)
             for k in (3, 4):
                 z = L.closed_forms(k).basis
                 assert obstruct._pure_w_vanishes(z, duals) == _reference_pure_w_vanishes(z, coframe)
-
-
-def test_unimodular_no_splitting():
-    assert obstruct.unimodular_no_splitting(
-        direct_sum(catalog("su2"), catalog("e2")), k=50, seed=3
-    )
-    assert obstruct.unimodular_no_splitting(
-        direct_sum(catalog("e11"), catalog("e11")), k=50, seed=3
-    )
 
 
 def test_non_unimodular_standard_splitting_survives():
@@ -294,7 +312,9 @@ def test_refined_r2R_R3_reads_column_of_k(rng):
         x, _ = kappa(wedge(contract(Vector.basis(2), rho), rho))
         assert [row[1] for row in k_matrix(rho)] == list(x.components)
     verdicts = {
-        (g1, g2): obstruct._k_entries_vanish(direct_sum(catalog(g1), catalog(g2)), ((u, 1) for u in range(6) if u != 1))
+        (g1, g2): obstruct._k_entries_vanish(
+            direct_sum(catalog(g1), catalog(g2)), [(covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1]
+        )
         for g1, g2 in (("r2R", "R3"), ("R3", "r2R"), ("su2", "su2"), ("r2R", "r3"), ("h3", "r2R"))
     }
     assert verdicts == {
@@ -304,10 +324,9 @@ def test_refined_r2R_R3_reads_column_of_k(rng):
 
 
 def _polarized_reference(L, entries):
-    """e^u ^ (e_v -| rho1) ^ rho2 + e^u ^ (e_v -| rho2) ^ rho1 = 0 on Z^3 x Z^3, by wedges."""
+    """alpha ^ (v -| rho1) ^ rho2 + alpha ^ (v -| rho2) ^ rho1 = 0 on Z^3 x Z^3, by wedges."""
     z3 = L.closed_forms(3).basis
-    for u, v in entries:
-        alpha, ev = covector(u + 1), Vector.basis(v + 1)
+    for alpha, ev in entries:
         for i in range(len(z3)):
             for j in range(i, len(z3)):
                 s = wedge(wedge(alpha, contract(ev, z3[i])), z3[j]) + wedge(
@@ -319,8 +338,8 @@ def _polarized_reference(L, entries):
 
 
 def test_k_entries_vanish_matches_polarization_loop():
-    h3_entries = ((3, 2), (3, 4))
-    r2R_entries = tuple((u, 1) for u in range(6) if u != 1)
+    h3_entries = ((covector(4), Vector.basis(3)), (covector(4), Vector.basis(5)))
+    r2R_entries = tuple((covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1)
     verdicts = {}
     for g1, g2 in (("h3", "r2R"), ("r2R", "h3"), ("su2", "su2"), ("h3", "R3"), ("r2R", "R3"),
                    ("h3", "h3"), ("r2R", "r2R")):
