@@ -5,15 +5,19 @@ of the closed three-forms (computed by exact elimination and converted to
 floats), so d rho = 0 holds to machine precision by construction.  The
 remaining constraints are packed into a smooth penalty
 
-    P = |d omega^2|^2 + |omega ^ rho|^2 + hinge(lambda sign)^2
-        + sum_i hinge(margin - oriented eigenvalue_i)^2
+    P = (|omega|^2 - 1)^2 + |d omega^2|^2 + |omega ^ rho|^2
+        + hinge(lambda sign)^2 + sum_i hinge(margin - oriented eigenvalue_i)^2
 
-minimized by L-BFGS-B with an analytic gradient under random restarts;
-rho is normalized to unit length inside the objective to remove the scale
-gauge.  A success is gated on the float residuals and on the eigenvalue
-margin of the trace-normalized metric matrix, then optionally rationalized
-by continued-fraction rounding and re-verified by the exact pipeline; the
-float path never asserts existence on its own.
+minimized by L-BFGS-B with an analytic gradient under random restarts.
+The first term fixes the scale gauge of omega; rho is normalized to unit
+length inside the objective to remove its own.  K_rho, omega ^ omega,
+omega ^ rho and their gradients are exact-order sparse sums: each output
+adds the nonzero terms of its dense +-1 tensor in the order ``np.einsum``
+adds them, so the values, and hence the L-BFGS paths, are those of the
+dense contractions bit for bit.  A success is gated on the float residuals
+and on the eigenvalue margin of the trace-normalized metric matrix, then
+optionally rationalized by continued-fraction rounding and re-verified by
+the exact pipeline; the float path never asserts existence on its own.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .verify import HalfFlatReport, verify
 MARGIN_OPT = 1e-2
 #: smallest trace-normalized metric eigenvalue the su3 gate accepts
 GATE_MARGIN = 1e-4
+#: distance from zero that the lambda-sign hinge asks of lambda
+LAM_GAP = 1e-2
 
 TARGET_KINDS = {
     "su3": (stable.KIND_SU3,),
@@ -76,8 +82,38 @@ def _fmt_vec(v: np.ndarray) -> str:
     return "[" + ", ".join(f"{x: .6f}" for x in v) + "]"
 
 
+class _Terms:
+    """The nonzero entries of a dense three-axis +-1 tensor t, for contracting it.
+
+    For each output axis the entries are kept in C order, stably sorted by
+    their index on that axis: the order in which ``np.einsum`` adds the
+    terms of one output.  Each term is one exactly rounded product (the
+    entry only flips its sign), and ``np.bincount`` adds in array order, so
+    :meth:`contract` equals the einsum contraction bit for bit (the tests
+    compare the two on random points of every target).
+    """
+
+    def __init__(self, t: np.ndarray):
+        self.shape = t.shape
+        nz = np.argwhere(t)
+        self.by_out = []
+        for axis in range(3):
+            idx = nz[np.argsort(nz[:, axis], kind="stable")].T
+            lo, hi = (idx[a] for a in range(3) if a != axis)
+            self.by_out.append((idx[axis], lo, hi, t[tuple(idx)]))
+
+    def contract(self, out: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """sum of t x y over the two axes other than ``out``; x is on the lower one."""
+        o, lo, hi, s = self.by_out[out]
+        return np.bincount(o, weights=s * x[lo] * y[hi], minlength=self.shape[out])
+
+
 class FloatKernels:
-    """Dense float tensors mirroring the exact operations for one algebra."""
+    """Float tensors mirroring the exact operations for one algebra.
+
+    The dense tensors ``w22``, ``w23`` and ``kt`` define the contractions;
+    every evaluation runs over their nonzero terms (:class:`_Terms`).
+    """
 
     def __init__(self, L: LieAlgebra):
         self.b2 = basis_masks(2)
@@ -87,6 +123,13 @@ class FloatKernels:
         self.w22 = self._wedge_tensor(self.b2, self.b2, basis_masks(4))
         self.w23 = self._wedge_tensor(self.b2, self.b3, basis_masks(5))
         self.kt = self._k_tensor()
+        self.t22 = _Terms(self.w22)
+        self.t23 = _Terms(self.w23)
+        self.tk = _Terms(self.kt.reshape(DIM * DIM, len(self.b3), len(self.b3)))
+        # omega_{lo,hi} sits at m[lo, hi] and -omega_{lo,hi} at m[hi, lo]
+        self.om_hi = np.array([m.bit_length() - 1 for m in self.b2])
+        self.om_lo = np.array([(m & -m).bit_length() - 1 for m in self.b2])
+        self.id3 = np.eye(len(self.b3))
         z3 = L.closed_forms(3).basis
         self.z3 = np.array(
             [[float(b.coeff(m)) for b in z3] for m in self.b3]
@@ -117,15 +160,23 @@ class FloatKernels:
 
     def omega_matrix(self, w: np.ndarray) -> np.ndarray:
         m = np.zeros((DIM, DIM))
-        for idx, mask in enumerate(self.b2):
-            i = mask.bit_length() - 1
-            j = (mask & ~(1 << i)).bit_length() - 1
-            m[j, i] = w[idx]
-            m[i, j] = -w[idx]
+        m[self.om_lo, self.om_hi] = w
+        m[self.om_hi, self.om_lo] = -w
         return m
 
     def k_of(self, r: np.ndarray) -> np.ndarray:
-        return np.einsum("uvij,i,j->uv", self.kt, r, r)
+        return self.tk.contract(0, r, r).reshape(DIM, DIM)
+
+    def k_grad(self, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Gradient in r of sum_uv a_uv K_uv(r)."""
+        f = a.ravel()
+        return self.tk.contract(1, f, r) + self.tk.contract(2, f, r)
+
+    def wedge22(self, w: np.ndarray) -> np.ndarray:
+        return self.t22.contract(2, w, w)
+
+    def wedge23(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return self.t23.contract(2, w, r)
 
     def lam_of(self, r: np.ndarray) -> float:
         k = self.k_of(r)
@@ -133,11 +184,10 @@ class FloatKernels:
 
     def residuals(self, w: np.ndarray, r: np.ndarray) -> dict:
         """Float residuals of d rho, d omega^2 and omega ^ rho, plus lambda."""
-        q = np.einsum("ijm,i,j->m", self.w22, w, w)
         return {
             "resid_drho": float(np.linalg.norm(self.d3 @ r)),
-            "resid_domega2": float(np.linalg.norm(self.d4 @ q)),
-            "resid_omega_rho": float(np.linalg.norm(np.einsum("ijm,i,j->m", self.w23, w, r))),
+            "resid_domega2": float(np.linalg.norm(self.d4 @ self.wedge22(w))),
+            "resid_omega_rho": float(np.linalg.norm(self.wedge23(w, r))),
             "lambda_float": self.lam_of(r),
         }
 
@@ -159,7 +209,6 @@ class _Penalty:
         self.k = kern
         self.target = target
         self.nz = kern.z3.shape[1]
-        self.lam_gap = 1e-2
 
     def split(self, x: np.ndarray):
         return x[:15], x[15:]
@@ -174,7 +223,7 @@ class _Penalty:
             return 1e6 - float(z @ z), np.concatenate([np.zeros(15), -2 * z])
         r = rho_raw / n
         # projector for the normalization gauge, mapped back to z-space
-        dr_dz = (np.eye(20) - np.outer(r, r)) @ kern.z3 / n
+        dr_dz = (kern.id3 - np.outer(r, r)) @ kern.z3 / n
 
         grad_w = np.zeros(15)
         grad_z = np.zeros(self.nz)
@@ -185,32 +234,28 @@ class _Penalty:
         grad_w += 4.0 * gauge * w
 
         # |d omega^2|^2
-        q = np.einsum("ijm,i,j->m", kern.w22, w, w)
-        r1 = kern.d4 @ q
+        r1 = kern.d4 @ kern.wedge22(w)
         p1 = float(r1 @ r1)
         dq = 2.0 * (kern.d4.T @ r1)
-        grad_w += 2.0 * np.einsum("m,ijm,j->i", dq, kern.w22, w)
+        grad_w += 2.0 * kern.t22.contract(0, w, dq)
 
         # |omega ^ rho|^2
-        r2 = np.einsum("ijm,i,j->m", kern.w23, w, r)
+        r2 = kern.wedge23(w, r)
         p2 = float(r2 @ r2)
-        grad_w += 2.0 * np.einsum("m,ijm,j->i", r2, kern.w23, r)
-        grad_r = 2.0 * np.einsum("m,ijm,i->j", r2, kern.w23, w)
+        grad_w += 2.0 * kern.t23.contract(0, r, r2)
+        grad_r = 2.0 * kern.t23.contract(1, w, r2)
 
         # lambda sign hinge
-        kmat = np.einsum("uvij,i,j->uv", kern.kt, r, r)
+        kmat = kern.k_of(r)
         lam = float(np.trace(kmat @ kmat)) / 6.0
-        dlam_dr = (
-            np.einsum("vu,uvij,j->i", kmat, kern.kt, r)
-            + np.einsum("vu,uvji,j->i", kmat, kern.kt, r)
-        ) / 3.0
+        dlam_dr = kern.k_grad(kmat.T, r) / 3.0
         if self.target in ("su3", "su12"):
-            h = _hinge(lam + self.lam_gap)
+            h = _hinge(lam + LAM_GAP)
             p3 = h * h
             if h > 0:
                 grad_r += 2.0 * h * dlam_dr
         else:
-            h = _hinge(self.lam_gap - lam)
+            h = _hinge(LAM_GAP - lam)
             p3 = h * h
             if h > 0:
                 grad_r -= 2.0 * h * dlam_dr
@@ -240,15 +285,9 @@ class _Penalty:
         if p4 > 0.0:
             # dS from omega: d g = eps * d omega_matrix @ K (antisymmetric slots)
             dg = eps * (ds @ kmat.T)
-            for idx, mask in enumerate(kern.b2):
-                i = mask.bit_length() - 1
-                j = (mask & ~(1 << i)).bit_length() - 1
-                grad_w[idx] += 0.5 * (dg[j, i] - dg[i, j]) * 2.0
+            grad_w += 0.5 * (dg[kern.om_lo, kern.om_hi] - dg[kern.om_hi, kern.om_lo]) * 2.0
             # dS from rho through K
-            dk = eps * (om.T @ ds)
-            grad_r += np.einsum("uv,uvij,j->i", dk, kern.kt, r) + np.einsum(
-                "uv,uvji,j->i", dk, kern.kt, r
-            )
+            grad_r += kern.k_grad(eps * (om.T @ ds), r)
 
         grad_z += dr_dz.T @ grad_r
         total = p0 + p1 + p2 + p3 + p4

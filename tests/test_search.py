@@ -63,6 +63,161 @@ def test_float_k_tensor_matches_reference_loop():
     assert np.count_nonzero(ref) == 240
 
 
+def _reference_omega_matrix(kern, w):
+    m = np.zeros((6, 6))
+    for idx, mask in enumerate(kern.b2):
+        i = mask.bit_length() - 1
+        j = (mask & ~(1 << i)).bit_length() - 1
+        m[j, i] = w[idx]
+        m[i, j] = -w[idx]
+    return m
+
+
+def _reference_k_of(kern, r):
+    return np.einsum("uvij,i,j->uv", kern.kt, r, r)
+
+
+def _reference_residuals(kern, w, r):
+    """Residuals by dense einsum contractions over kt, w22 and w23."""
+    q = np.einsum("ijm,i,j->m", kern.w22, w, w)
+    k = _reference_k_of(kern, r)
+    return {
+        "resid_drho": float(np.linalg.norm(kern.d3 @ r)),
+        "resid_domega2": float(np.linalg.norm(kern.d4 @ q)),
+        "resid_omega_rho": float(np.linalg.norm(np.einsum("ijm,i,j->m", kern.w23, w, r))),
+        "lambda_float": float(np.trace(k @ k)) / 6.0,
+    }
+
+
+def _reference_value_grad(pen, x):
+    """Penalty, gradient and lambda by dense einsum contractions (the reference)."""
+    kern = pen.k
+    w, z = pen.split(x)
+    rho_raw = kern.z3 @ z
+    n = np.linalg.norm(rho_raw)
+    if n < 1e-9:
+        return 1e6 - float(z @ z), np.concatenate([np.zeros(15), -2 * z])
+    r = rho_raw / n
+    dr_dz = (np.eye(20) - np.outer(r, r)) @ kern.z3 / n
+
+    grad_w = np.zeros(15)
+    grad_z = np.zeros(pen.nz)
+
+    gauge = float(w @ w) - 1.0
+    p0 = gauge * gauge
+    grad_w += 4.0 * gauge * w
+
+    q = np.einsum("ijm,i,j->m", kern.w22, w, w)
+    r1 = kern.d4 @ q
+    p1 = float(r1 @ r1)
+    dq = 2.0 * (kern.d4.T @ r1)
+    grad_w += 2.0 * np.einsum("m,ijm,j->i", dq, kern.w22, w)
+
+    r2 = np.einsum("ijm,i,j->m", kern.w23, w, r)
+    p2 = float(r2 @ r2)
+    grad_w += 2.0 * np.einsum("m,ijm,j->i", r2, kern.w23, r)
+    grad_r = 2.0 * np.einsum("m,ijm,i->j", r2, kern.w23, w)
+
+    kmat = np.einsum("uvij,i,j->uv", kern.kt, r, r)
+    lam = float(np.trace(kmat @ kmat)) / 6.0
+    dlam_dr = (
+        np.einsum("vu,uvij,j->i", kmat, kern.kt, r)
+        + np.einsum("vu,uvji,j->i", kmat, kern.kt, r)
+    ) / 3.0
+    if pen.target in ("su3", "su12"):
+        h = max(lam + search.LAM_GAP, 0.0)
+        p3 = h * h
+        if h > 0:
+            grad_r += 2.0 * h * dlam_dr
+    else:
+        h = max(search.LAM_GAP - lam, 0.0)
+        p3 = h * h
+        if h > 0:
+            grad_r -= 2.0 * h * dlam_dr
+
+    eps = EPSILON_PARA if lam > 0 else EPSILON
+    om = _reference_omega_matrix(kern, w)
+    g = eps * (om @ kmat)
+    s = 0.5 * (g + g.T)
+    evals, evecs = np.linalg.eigh(s)
+    scale = max(float(np.linalg.norm(s)), 1e-12)
+    m0 = search.MARGIN_OPT * scale
+    p4 = 0.0
+    ds = np.zeros((6, 6))
+    wants = pen._wanted_signs(evals)
+    hsum = 0.0
+    for idx in range(6):
+        sgn = wants[idx]
+        h = max(m0 - sgn * evals[idx], 0.0)
+        if h > 0.0:
+            p4 += h * h
+            hsum += 2.0 * h
+            ds -= 2.0 * h * sgn * np.outer(evecs[:, idx], evecs[:, idx])
+    if hsum > 0.0:
+        ds += hsum * search.MARGIN_OPT * s / scale
+    if p4 > 0.0:
+        dg = eps * (ds @ kmat.T)
+        for idx, mask in enumerate(kern.b2):
+            i = mask.bit_length() - 1
+            j = (mask & ~(1 << i)).bit_length() - 1
+            grad_w[idx] += 0.5 * (dg[j, i] - dg[i, j]) * 2.0
+        dk = eps * (om.T @ ds)
+        grad_r += np.einsum("uv,uvij,j->i", dk, kern.kt, r) + np.einsum(
+            "uv,uvji,j->i", dk, kern.kt, r
+        )
+
+    grad_z += dr_dz.T @ grad_r
+    return p0 + p1 + p2 + p3 + p4, np.concatenate([grad_w, grad_z]), lam
+
+
+BITWISE_CASES = (
+    (("su2", "su2"), "su3"),
+    (("e2", "R3"), "su3"),
+    (("sl2", "r2R"), "su3"),
+    (("h3", "r2R"), "su3"),
+    (("r2R", "r3"), "sl3r"),
+    (("r2R", "r2R"), "su12"),
+    (("su2", "r3"), "su12"),
+)
+
+
+def test_sparse_contractions_equal_einsum_bitwise():
+    """The sparse term sums give the dense einsum values bit for bit.
+
+    Scaling x by 0.01 to 3 moves omega across the unit-norm gauge and the
+    random rho directions fall on both sides of the lambda hinge.
+    """
+    for (n1, n2), target in BITWISE_CASES:
+        kern = search.FloatKernels(direct_sum(catalog(n1), catalog(n2)))
+        pen = search._Penalty(kern, target)
+        rng = np.random.default_rng(20240817)
+        hinge_on = hinge_off = 0
+        for _ in range(300):
+            x = rng.standard_normal(15 + kern.z3.shape[1]) * 10 ** rng.uniform(-2.0, np.log10(3.0))
+            value, grad = pen.value_grad(x)
+            ref_value, ref_grad, lam = _reference_value_grad(pen, x)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+            active = lam + search.LAM_GAP > 0 if target != "sl3r" else search.LAM_GAP - lam > 0
+            hinge_on += active
+            hinge_off += not active
+            w, z = pen.split(x)
+            r = kern.z3 @ z
+            r /= np.linalg.norm(r)
+            assert np.array_equal(kern.k_of(r), _reference_k_of(kern, r))
+            assert kern.residuals(w, r) == _reference_residuals(kern, w, r)
+            assert np.array_equal(kern.omega_matrix(w), _reference_omega_matrix(kern, w))
+        assert hinge_on and hinge_off, (n1, n2, target)
+
+
+def test_search_su12_on_r2R_r2R_panel_seed():
+    # the search panel entry that criterion 8 does not cover
+    L = direct_sum(catalog("r2R"), catalog("r2R"))
+    res = search.find_halfflat(L, "su12", restarts=10_000, seed=20240817, tol=1e-8)
+    assert res.found
+    assert res.restarts_used == 1
+
+
 def _reference_d_matrix(L, k):
     """Float matrix of d assembled from the images of basis monomials."""
     from halfflat.exterior import KForm
