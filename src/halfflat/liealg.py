@@ -10,13 +10,14 @@ changes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import exterior, linalg
 from .errors import CatalogError, DegreeError, JacobiError
-from .exterior import DIM, KForm, Vector, basis_masks, covector, form, wedge
+from .exterior import _SIGN, DIM, KForm, Vector, basis_masks, form
 from .scalars import Scalar, scalar_is_zero
 
 
@@ -97,16 +98,20 @@ class LieAlgebra:
         """Exterior differential, the antiderivation extending d on one-forms."""
         if a.degree == DIM:
             return KForm(DIM)  # Lambda^7 = 0, reported as the zero top form
-        out = KForm(a.degree + 1)
+        # d e^I = sum over i in I of (-1)^(position of i in I) d e^i ^ e^(I - i)
+        terms: dict[int, Scalar] = {}
         for mask, coeff in a.terms.items():
             sign = 1
-            for i in range(DIM):
+            for i in range(self.dim):
                 if mask >> i & 1:
-                    if i < self.dim:
-                        rest = KForm(a.degree - 1, {mask & ~(1 << i): coeff * sign})
-                        out = out + wedge(self.diffs[i], rest)
+                    rest = mask & ~(1 << i)
+                    for t, c in self.diffs[i].terms.items():
+                        if not t & rest:
+                            v = c * coeff if sign * _SIGN[(t, rest)] > 0 else -(c * coeff)
+                            m = t | rest
+                            terms[m] = terms[m] + v if m in terms else v
                     sign = -sign
-        return out
+        return KForm(a.degree + 1, terms)
 
     def check_jacobi(self) -> bool:
         """d^2 = 0 on all basis one-forms."""
@@ -150,8 +155,9 @@ class LieAlgebra:
         """
         masks = [m for m in basis_masks(k) if not m >> self.dim]
         out_masks = [m for m in basis_masks(k + 1) if not m >> self.dim]
-        images = [self.d(KForm(k, {m: Fraction(1)})) for m in masks]
-        return [[img.coeff(om) for img in images] for om in out_masks]
+        images = [self.d(KForm(k, {m: Fraction(1)})).terms for m in masks]
+        zero = Fraction(0)
+        return [[img.get(om, zero) for img in images] for om in out_masks]
 
     def _kernel_of_d(self, k: int) -> "Subspace":
         masks = [m for m in basis_masks(k) if not m >> self.dim]
@@ -164,15 +170,23 @@ class LieAlgebra:
 
 @dataclass
 class Subspace:
-    """Subspace of Lambda^k spanned by an independent list of forms."""
+    """Subspace of Lambda^k spanned by an independent list of forms.
+
+    Independence is certified by an identity minor (each form has a monomial
+    with coefficient 1 on which the others vanish, as in every ``nullspace``
+    basis), with the rank as the fallback; a dependent list raises ValueError.
+    """
 
     degree: int
     basis: list[KForm] = field(default_factory=list)
 
     def __post_init__(self):
+        owners = Counter(m for b in self.basis for m in b.terms)
+        if all(any(c == 1 and owners[m] == 1 for m, c in b.terms.items()) for b in self.basis):
+            return
         masks = basis_masks(self.degree)
         rows = [b.coefficients(masks) for b in self.basis]
-        if rows and linalg.rank(rows) != len(rows):
+        if linalg.rank(rows) != len(rows):
             raise ValueError("subspace basis is linearly dependent")
 
     @property
@@ -183,7 +197,9 @@ class Subspace:
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra, unchecked: bool = False) -> LieAlgebra:
     """Direct sum with basis order e1,e2,e3,f1,f2,f3 and no cross terms.
 
-    ``unchecked`` is passed to ``LieAlgebra`` (for unchecked summands).
+    ``unchecked`` is passed to ``LieAlgebra`` (for unchecked summands).  With
+    no cross terms d^2 vanishes block by block, so a sum of checked summands
+    is checked without a second Jacobi test.
     """
     if L1.dim != 3 or L2.dim != 3:
         raise ValueError("direct sums are formed from three-dimensional algebras")
@@ -201,8 +217,9 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra, unchecked: bool = False) -> LieAl
         name=f"{L1.name}+{L2.name}" if L1.name and L2.name else "",
         params=params,
         summands=(L1, L2),
-        unchecked=unchecked,
+        unchecked=unchecked or (L1.checked and L2.checked),
     )
+    out.checked = not unchecked
     assert out.is_unimodular() == (L1.is_unimodular() and L2.is_unimodular())
     return out
 

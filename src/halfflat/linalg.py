@@ -1,9 +1,9 @@
 """Exact linear algebra over Q or a quadratic extension.
 
-Matrices are lists of row lists holding exact scalars.  Everything here is
-division-based Gaussian elimination on small dense matrices (at most 20
-columns for Lambda^3), which is plenty fast and keeps entries in the same
-field as the input.
+Matrices are lists of row lists holding exact scalars.  Elimination is
+division-based, so entries stay in the field of the input; ``rref`` keeps
+its rows sparse, as ``{column: value}`` maps without zeros, and touches
+only the nonzeros of each pivot row.
 """
 
 from __future__ import annotations
@@ -62,28 +62,38 @@ def scale_mat(m: Sequence[Sequence[Scalar]], c: Scalar) -> Matrix:
 
 
 def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = copy(mat)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form and pivot column indices.
+
+    The reduced form is unique, so any pivot row gives the same result; the
+    sparsest candidate is taken, which keeps fill-in down.
+    """
+    cols = len(mat[0]) if mat else 0
+    live = [{j: x for j, x in enumerate(row) if not scalar_is_zero(x)} for row in mat]
+    done: list[dict[int, Scalar]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if not scalar_is_zero(m[i][c])), None)
-        if p is None:
+        with_c = [i for i, row in enumerate(live) if c in row]
+        if not with_c:
             continue
-        m[r], m[p] = m[p], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not scalar_is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        piv = live.pop(min(with_c, key=lambda i: len(live[i])))
+        inv = piv.pop(c)
+        piv = {j: x / inv for j, x in piv.items()}
+        for row in done + live:
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for j, y in piv.items():
+                x = row.get(j, 0) - f * y
+                if scalar_is_zero(x):
+                    del row[j]
+                else:
+                    row[j] = x
+        piv[c] = Fraction(1)
+        done.append(piv)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    zero = Fraction(0)
+    red = [[row.get(j, zero) for j in range(cols)] for row in done]
+    return red + zeros(len(mat) - len(done), cols), pivots
 
 
 def rank(mat: Sequence[Sequence[Scalar]]) -> int:

@@ -147,3 +147,54 @@ def brackets_of(L):
             br = L.bracket(Vector.basis(i), Vector.basis(j))
             out[(i, j)] = list(br.components)
     return out
+
+
+def dense_rref(mat):
+    """Gauss-Jordan elimination on dense rows, first nonzero row as pivot.
+
+    Reference for the sparse ``linalg.rref``: the reduced form is unique, so
+    both must return equal matrices and pivots.
+    """
+    m = [list(r) for r in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def antiderivation_d(L, a):
+    """d a as a sum of wedge products, one ``KForm`` per term.
+
+    Reference for the one-pass ``LieAlgebra.d``: e^I = sign e^i ^ e^rest for
+    each index i of I, so d e^I = sum of sign d e^i ^ e^rest.
+    """
+    from halfflat.exterior import KForm, wedge
+
+    if a.degree == DIM:
+        return KForm(DIM)
+    out = KForm(a.degree + 1)
+    for mask, coeff in a.terms.items():
+        sign = 1
+        for i in range(DIM):
+            if mask >> i & 1:
+                if i < L.dim:
+                    rest = KForm(a.degree - 1, {mask & ~(1 << i): coeff * sign})
+                    out = out + wedge(L.diffs[i], rest)
+                sign = -sign
+    return out

@@ -8,8 +8,9 @@ import pytest
 
 from halfflat import liealg
 from halfflat.errors import CatalogError, JacobiError
-from halfflat.exterior import KForm, basis_masks, covector, form, wedge
-from halfflat.liealg import LieAlgebra, catalog, catalog_classes, direct_sum
+from halfflat.exterior import DIM, KForm, basis_masks, covector, form, wedge
+from halfflat.liealg import LieAlgebra, Subspace, catalog, catalog_classes, direct_sum
+from halfflat.scalars import QuadExt
 
 from .conftest import random_fraction, random_form
 from . import oracles
@@ -223,9 +224,41 @@ def _random_unimodular_triangular(rng: random.Random, n: int):
     return linalg.mat_mul(lower, upper)
 
 
-def test_d_matrix_matches_d_on_basis_monomials():
-    algebras = [catalog(n) for n in ("su2", "r3", "h3")]
-    algebras += [direct_sum(catalog("sl2"), catalog("r2R")), direct_sum(catalog("e2"), catalog("r3mu", Fraction(1, 2)))]
+def _quad_algebra(rng, dim):
+    """Unchecked algebra with coefficients in Q(sqrt 3); d need not square to zero."""
+    r3 = QuadExt(0, 1, 3)
+    diffs = [
+        KForm(2, {m: random_fraction(rng, 3) + random_fraction(rng, 3) * r3
+                  for m in basis_masks(2) if not m >> dim and rng.random() < 0.4})
+        for _ in range(dim)
+    ]
+    return LieAlgebra(dim, diffs, name="quad", unchecked=True)
+
+
+def _oracle_algebras(rng):
+    return [
+        catalog("su2"), catalog("r3pmu", 2), _quad_algebra(rng, 3),
+        direct_sum(catalog("sl2"), catalog("r3")),
+        direct_sum(catalog("e2"), catalog("r3mu", Fraction(1, 2))),
+        _quad_algebra(rng, 6),
+    ]
+
+
+def test_d_matches_antiderivation_oracle(rng):
+    r2 = QuadExt(0, 1, 2)
+    for L in _oracle_algebras(rng):
+        for k in range(DIM + 1):
+            for _ in range(3):
+                a = random_form(rng, k, density=0.5)
+                quad = KForm(k, {m: c + random_fraction(rng, 3) * r2 for m, c in a.terms.items()})
+                assert L.d(a) == oracles.antiderivation_d(L, a)
+                if L.name != "quad":  # one radicand per computation
+                    assert L.d(quad) == oracles.antiderivation_d(L, quad)
+
+
+def test_d_matrix_matches_d_on_basis_monomials(rng):
+    algebras = [catalog(n) for n in ("su2", "r3", "h3")] + _oracle_algebras(rng)
+    algebras += [direct_sum(catalog("sl2"), catalog("r2R"))]
     for L in algebras:
         for k in range(L.dim + 1):
             masks = [m for m in basis_masks(k) if not m >> L.dim]
@@ -233,5 +266,43 @@ def test_d_matrix_matches_d_on_basis_monomials():
             M = L.d_matrix(k)
             assert len(M) == len(out_masks)
             for j, m in enumerate(masks):
-                image = L.d(KForm(k, {m: Fraction(1)}))
+                image = oracles.antiderivation_d(L, KForm(k, {m: Fraction(1)}))
                 assert [row[j] for row in M] == image.coefficients(out_masks)
+
+
+def test_direct_sum_of_checked_summands_skips_jacobi(monkeypatch):
+    instances = all_class_instances()
+    assert len(instances) == 20
+    calls = []
+    real = LieAlgebra.check_jacobi
+    monkeypatch.setattr(LieAlgebra, "check_jacobi", lambda self: calls.append(self) or real(self))
+    sums = [direct_sum(L1, L2) for L1 in instances for L2 in instances]
+    assert calls == []
+    monkeypatch.undo()
+    assert all(s.checked and s.check_jacobi() for s in sums)
+
+
+def test_subspace_rejects_dependent_bases():
+    e = [covector(i) for i in range(1, 5)]
+    with pytest.raises(ValueError):  # e^3 and e^4 have identity columns, the rest do not
+        Subspace(1, [e[0] + e[1], e[2], e[3], (e[0] + e[1]).scale(2)])
+    with pytest.raises(ValueError):  # no identity column at all
+        Subspace(1, [e[0] + e[1], e[0] - e[1], e[0].scale(3)])
+    with pytest.raises(ValueError):
+        Subspace(1, [e[0], e[0]])
+
+
+def test_subspace_certifies_by_identity_minor_else_rank(monkeypatch):
+    ranks = []
+    real = liealg.linalg.rank
+    monkeypatch.setattr(liealg.linalg, "rank", lambda rows: ranks.append(rows) or real(rows))
+    e1, e2 = covector(1), covector(2)
+    assert Subspace(1, [e1 + e2, e1 - e2]).dim == 2
+    assert Subspace(1, [e1.scale(2), e2]).dim == 2
+    assert len(ranks) == 2
+    L = direct_sum(catalog("e11"), catalog("r3"))
+    ranks.clear()
+    for k in range(DIM + 1):
+        basis = L.closed_forms(k).basis
+        assert Subspace(k, basis).dim == len(basis)
+    assert ranks == []

@@ -6,6 +6,7 @@ from halfflat import linalg
 from halfflat.scalars import QuadExt
 
 from .conftest import random_fraction
+from . import oracles
 
 
 def test_rref_rank_nullspace(rng):
@@ -72,3 +73,71 @@ def test_inertia_over_quadratic_extension():
     assert linalg.inertia(m) == (2, 0, 0)
     m2 = [[r2 - 2, Fraction(0)], [Fraction(0), r2]]  # sqrt2 - 2 < 0
     assert linalg.inertia(m2) == (1, 1, 0)
+
+
+def _sparse(rng, n, m, density, entry):
+    return [[entry() if rng.random() < density else Fraction(0) for _ in range(m)] for _ in range(n)]
+
+
+def _oracle_matrices(rng, entry, count):
+    """Tall, wide, sparse, rank-deficient, zero-padded, all-zero and empty matrices."""
+    out = [[], [[]], [[Fraction(0)] * 4 for _ in range(3)]]
+    for _ in range(count):
+        out.append(_sparse(rng, rng.randint(5, 8), rng.randint(1, 4), 0.7, entry))  # tall
+        out.append(_sparse(rng, rng.randint(1, 4), rng.randint(5, 9), 0.7, entry))  # wide
+        out.append(_sparse(rng, rng.randint(3, 7), rng.randint(3, 9), 0.3, entry))  # sparse like d
+        n, m, r = rng.randint(3, 6), rng.randint(3, 6), rng.randint(1, 2)
+        low = linalg.mat_mul(_sparse(rng, n, r, 0.9, entry), _sparse(rng, r, m, 0.9, entry))
+        out.append(low)  # rank at most r
+        padded = _sparse(rng, rng.randint(2, 6), rng.randint(2, 6), 0.8, entry)
+        zero_col = rng.randrange(len(padded[0]))
+        for row in padded:
+            row[zero_col] = Fraction(0)
+        padded.insert(rng.randrange(len(padded) + 1), [Fraction(0)] * len(padded[0]))
+        out.append(padded)
+        k = rng.randint(1, 5)
+        out.append(_sparse(rng, k, k, 0.8, entry))  # square, sometimes singular
+        out.append(linalg.mat_mul(_sparse(rng, k, 1, 1.0, entry), _sparse(rng, 1, k, 1.0, entry)))
+    return out
+
+
+def _reference(monkeypatch, fn, *args):
+    """``fn`` evaluated with the dense oracle in place of ``linalg.rref``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", oracles.dense_rref)
+        return fn(*args)
+
+
+def _kinds(mat):
+    return [[(isinstance(x, QuadExt), x) for x in row] for row in mat]
+
+
+def _check_against_oracle(monkeypatch, mat, entry):
+    red, pivots = linalg.rref(mat)
+    want_red, want_pivots = oracles.dense_rref(mat)
+    assert pivots == want_pivots
+    assert _kinds(red) == _kinds(want_red)
+    assert linalg.rank(mat) == _reference(monkeypatch, linalg.rank, mat) == len(want_pivots)
+    assert linalg.nullspace(mat) == _reference(monkeypatch, linalg.nullspace, mat)
+    if mat and mat[0]:
+        consistent = linalg.mat_vec(mat, [entry() for _ in mat[0]])
+        arbitrary = [entry() for _ in mat]
+        for rhs in (consistent, arbitrary):
+            assert linalg.solve(mat, rhs) == _reference(monkeypatch, linalg.solve, mat, rhs)
+    if len(mat) == len(mat[0] if mat else []):
+        assert linalg.invert(mat) == _reference(monkeypatch, linalg.invert, mat)
+
+
+def test_rref_matches_dense_oracle(rng, monkeypatch):
+    entry = lambda: random_fraction(rng, 5)
+    mats = _oracle_matrices(rng, entry, 25)
+    assert any(linalg.rank(m) < min(len(m), len(m[0])) for m in mats if m and m[0])
+    for mat in mats:
+        _check_against_oracle(monkeypatch, mat, entry)
+
+
+def test_rref_matches_dense_oracle_over_quadratic_extensions(rng, monkeypatch):
+    for d in (2, 5):
+        entry = lambda: QuadExt.make(random_fraction(rng, 3), random_fraction(rng, 2), d)
+        for mat in _oracle_matrices(rng, entry, 4):
+            _check_against_oracle(monkeypatch, mat, entry)
