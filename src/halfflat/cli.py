@@ -17,6 +17,7 @@ half-flat / obstructed / nothing found), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -317,7 +318,9 @@ def _load(path: str):
         raise ParseError(f"cannot read {path}: {exc}", 0, 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call."""
     p = argparse.ArgumentParser(
         prog="halfflat",
         description="Exact verification, classification, obstruction and search "

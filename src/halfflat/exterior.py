@@ -180,9 +180,13 @@ class VolumeRatio:
     value: Scalar
 
 
+#: degree -> the masks with that many bits, in increasing order
+_MASKS_BY_DEGREE = {k: tuple(m for m in range(1 << DIM) if _popcount(m) == k) for k in range(DIM + 1)}
+
+
 def basis_masks(degree: int) -> list[int]:
-    """All degree-subsets of {1..6} as bitmasks, sorted."""
-    return sorted(m for m in range(1 << DIM) if _popcount(m) == degree)
+    """All degree-subsets of {1..6} as bitmasks, sorted; a fresh list per call."""
+    return list(_MASKS_BY_DEGREE.get(degree, ()))
 
 
 _MONO_RE = re.compile(r"([ef])(\d+)")

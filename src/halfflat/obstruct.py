@@ -40,10 +40,9 @@ it does not prove.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 
 from . import linalg, stable
 from .classify3d import classify
@@ -254,19 +253,20 @@ def refined_r2R_R3(L: LieAlgebra) -> bool:
 def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
     """alpha(K_rho x) = 0 for every closed three-form rho and every (alpha, x) in ``entries``.
 
-    ``entries`` holds (one-form, Vector) pairs.  K is quadratic in rho, so
-    checking a basis z_i of Z^3 and all sums z_i + z_j polarizes the
-    condition completely.
+    ``entries`` holds (one-form, Vector) pairs.  On rho = sum_a n_a z_a over
+    a basis z of Z^3, alpha(K_rho x) = sum_{u,v} alpha_u x_v K[u][v] is a
+    quadratic form in n (``stable.k_on_basis``); it vanishes on Z^3 exactly
+    when each of its coefficients does.
     """
-    terms = [
-        [(u, v, alpha.coeff(1 << u) * xv) for u in range(DIM) for v, xv in enumerate(x.components)
-         if xv and alpha.coeff(1 << u)]
-        for alpha, x in entries
-    ]
-    z3 = L.closed_forms(3).basis
-    for i, j in combinations_with_replacement(range(len(z3)), 2):
-        K = stable.k_matrix(z3[i] if i == j else z3[i] + z3[j])
-        if not all(scalar_is_zero(sum(c * K[u][v] for u, v, c in t)) for t in terms):
+    forms = stable.k_on_basis(L.closed_forms(3).basis)
+    for alpha, x in entries:
+        total = {}
+        for (u, v), q in forms.items():
+            w = alpha.coeff(1 << u) * x.components[v]
+            if w:
+                for ab, c in q.items():
+                    total[ab] = total.get(ab, 0) + w * c
+        if not all(scalar_is_zero(c) for c in total.values()):
             return False
     return True
 
@@ -302,25 +302,21 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
     """Draw seeded random rational closed three-forms and test lambda >= 0.
 
     Coefficients are drawn from [-10, 10] rational with denominator 4, one
-    per basis element of Z^3.  The basis is cleared to integers once, by
-    the positive lcm D of its denominators, so each sample is taken as
-    sum n_i * row_i in pure integers with n_i = randint(-40, 40): that is
-    4 * D times the drawn rational form.  lambda scales by the fourth power
-    of a factor, so the sign of the exact lambda is that of the drawn form.
+    per basis element z_a of Z^3, as n_a = randint(-40, 40).  With D the
+    positive lcm of the denominators of the basis, 6 lambda of
+    sum n_a * D * z_a (that is 4 * D times the drawn rational form) is one
+    integer quartic in n, expanded once per call from ``stable.k_on_basis``
+    and evaluated on each sample.  lambda scales by the fourth power of a
+    factor, so the sign of the quartic is that of lambda of the drawn form.
     """
     rng = random.Random(seed)
     basis = L.closed_forms(3).basis
-    masks = basis_masks(3)
-    den = math.lcm(*(b.coeff(m).denominator for b in basis for m in masks))
-    basis_rows = [[int(b.coeff(m) * den) for m in masks] for b in basis]
+    quartic = list(stable.trace_of_square_quartic(stable.k_on_basis(basis)).items())
     all_nonneg = True
     first_neg = None
     for sample in range(n_samples):
-        coeffs = [rng.randint(-10 * 4, 10 * 4) for _ in range(len(basis))]
-        row = [sum(c * br[k] for c, br in zip(coeffs, basis_rows)) for k in range(len(masks))]
-        K = stable.k_from_terms({m: c for m, c in zip(masks, row) if c}, 0)
-        lam6 = stable.trace_of_square(K, 0)
-        if lam6 < 0:
+        n = [rng.randint(-10 * 4, 10 * 4) for _ in range(len(basis))]
+        if sum(c * n[a] * n[b] * n[e] * n[f] for (a, b, e, f), c in quartic) < 0:
             all_nonneg = False
             first_neg = sample
             break

@@ -14,12 +14,15 @@ must reproduce their standard metrics.
 K_rho is quadratic in the coefficients of rho.  ``K_TABLE`` holds that
 quadratic map once, derived at import from the wedge sign table: for each
 three-mask i and each bit v of i, the (mask j, row u, sign) with
-K[u][v] += sign * c_i * c_j, 240 entries in all.  ``k_from_terms``
-evaluates it over any coefficient ring, so the exact path (``Fraction`` and
-``QuadExt``), the integer lambda scan of ``obstruct`` and the float tensor
-of ``search`` share one implementation of K.  The J values of one-forms
-read K as well: alpha ^ (v -| rho) ^ rho = alpha(K_rho v) nu, so
-``j_matrix_values`` is the row alpha^T K.
+K[u][v] += sign * c_i * c_j, 240 entries in all.  Every K reads it:
+``k_matrix`` evaluates it on the coefficients of one form (``Fraction`` or
+``QuadExt``); ``k_on_basis`` restricts it once to a span of rational forms,
+giving K and, through ``trace_of_square_quartic``, 6 lambda as integer
+polynomials in the coordinates on that span (the lambda scan and the
+refined checks of ``obstruct`` read these); the float tensor of ``search``
+is built from it.  The J values of one-forms read K as well:
+alpha ^ (v -| rho) ^ rho = alpha(K_rho v) nu, so ``j_matrix_values`` is
+the row alpha^T K.
 
 A compatible (omega ^ rho = 0) pair of stable forms induces the metric
 g = eps * omega(. , J_rho .).  The matrix G_raw with
@@ -33,9 +36,10 @@ pair are formed, each once; ``structure_type``, ``induced_metric_raw`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import NotCompatibleError, NotStableError
@@ -108,11 +112,13 @@ def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
 K_TABLE = _k_table()
 
 
-def k_from_terms(terms: Mapping[int, Scalar], zero: Scalar = Fraction(0)) -> linalg.Matrix:
-    """K_rho from the coefficients {three-mask: c} of rho, over the ring of ``zero``."""
-    K = [[zero] * DIM for _ in range(DIM)]
-    get = terms.get
-    for i, ci in terms.items():
+def k_matrix(rho: KForm) -> linalg.Matrix:
+    """K_rho relative to the reference volume; column j is K_rho(e_j)."""
+    if rho.degree != 3:
+        raise NotStableError("K is defined for three-forms")
+    K = [[Fraction(0)] * DIM for _ in range(DIM)]
+    get = rho.terms.get
+    for i, ci in rho.terms.items():
         for v, j, u, sign in K_TABLE[i]:
             cj = get(j)
             if cj is not None:
@@ -123,22 +129,69 @@ def k_from_terms(terms: Mapping[int, Scalar], zero: Scalar = Fraction(0)) -> lin
     return K
 
 
-def k_matrix(rho: KForm) -> linalg.Matrix:
-    """K_rho relative to the reference volume; column j is K_rho(e_j)."""
-    if rho.degree != 3:
-        raise NotStableError("K is defined for three-forms")
-    return k_from_terms(rho.terms)
-
-
-def trace_of_square(K: linalg.Matrix, zero: Scalar = Fraction(0)) -> Scalar:
+def trace_of_square(K: linalg.Matrix) -> Scalar:
     """tr(K^2), which is 6 lambda for K = K_rho."""
-    diag = off = zero
+    diag = off = Fraction(0)
     for i in range(DIM):
         row = K[i]
         diag += row[i] * row[i]
         for j in range(i + 1, DIM):
             off += row[j] * K[j][i]
     return diag + 2 * off
+
+
+#: K_rho on rho = sum_a n_a z_a as integer quadratic forms {(u, v): {(a, b): c}}, a <= b
+KQuadratic = dict[tuple[int, int], dict[tuple[int, int], int]]
+
+
+def k_on_basis(basis: Sequence[KForm]) -> KQuadratic:
+    """K_rho for rho = sum_a n_a basis[a], as exact integer quadratic forms in n.
+
+    The rational three-forms of ``basis`` are cleared to integers by the
+    positive lcm ``den`` of their denominators, so the forms give K of
+    den * rho, which is den^2 K_rho: no sign and no zero test changes.
+    Entry (u, v) maps (a, b) with a <= b to the coefficient of n_a n_b;
+    zero coefficients and zero entries are left out.
+    """
+    den = math.lcm(*(c.denominator for z in basis for c in z.terms.values()))
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for a, z in enumerate(basis):
+        for m, c in z.terms.items():
+            columns.setdefault(m, []).append((a, int(c * den)))
+    forms: KQuadratic = {}
+    for i, col_i in columns.items():
+        for v, j, u, sign in K_TABLE[i]:
+            col_j = columns.get(j)
+            if col_j is None:
+                continue
+            q = forms.setdefault((u, v), {})
+            for a, ca in col_i:
+                for b, cb in col_j:
+                    key = (a, b) if a <= b else (b, a)
+                    q[key] = q.get(key, 0) + sign * ca * cb
+    nonzero = {uv: {ab: c for ab, c in q.items() if c} for uv, q in forms.items()}
+    return {uv: q for uv, q in nonzero.items() if q}
+
+
+def trace_of_square_quartic(forms: KQuadratic) -> dict[tuple[int, int, int, int], int]:
+    """tr(K^2) = sum over u, v of K[u][v] K[v][u] as one quartic in n.
+
+    ``forms`` is a result of ``k_on_basis``; the quartic maps sorted index
+    quadruples to their nonzero integer coefficients.
+    """
+    quartic: dict[tuple[int, int, int, int], int] = {}
+    for (u, v), q in forms.items():
+        if u > v:
+            continue
+        p = forms.get((v, u))
+        if p is None:
+            continue
+        weight = 1 if u == v else 2
+        for (a, b), x in q.items():
+            for (c, d), y in p.items():
+                key = tuple(sorted((a, b, c, d)))
+                quartic[key] = quartic.get(key, 0) + weight * x * y
+    return {key: c for key, c in quartic.items() if c}
 
 
 def lambda_of(rho: KForm, K: linalg.Matrix | None = None) -> Scalar:

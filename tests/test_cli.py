@@ -258,8 +258,21 @@ def test_cli_obstruct_output_independent_of_basis_and_order(tmp_path):
 def test_import_cli_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, halfflat.cli; sys.exit('scipy' in sys.modules)"
+    code = "import sys, halfflat.cli, halfflat.obstruct; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_parser_built_once_and_reused():
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(["catalog"], expect=0) == run_cli(["catalog"], expect=0)
+    for argv in (["verify"], ["search", "x.alg", "--target", "g2"]):
+        seen = []
+        for _ in range(2):
+            err = io.StringIO()
+            with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            seen.append((exc.value.code, err.getvalue()))
+        assert seen[0] == seen[1] and seen[0][0] == 2
 
 
 def test_cli_obstruct_inconclusive(tmp_path):

@@ -10,6 +10,7 @@ from halfflat.exterior import (
     NU,
     KForm,
     Vector,
+    basis_masks,
     contract,
     covector,
     form,
@@ -205,3 +206,13 @@ def test_sqrt_scalar():
     assert sqrt_scalar(Fraction(9, 16)) == Fraction(3, 4)
     r = sqrt_scalar(Fraction(2))
     assert isinstance(r, QuadExt) and r * r == 2
+
+
+def test_basis_masks_table_and_fresh_lists():
+    for degree in range(-1, 8):
+        expected = sorted(m for m in range(64) if bin(m).count("1") == degree)
+        got = basis_masks(degree)
+        assert got == expected
+        got.append(-1)
+        assert basis_masks(degree) == expected
+    assert len(basis_masks(3)) == 20

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -9,7 +10,7 @@ import pytest
 from halfflat import linalg, obstruct, stable
 from halfflat.errors import HalfFlatError
 from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, volume_ratio, contract, Vector, kappa
-from halfflat.liealg import catalog, direct_sum
+from halfflat.liealg import catalog, change_basis, direct_sum
 from halfflat.stable import lambda_of
 
 from .conftest import random_form
@@ -157,23 +158,40 @@ def test_lambda_scan_control_finds_negative():
 
 
 def test_lambda_scan_matches_exact_path():
-    # the integer path of the scan must agree with the exact KForm pipeline,
-    # and both with a K that does not use the library's table
+    # the integer quadratic forms and quartic the scan reads must agree with
+    # the exact KForm pipeline at random integer coordinates, and both with a
+    # K that does not use the library's table
     rng = random.Random(5)
-    L = direct_sum(catalog("e11"), catalog("r3"))
-    z3 = L.closed_forms(3).basis
-    masks = basis_masks(3)
-    for _ in range(30):
-        rho = KForm(3)
-        for b in z3:
-            rho = rho + b.scale(Fraction(rng.randint(-8, 8)))
-        ints = {m: int(rho.coeff(m)) for m in masks if rho.coeff(m) != 0}
-        lam6 = stable.trace_of_square(stable.k_from_terms(ints, 0), 0)
-        exact = lambda_of(rho)
-        assert (lam6 > 0) == (exact > 0) and (lam6 < 0) == (exact < 0)
-        assert Fraction(lam6, 6) == exact
-        # independent side: K from the dense permutation formulas
-        assert dense_lambda(dense_k_matrix(rho)) == exact
+    for L in (direct_sum(catalog("e11"), catalog("r3")), _conjugated_sum(rng, "h3", "r3mu", Fraction(-1, 2))):
+        z3 = L.closed_forms(3).basis
+        forms = stable.k_on_basis(z3)
+        den = math.lcm(*(c.denominator for z in z3 for c in z.terms.values()))
+        quartic = stable.trace_of_square_quartic(forms)
+        for _ in range(30):
+            n = [rng.randint(-8, 8) for _ in z3]
+            rho = KForm(3)
+            for b, na in zip(z3, n):
+                rho = rho + b.scale(Fraction(na))
+            K = stable.k_matrix(rho)
+            K_int = [[sum(c * n[a] * n[b] for (a, b), c in forms.get((u, v), {}).items()) for v in range(6)]
+                     for u in range(6)]
+            assert K_int == [[den**2 * x for x in row] for row in K]
+            lam6 = sum(c * n[a] * n[b] * n[e] * n[f] for (a, b, e, f), c in quartic.items())
+            exact = lambda_of(rho)
+            assert lam6 == 6 * den**4 * exact
+            # independent side: K from the dense permutation formulas
+            assert dense_lambda(dense_k_matrix(rho)) == exact
+
+
+def _conjugated_sum(rng, g1, g2, mu=None):
+    """g1 (+) g2 with each factor in a random rational basis (dense quadratic forms)."""
+    def gl3():
+        while True:
+            m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+            if linalg.det(m) != 0:
+                return m
+
+    return direct_sum(change_basis(catalog(g1), gl3()), change_basis(catalog(g2, mu), gl3()))
 
 
 def _reference_scan(L, n_samples, seed):
@@ -197,13 +215,18 @@ def _reference_scan(L, n_samples, seed):
         ("R3", "r3", None),
         ("su2", "su2", None),
         ("su2", "e11", None),
+        ("R3", "R3", None),
     ],
 )
 def test_lambda_scan_matches_reference_scan(g1, g2, mu):
-    L = direct_sum(catalog(g1), catalog(g2, mu))
-    for seed in (1, 7, 20240817):
-        rep = obstruct.lambda_nonneg_scan(L, 40, seed=seed)
-        assert (rep.all_nonnegative, rep.first_negative) == _reference_scan(L, 40, seed)
+    # the standard basis and the factors in random rational bases
+    rng = random.Random(11)
+    for L in (direct_sum(catalog(g1), catalog(g2, mu)), _conjugated_sum(rng, g1, g2, mu)):
+        for seed in (1, 7, 20240817):
+            rep = obstruct.lambda_nonneg_scan(L, 40, seed=seed)
+            assert (rep.all_nonnegative, rep.first_negative) == _reference_scan(L, 40, seed)
+        rep = obstruct.lambda_nonneg_scan(L, 0, seed=1)
+        assert (rep.n_samples, rep.all_nonnegative, rep.first_negative) == (0, True, None)
 
 
 def _reference_pure_w_vanishes(forms_in, coframe):
@@ -342,7 +365,7 @@ def test_k_entries_vanish_matches_polarization_loop():
     r2R_entries = tuple((covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1)
     verdicts = {}
     for g1, g2 in (("h3", "r2R"), ("r2R", "h3"), ("su2", "su2"), ("h3", "R3"), ("r2R", "R3"),
-                   ("h3", "h3"), ("r2R", "r2R")):
+                   ("h3", "h3"), ("r2R", "r2R"), ("R3", "R3")):
         L = direct_sum(catalog(g1), catalog(g2))
         for entries in (h3_entries, r2R_entries):
             got = obstruct._k_entries_vanish(L, entries)
@@ -350,3 +373,15 @@ def test_k_entries_vanish_matches_polarization_loop():
             verdicts[(g1, g2, entries is h3_entries)] = got
     assert verdicts[("h3", "r2R", True)] and verdicts[("r2R", "R3", False)]
     assert not verdicts[("su2", "su2", True)] and not verdicts[("r2R", "h3", True)]
+    # factors in random rational bases, with the entries the refined checks read
+    rng = random.Random(13)
+    hits = 0
+    for g1, g2 in (("h3", "r2R"), ("r2R", "R3"), ("r2R", "h3"), ("h3", "R3"), ("R3", "R3")):
+        L = _conjugated_sum(rng, g1, g2)
+        z1 = L.closed_forms(1).basis
+        derived = obstruct._derived_algebra(L)
+        for entries in ([(a, x) for a in z1 for x in derived], [(z1[0], x) for x in derived], r2R_entries):
+            got = obstruct._k_entries_vanish(L, entries)
+            assert got == _polarized_reference(L, entries), (g1, g2, entries)
+            hits += got
+    assert hits > 0

@@ -360,13 +360,22 @@ def test_k_matrix_matches_dense_oracle_quadratic_extension(rng):
 
 def test_k_table_size_and_integer_path(rng):
     assert sum(len(entries) for entries in stable.K_TABLE.values()) == 240
+    # on the unit three-forms the quadratic forms are the table itself: 180 of
+    # its 240 entries come as (i, j), (j, i) in one entry of K and add up, so
+    # 150 coefficients, none of them zero
+    masks = basis_masks(3)
+    forms = stable.k_on_basis([KForm(3, {m: Fraction(1)}) for m in masks])
+    assert sum(len(q) for q in forms.values()) == 150
+    assert all(type(c) is int for q in forms.values() for c in q.values())
+    quartic = stable.trace_of_square_quartic(forms)
     for _ in range(50):
-        rho = random_form(rng, 3, span=6, density=0.6)
-        ints = {m: int(4 * c) for m, c in rho.terms.items() if (4 * c).denominator == 1}
-        K_int = stable.k_from_terms(ints, 0)
-        assert all(type(x) is int for row in K_int for x in row)
-        assert K_int == dense_k_matrix(KForm(3, ints))
-        assert Fraction(stable.trace_of_square(K_int, 0), 6) == lambda_of(KForm(3, ints))
+        n = [rng.randint(-24, 24) if rng.random() < 0.6 else 0 for _ in masks]
+        rho = KForm(3, {m: Fraction(c) for m, c in zip(masks, n) if c})
+        K_int = [[sum(c * n[a] * n[b] for (a, b), c in forms.get((u, v), {}).items()) for v in range(6)]
+                 for u in range(6)]
+        assert K_int == dense_k_matrix(rho) == k_matrix(rho)
+        lam6 = sum(c * n[a] * n[b] * n[e] * n[f] for (a, b, e, f), c in quartic.items())
+        assert Fraction(lam6, 6) == lambda_of(rho) == dense_lambda(K_int)
 
 
 # -- StablePair is the one place the verdict is formed ---------------------------
