@@ -221,24 +221,9 @@ def _cmd_obstruct(args) -> int:
         raise ParseError("obstruct needs a six-dimensional algebra", 0, 0)
     if L.summands is None:
         L = _resplit(L)
-    splittings = obstruct.coherent_splittings(L)
-    for v_pair in splittings:
-        rep = obstruct.check_obstruction(L, v_pair)
-        if rep.verdict == obstruct.VERDICT_OBSTRUCTED:
-            print(rep.to_text())
-            return EXIT_NEGATIVE
-    if splittings:  # both resistant class pairs are solvable
-        refined = {
-            frozenset(("h3", "r2R")): (obstruct.refined_h3_r2R, "refined isotropy argument for h3 (+) r2R"),
-            frozenset(("r2R", "R3")): (obstruct.refined_r2R_R3, "K_rho(e_2) proportional to e_2, lambda >= 0"),
-        }.get(frozenset(classify(s).name for s in L.summands))
-        if refined is not None and refined[0](L):
-            print("verdict: NoHalfFlatSU3")
-            print(f"detail: {refined[1]}")
-            return EXIT_NEGATIVE
-    print("verdict: Inconclusive")
-    print(f"coherent_splittings: {len(splittings)}")
-    return EXIT_POSITIVE
+    verdict, text = obstruct.decide(L)
+    print(text)
+    return EXIT_NEGATIVE if verdict == obstruct.VERDICT_OBSTRUCTED else EXIT_POSITIVE
 
 
 def _resplit(L: LieAlgebra) -> LieAlgebra:

@@ -123,15 +123,6 @@ class LieAlgebra:
         """Trace condition: sum_k c_km^k = 0 for every m."""
         return all(scalar_is_zero(t) for t in self.trace_ad())
 
-    def is_unimodular_via_top_minus_one(self) -> bool:
-        """Cross-check: all (dim-1)-forms closed."""
-        k = self.dim - 1
-        return all(
-            self.d(KForm(k, {m: Fraction(1)})).is_zero()
-            for m in basis_masks(k)
-            if not m >> self.dim
-        )
-
     def is_abelian(self) -> bool:
         return all(dk.is_zero() for dk in self.diffs)
 
@@ -220,7 +211,6 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra, unchecked: bool = False) -> LieAl
         unchecked=unchecked or (L1.checked and L2.checked),
     )
     out.checked = not unchecked
-    assert out.is_unimodular() == (L1.is_unimodular() and L2.is_unimodular())
     return out
 
 

@@ -57,10 +57,6 @@ def is_symmetric(m: Sequence[Sequence[Scalar]]) -> bool:
     )
 
 
-def scale_mat(m: Sequence[Sequence[Scalar]], c: Scalar) -> Matrix:
-    return [[c * x for x in row] for row in m]
-
-
 def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices.
 

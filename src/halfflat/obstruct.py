@@ -4,10 +4,10 @@ The core obstruction: if g* = V (+) W with dim V = 2 is a coherent
 splitting (dV in Lambda^2 V, dW in Lambda^2 V (+) V^W) and every closed
 three-form has zero Lambda^3 W component while every closed four-form has
 zero Lambda^4 W component, then V is isotropic and J-invariant for every
-half-flat pair, which rules out a definite metric.  The two component
-conditions reduce to d being injective on Lambda^3 W and Lambda^4 W.  They
-depend on V only: a zero Lambda^k W component says that the form lies in
-the ideal generated by V, whichever complement W is taken.
+half-flat pair, which rules out a definite metric.  The component
+conditions depend on V only: a zero Lambda^k W component says that the
+form lies in the ideal I(V) generated by V, whichever complement W is
+taken.
 
 On a direct sum g1 (+) g2 the factor-wise coherent splittings are
 V = span(alpha1, alpha2) with alpha_i a nonzero element of
@@ -19,6 +19,17 @@ three-dimensional class A(g) is 0 (su2, sl2), a line, span{e^1, e^2} (h3)
 or all of g* (R^3), and Aut(g) acts transitively on its lines.  So one
 splitting, from the first basis vector of each A(g_i), decides the
 obstruction for every basis of either factor.
+
+The ranks of d on Lambda^3 W and Lambda^4 W decide the component
+conditions on such a splitting.  W is completed from coframe elements of
+the two summands, and d beta lies in alpha_i ^ g_i* for beta in g_i*, so
+V is closed and d maps W into V ^ W.  Hence d(Lambda^k W) lies in
+V ^ Lambda^k W, while d(I(V)) lies in Lambda^2 V ^ Lambda, which meets
+V ^ Lambda^k W only in 0.  A closed sigma = sigma_V + sigma_W (sigma_V in
+I(V), sigma_W in Lambda^k W) thus has d sigma_W = 0, and every closed
+k-form has zero Lambda^k W component exactly when d is injective on
+Lambda^k W.  ``tests/test_obstruct.py`` checks the ranks against the
+components of a basis of Z^3 and Z^4 in the adapted coframe.
 
 Two class pairs resist the rank argument and get refined checks.  Both are
 stated without coordinates, through Z^1, [g, g] = ann(Z^1) and entries of
@@ -32,6 +43,9 @@ with the summands located by ``classify3d.classify``:
 - r2R (+) R^3: beta(K_rho X) = 0 for beta in Z^1 and X in [g, g], so K_rho
   keeps the line [g, g] for every closed rho; with dim Z^1 = 5 this forces
   lambda(rho) >= 0 and rules out every SU(p,q).
+
+``decide`` is the whole decision: the splitting, then the refined check
+of the class pair, else Inconclusive.
 
 A seeded random scan certifies lambda >= 0 on sampled closed three-forms
 for the nine class pairs where that argument applies; the scan falsifies,
@@ -47,7 +61,7 @@ from itertools import combinations, product
 from . import linalg, stable
 from .classify3d import classify
 from .errors import HalfFlatError
-from .exterior import DIM, KForm, Vector, basis_masks, covector, evaluate, wedge, wedge_all
+from .exterior import DIM, KForm, Vector, basis_masks, covector, wedge, wedge_all
 from .liealg import LieAlgebra
 from .scalars import scalar_is_zero
 
@@ -57,30 +71,36 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 @dataclass
 class ObstructionReport:
-    """Outcome of the splitting obstruction for one decomposition."""
+    """Outcome of the splitting obstruction for one coherent decomposition."""
 
     v_basis: tuple[KForm, KForm]
     w_basis: list[KForm]
-    coherent: bool
-    h03: bool
-    h04: bool
     rank_d_lambda3_w: int
     rank_d_lambda4_w: int
-    verdict: str
-    detail: str = ""
+
+    @property
+    def h03(self) -> bool:
+        """Every closed three-form has zero Lambda^3 W component: d is injective on Lambda^3 W."""
+        return self.rank_d_lambda3_w == 4
+
+    @property
+    def h04(self) -> bool:
+        """Every closed four-form has zero Lambda^4 W component: d is injective on Lambda^4 W."""
+        return self.rank_d_lambda4_w == 1
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_OBSTRUCTED if (self.h03 and self.h04) else VERDICT_INCONCLUSIVE
 
     def to_text(self) -> str:
-        lines = [
+        return "\n".join([
             f"verdict: {self.verdict}",
-            f"coherent: {str(self.coherent).lower()}",
+            "coherent: true",
             f"h03: {str(self.h03).lower()}",
             f"h04: {str(self.h04).lower()}",
             f"rank_d_lambda3W: {self.rank_d_lambda3_w}",
             f"rank_d_lambda4W: {self.rank_d_lambda4_w}",
-        ]
-        if self.detail:
-            lines.append(f"detail: {self.detail}")
-        return "\n".join(lines)
+        ])
 
 
 def annihilating_forms(L3: LieAlgebra) -> list[KForm]:
@@ -139,61 +159,26 @@ def _complete_to_basis(v_pair: tuple[KForm, KForm]) -> list[KForm]:
     return [covector(i + 1) for i in range(DIM) if i not in pivots]
 
 
-def _dual_frame(coframe: list[KForm]) -> list[Vector]:
-    """Vectors dual to a coframe, given as one-forms in the standard basis."""
-    c_mat = [[c.coeff(1 << i) for i in range(DIM)] for c in coframe]
-    inv = linalg.invert(c_mat)
-    if inv is None:
-        raise HalfFlatError("coframe is not a basis")
-    return [Vector(tuple(col)) for col in linalg.transpose(inv)]
-
-
-def _pure_w_vanishes(forms_in: list[KForm], duals: list[Vector]) -> bool:
-    """True when every k-form has zero Lambda^k W component.
-
-    W is spanned by the coframe elements after the first two (the V slots);
-    the coefficient on w^I is the form evaluated on the dual vectors of I, so
-    only the pure-W subsets of the last four slots are evaluated.
-    """
-    if not forms_in:
-        return True
-    subsets = list(combinations(duals[2:], forms_in[0].degree))
-    return all(scalar_is_zero(evaluate(f, list(s))) for f in forms_in for s in subsets)
-
-
 def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> ObstructionReport:
-    """Evaluate the splitting obstruction for V = span(v_pair).
+    """The ranks of d on Lambda^3 W and Lambda^4 W for V = span(v_pair).
 
-    Computes both the component conditions on Z^3 and Z^4 directly and the
-    equivalent injectivity ranks of d on Lambda^3 W and Lambda^4 W; the two
-    routes are asserted to agree.
+    W is spanned by standard coframe elements completing V; h03 and h04
+    hold when the ranks are full (4 and 1).  The ranks decide only when d
+    maps W into V ^ W, as on every factor-wise splitting; a coherent V
+    where d W has a Lambda^2 V component raises HalfFlatError.
     """
     if not is_coherent(L, v_pair):
         raise HalfFlatError("splitting is not coherent")
     w_basis = _complete_to_basis(v_pair)
-
-    # rank route: d restricted to Lambda^3 W and Lambda^4 W
+    vol_w = wedge_all(w_basis)
+    if any(not wedge(L.d(w), vol_w).is_zero() for w in w_basis):
+        raise HalfFlatError("d W has a Lambda^2 V component: the ranks do not decide")
     w3 = [wedge_all(list(t)) for t in combinations(w_basis, 3)]
-    w4 = [wedge_all(list(t)) for t in combinations(w_basis, 4)]
-    rank3 = _rank_of_images(L, w3, 4)
-    rank4 = _rank_of_images(L, w4, 5)
-
-    # direct route: closed forms must have zero pure-W components
-    duals = _dual_frame(list(v_pair) + w_basis)
-    h03 = _pure_w_vanishes(L.closed_forms(3).basis, duals)
-    h04 = _pure_w_vanishes(L.closed_forms(4).basis, duals)
-    assert h03 == (rank3 == len(w3)) and h04 == (rank4 == len(w4))
-
-    verdict = VERDICT_OBSTRUCTED if (h03 and h04) else VERDICT_INCONCLUSIVE
     return ObstructionReport(
         v_basis=v_pair,
         w_basis=w_basis,
-        coherent=True,
-        h03=h03,
-        h04=h04,
-        rank_d_lambda3_w=rank3,
-        rank_d_lambda4_w=rank4,
-        verdict=verdict,
+        rank_d_lambda3_w=_rank_of_images(L, w3, 4),
+        rank_d_lambda4_w=_rank_of_images(L, [vol_w], 5),
     )
 
 
@@ -269,6 +254,28 @@ def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
         if not all(scalar_is_zero(c) for c in total.values()):
             return False
     return True
+
+
+def decide(L: LieAlgebra) -> tuple[str, str]:
+    """The verdict on a direct sum and the text that explains it.
+
+    The coherent splitting decides when its ranks are full; otherwise a
+    refined check of the class pair may still obstruct.
+    """
+    splittings = coherent_splittings(L)
+    for v_pair in splittings:
+        rep = check_obstruction(L, v_pair)
+        if rep.verdict == VERDICT_OBSTRUCTED:
+            return rep.verdict, rep.to_text()
+    if splittings:  # both resistant class pairs are solvable
+        classes = {classify(s).name for s in L.summands}
+        for pair, refined, detail in (
+            ({"h3", "r2R"}, refined_h3_r2R, "refined isotropy argument for h3 (+) r2R"),
+            ({"r2R", "R3"}, refined_r2R_R3, "K_rho(e_2) proportional to e_2, lambda >= 0"),
+        ):
+            if classes == pair and refined(L):
+                return VERDICT_OBSTRUCTED, f"verdict: {VERDICT_OBSTRUCTED}\ndetail: {detail}"
+    return VERDICT_INCONCLUSIVE, f"verdict: {VERDICT_INCONCLUSIVE}\ncoherent_splittings: {len(splittings)}"
 
 
 # -- randomized certificates -----------------------------------------------------

@@ -42,8 +42,6 @@ CLASSES: list[tuple[str, str, tuple[Fraction, ...]]] = [
     ("r3mu+", "r3mu", (F(1, 4), F(1, 2), F(3, 4))),
     ("r3pmu", "r3pmu", (F(1, 4), F(1, 2), F(3, 4), F(1), F(2))),
 ]
-#: classes whose standard basis feeds the direct rank obstruction as g2
-S_CLASSES = {"r3", "r31", "r3mu-", "r3mu+", "r3pmu"}
 
 
 def announce(num: int, ok: bool, detail: str = ""):
@@ -96,23 +94,9 @@ def _theorem_admits(key1: str, key2: str) -> bool:
     return {key1, key2} in ({"e2", "r2R"}, {"e11", "r2R"})
 
 
-def _obstructed(key1, fam1, mu1, key2, fam2, mu2) -> bool:
-    # order so that a rank-argument class sits second when present
-    if key1 in S_CLASSES and key2 not in S_CLASSES:
-        key1, fam1, mu1, key2, fam2, mu2 = key2, fam2, mu2, key1, fam1, mu1
-    L1, L2 = catalog(fam1, mu1), catalog(fam2, mu2)
-    L = direct_sum(L1, L2)
-    v_std = (covector(1), covector(4))
-    if obstruct.is_coherent(L, v_std):
-        rep = obstruct.check_obstruction(L, v_std)
-        if rep.verdict == obstruct.VERDICT_OBSTRUCTED:
-            return True
-    keys = {key1, key2}
-    if keys == {"h3", "r2R"}:
-        return obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")))
-    if keys == {"r2R", "R3"}:
-        return obstruct.refined_r2R_R3(direct_sum(catalog("r2R"), catalog("R3")))
-    return False
+def _obstructed(fam1, mu1, fam2, mu2) -> bool:
+    verdict, _ = obstruct.decide(direct_sum(catalog(fam1, mu1), catalog(fam2, mu2)))
+    return verdict == obstruct.VERDICT_OBSTRUCTED
 
 
 def _witnessed(fam1, mu1, fam2, mu2, index) -> bool:
@@ -138,7 +122,7 @@ def test_criterion_2_classification_partition():
         for L1m in mus1 or (None,):
             for L2m in mus2 or (None,):
                 checked += 1
-                obstructed = _obstructed(k1, f1, L1m, k2, f2, L2m)
+                obstructed = _obstructed(f1, L1m, f2, L2m)
                 witnessed = admits and _witnessed(f1, L1m, f2, L2m, index)
                 if obstructed and witnessed:
                     announce(2, False, f"overlap at {k1}({L1m}) + {k2}({L2m})")

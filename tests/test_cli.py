@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -167,7 +169,8 @@ def test_cli_obstruct_refined_either_factor_order(tmp_path, g1, g2, detail):
 
 
 def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatch):
-    # R3 + R3 is decided on its one coherent splitting; Z^3 and Z^4 are each computed once
+    # R3 + R3 is decided by the ranks of d alone and computes no closed-form space;
+    # h3 + r2R goes on to its refined check, which reads Z^1, Z^3 and Z^4 once each
     calls = []
     kernel_of_d = LieAlgebra._kernel_of_d
 
@@ -176,11 +179,34 @@ def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatc
         return kernel_of_d(self, k)
 
     monkeypatch.setattr(LieAlgebra, "_kernel_of_d", counted)
-    p = tmp_path / "flat.alg"
-    p.write_text(cli.emit(direct_sum(catalog("R3"), catalog("R3"))))
-    code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_POSITIVE)
-    assert "coherent_splittings: 1" in out.splitlines()
-    assert sorted(calls) == [3, 4]
+    p = tmp_path / "g.alg"
+    for g1, g2, code, last, want in (
+        ("R3", "R3", cli.EXIT_POSITIVE, "coherent_splittings: 1", []),
+        ("h3", "r2R", cli.EXIT_NEGATIVE, "detail: refined isotropy argument for h3 (+) r2R", [1, 3, 4]),
+    ):
+        calls.clear()
+        p.write_text(cli.emit(direct_sum(catalog(g1), catalog(g2))))
+        _, out, _ = run_cli(["obstruct", str(p)], expect=code)
+        assert out.splitlines()[-1] == last
+        assert sorted(calls) == want, (g1, g2)
+
+
+#: sha256 of json.dumps([[exit code, stdout], ...]) of ``halfflat obstruct`` on the 400
+#: ordered sums of catalog instances, the first summand in the outer loop
+OBSTRUCT_GOLDEN = "f9a6e8b56635bab62cedb6fa706b99c08fc02947daa0a6047ecadf9dd8164e88"
+
+
+def test_cli_obstruct_golden_over_catalog_sums(tmp_path):
+    insts = [L for spec in catalog_classes() for L in spec.instances()]
+    p = tmp_path / "g.alg"
+    rows = []
+    for L1 in insts:
+        for L2 in insts:
+            p.write_text(cli.emit(direct_sum(L1, L2)))
+            code, out, _ = run_cli(["obstruct", str(p)])
+            rows.append([code, out])
+    assert len(rows) == 400
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == OBSTRUCT_GOLDEN
 
 
 #: a fixed basis change for each factor, as columns of new basis vectors in old coordinates

@@ -142,12 +142,13 @@ def test_d_preserves_summand_factors():
 
 
 def test_unimodular_trace_equals_five_form_condition():
-    for spec1 in catalog_classes():
-        for L1 in spec1.instances()[:1]:
-            for spec2 in catalog_classes():
-                for L2 in spec2.instances()[:1]:
-                    L = direct_sum(L1, L2)
-                    assert L.is_unimodular() == L.is_unimodular_via_top_minus_one()
+    # on every ordered catalog sum: the trace condition, every five-form closed
+    # (through the wedge-sum d) and both summands unimodular agree
+    insts = all_class_instances()
+    for L1, L2 in itertools.product(insts, insts):
+        L = direct_sum(L1, L2)
+        five_forms_closed = all(oracles.antiderivation_d(L, KForm(5, {m: Fraction(1)})).is_zero() for m in basis_masks(5))
+        assert L.is_unimodular() == five_forms_closed == (L1.is_unimodular() and L2.is_unimodular()), L.name
 
 
 def test_closed_forms_dimensions():

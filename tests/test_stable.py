@@ -279,7 +279,7 @@ def test_stable_pair_caches():
     assert p.norm_c4 == 1
     assert p.structure.kind == "SU(3)"
     assert p.compatible
-    assert linalg.mat_eq(p.oriented_metric_raw(), linalg.scale_mat(linalg.identity(6), Fraction(2)))
+    assert linalg.mat_eq(p.oriented_metric_raw(), [[2 * x for x in row] for row in linalg.identity(6)])
 
 
 def test_oneform_metric_identity_on_verified_structures(rng):
