@@ -47,33 +47,27 @@ class BianchiClass:
         return CATALOG_INFO[self.name][0]
 
 
-def milnor_L(L3: LieAlgebra, orientation: int = 1) -> linalg.Matrix:
+def milnor_L(L3: LieAlgebra) -> linalg.Matrix:
     """The unique matrix with [u, v] = L(u x v) in the declared basis.
 
-    The basis is treated as orthonormal; ``orientation=+1`` uses the cross
-    product with e1 x e2 = e3, ``orientation=-1`` the reversed one.  L is
-    symmetric exactly when the algebra is unimodular.
+    The basis is treated as orthonormal with the cross product e1 x e2 = e3;
+    the reversed orientation gives -L.  L is symmetric exactly when the
+    algebra is unimodular.
     """
     if L3.dim != 3:
         raise ValueError("Milnor endomorphism is defined for dimension three")
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     cols = [
         L3.bracket(Vector.basis(2), Vector.basis(3)),  # L(e1) = [e2, e3]
         L3.bracket(Vector.basis(3), Vector.basis(1)),  # L(e2) = [e3, e1]
         L3.bracket(Vector.basis(1), Vector.basis(2)),  # L(e3) = [e1, e2]
     ]
-    m = [[orientation * cols[j].components[i] for j in range(3)] for i in range(3)]
-    assert linalg.is_symmetric(m) == L3.is_unimodular()
-    return m
+    return [[cols[j].components[i] for j in range(3)] for i in range(3)]
 
 
 def classify(L3: LieAlgebra) -> BianchiClass:
-    """Exact isomorphism class of a valid three-dimensional Lie algebra."""
+    """Exact isomorphism class of a three-dimensional Lie algebra."""
     if L3.dim != 3:
         raise ValueError("classification is for three-dimensional algebras")
-    if not L3.check_jacobi():
-        raise HalfFlatError("input violates the Jacobi identity")
     if L3.is_unimodular():
         return _classify_unimodular(L3)
     return _classify_non_unimodular(L3)

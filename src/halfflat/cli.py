@@ -36,7 +36,8 @@ EXIT_INPUT_ERROR = 2
 
 # -- parsing --------------------------------------------------------------------
 
-_TOKEN_RAT = re.compile(r"[+-]?\d+(/\d+)?$")
+#: an integer or a fraction with a nonzero denominator
+_TOKEN_RAT = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
@@ -265,19 +266,20 @@ def _cmd_catalog(args) -> int:
         for tag, (display, bianchi, unimod) in CATALOG_INFO.items():
             print(f"{tag}: {display} (Bianchi {bianchi}, {'unimodular' if unimod else 'non-unimodular'})")
         return EXIT_POSITIVE
-    mu = Fraction(args.mu) if args.mu is not None else None
-    L1 = catalog(args.name, mu)
+    L1 = catalog(args.name, args.mu)
     if args.sum is None:
         print(emit(L1), end="")
         return EXIT_POSITIVE
-    mu2 = Fraction(args.mu2) if args.mu2 is not None else None
-    L2 = catalog(args.sum, mu2)
+    L2 = catalog(args.sum, args.mu2)
     print(emit(direct_sum(L1, L2)), end="")
     return EXIT_POSITIVE
 
 
 def _cmd_appendix(args) -> int:
-    mu = Fraction(args.mu) if args.mu is not None else None
+    try:
+        mu = Fraction(args.mu) if args.mu is not None else None
+    except (ValueError, ZeroDivisionError):
+        raise HalfFlatError(f"--mu must be a rational number, got {args.mu!r}") from None
     instances = corpus.iter_instances(table=args.table, mu=mu)
     if not instances:
         print("no instances selected")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import linalg
 from .errors import DegreeError
 from .scalars import Scalar, scalar_is_zero
 
@@ -309,7 +310,7 @@ def volume_ratio(top: KForm) -> Scalar:
 
 
 def evaluate(a: KForm, vectors: Sequence[Vector]) -> Scalar:
-    """Evaluate a k-form on k vectors (determinant expansion per term)."""
+    """Evaluate a k-form on k vectors (one determinant per term)."""
     k = a.degree
     if len(vectors) != k:
         raise DegreeError("number of vectors must equal the degree")
@@ -317,23 +318,5 @@ def evaluate(a: KForm, vectors: Sequence[Vector]) -> Scalar:
     for mask, coeff in a.terms.items():
         rows = _mask_indices(mask)
         sub = [[vectors[c].components[r - 1] for c in range(k)] for r in rows]
-        total = total + coeff * _det(sub)
-    return total
-
-
-def _det(m: list[list[Scalar]]) -> Scalar:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total: Scalar = Fraction(0)
-    for j in range(n):
-        if scalar_is_zero(m[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        total = total - term if j & 1 else total + term
+        total = total + coeff * linalg.det(sub)
     return total

@@ -10,12 +10,11 @@ changes.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import exterior, linalg
+from . import linalg
 from .errors import CatalogError, DegreeError, JacobiError
 from .exterior import _SIGN, DIM, KForm, Vector, basis_masks, form
 from .scalars import Scalar, scalar_is_zero
@@ -24,14 +23,16 @@ from .scalars import Scalar, scalar_is_zero
 class LieAlgebra:
     """Lie algebra given by the differentials of its basis covectors.
 
-    ``diffs[k-1]`` is d e^k as a two-form.  Instances are validated at
-    construction (antisymmetry is structural, Jacobi is checked) unless
-    ``unchecked=True``, which exists only to represent invalid constants in
-    negative tests.  An instance does not change after construction, so the
-    closed-form spaces are computed once per degree and cached.
+    ``diffs[k-1]`` is d e^k as a two-form.  Every instance satisfies the
+    Jacobi identity d^2 = 0: antisymmetry is structural, and construction
+    raises ``JacobiError`` on constants that violate d^2 = 0.  A direct sum
+    (``summands`` given) is not re-tested, since its valid summands have no
+    cross terms and d^2 vanishes block by block.  An instance does not change
+    after construction, so the closed-form spaces are computed once per
+    degree and cached.
     """
 
-    __slots__ = ("dim", "diffs", "name", "params", "summands", "checked", "_closed")
+    __slots__ = ("dim", "diffs", "name", "params", "summands", "_closed")
 
     def __init__(
         self,
@@ -40,7 +41,6 @@ class LieAlgebra:
         name: str = "",
         params: Mapping[str, Fraction] | None = None,
         summands: tuple["LieAlgebra", "LieAlgebra"] | None = None,
-        unchecked: bool = False,
     ):
         if dim not in (3, 6):
             raise ValueError("only dimensions 3 and 6 are supported")
@@ -57,9 +57,8 @@ class LieAlgebra:
         self.name = name
         self.params = dict(params or {})
         self.summands = summands
-        self.checked = not unchecked
-        self._closed: dict[int, Subspace] = {}
-        if self.checked and not self.check_jacobi():
+        self._closed: dict[int, tuple[KForm, ...]] = {}
+        if summands is None and not self.check_jacobi():
             raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
 
     # -- structure constants ------------------------------------------------
@@ -72,10 +71,19 @@ class LieAlgebra:
         return self.diffs[k - 1].coeff(mask)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        """[u, v], using d a (X, Y) = -a([X, Y])."""
+        """[u, v], using d a (X, Y) = -a([X, Y]).
+
+        Component k is -sum over i < j of c_ij^k (u_i v_j - u_j v_i), the
+        2x2 minors of (u, v) weighted by the constants of d e^k.
+        """
+        x, y = u.components, v.components
         comps = []
-        for k in range(1, self.dim + 1):
-            comps.append(-exterior.evaluate(self.diffs[k - 1], [u, v]))
+        for dk in self.diffs:
+            t: Scalar = Fraction(0)
+            for mask, c in dk.terms.items():
+                i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+                t -= c * (x[i] * y[j] - x[j] * y[i])
+            comps.append(t)
         comps += [Fraction(0)] * (DIM - self.dim)
         return Vector(tuple(comps))
 
@@ -123,16 +131,14 @@ class LieAlgebra:
         """Trace condition: sum_k c_km^k = 0 for every m."""
         return all(scalar_is_zero(t) for t in self.trace_ad())
 
-    def is_abelian(self) -> bool:
-        return all(dk.is_zero() for dk in self.diffs)
-
     # -- constructions -------------------------------------------------------
 
-    def closed_forms(self, k: int) -> "Subspace":
-        """Kernel of d on Lambda^k, by exact elimination.
+    def closed_forms(self, k: int) -> tuple[KForm, ...]:
+        """Basis of the kernel of d on Lambda^k, by exact elimination.
 
-        Computed once per degree; the returned subspace is shared between
-        callers and must not be modified, like a ``KForm``.
+        One form per free column of the elimination, so the basis is
+        independent by construction.  Computed once per degree and shared
+        between callers.
         """
         if k not in self._closed:
             self._closed[k] = self._kernel_of_d(k)
@@ -150,47 +156,19 @@ class LieAlgebra:
         zero = Fraction(0)
         return [[img.get(om, zero) for img in images] for om in out_masks]
 
-    def _kernel_of_d(self, k: int) -> "Subspace":
+    def _kernel_of_d(self, k: int) -> tuple[KForm, ...]:
         masks = [m for m in basis_masks(k) if not m >> self.dim]
         rows = self.d_matrix(k)
         if not rows:
-            return Subspace(k, [KForm(k, {m: Fraction(1)}) for m in masks])
-        ker = linalg.nullspace(rows)
-        return Subspace(k, [KForm(k, {m: c for m, c in zip(masks, vec)}) for vec in ker])
+            return tuple(KForm(k, {m: Fraction(1)}) for m in masks)
+        return tuple(KForm(k, dict(zip(masks, vec))) for vec in linalg.nullspace(rows))
 
 
-@dataclass
-class Subspace:
-    """Subspace of Lambda^k spanned by an independent list of forms.
-
-    Independence is certified by an identity minor (each form has a monomial
-    with coefficient 1 on which the others vanish, as in every ``nullspace``
-    basis), with the rank as the fallback; a dependent list raises ValueError.
-    """
-
-    degree: int
-    basis: list[KForm] = field(default_factory=list)
-
-    def __post_init__(self):
-        owners = Counter(m for b in self.basis for m in b.terms)
-        if all(any(c == 1 and owners[m] == 1 for m, c in b.terms.items()) for b in self.basis):
-            return
-        masks = basis_masks(self.degree)
-        rows = [b.coefficients(masks) for b in self.basis]
-        if linalg.rank(rows) != len(rows):
-            raise ValueError("subspace basis is linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def direct_sum(L1: LieAlgebra, L2: LieAlgebra, unchecked: bool = False) -> LieAlgebra:
+def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     """Direct sum with basis order e1,e2,e3,f1,f2,f3 and no cross terms.
 
-    ``unchecked`` is passed to ``LieAlgebra`` (for unchecked summands).  With
-    no cross terms d^2 vanishes block by block, so a sum of checked summands
-    is checked without a second Jacobi test.
+    With no cross terms d^2 vanishes block by block, so the sum of two valid
+    summands is valid without a second Jacobi test.
     """
     if L1.dim != 3 or L2.dim != 3:
         raise ValueError("direct sums are formed from three-dimensional algebras")
@@ -202,16 +180,13 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra, unchecked: bool = False) -> LieAl
         diffs.append(KForm(2, shifted))
     params = {**{f"{k}1": v for k, v in L1.params.items()},
               **{f"{k}2": v for k, v in L2.params.items()}}
-    out = LieAlgebra(
+    return LieAlgebra(
         6,
         diffs,
         name=f"{L1.name}+{L2.name}" if L1.name and L2.name else "",
         params=params,
         summands=(L1, L2),
-        unchecked=unchecked or (L1.checked and L2.checked),
     )
-    out.checked = not unchecked
-    return out
 
 
 def change_basis(L: LieAlgebra, b_cols: Sequence[Sequence[Scalar]]) -> LieAlgebra:
@@ -228,19 +203,19 @@ def change_basis(L: LieAlgebra, b_cols: Sequence[Sequence[Scalar]]) -> LieAlgebr
         Vector(tuple(list(col) + [Fraction(0)] * (DIM - n)))
         for col in linalg.transpose(b_cols)
     ]
+    # [b_i, b_j] in new coordinates, once per pair i < j
+    brackets = {
+        (1 << i) | (1 << j): linalg.mat_vec(binv, list(L.bracket(new_basis[i], new_basis[j]).components[:n]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     diffs = []
     for k in range(n):
         # new constants: c'_ij^k = -(new e^k)([b_i, b_j])
         terms: dict[int, Scalar] = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                br = L.bracket(new_basis[i - 1], new_basis[j - 1])
-                # components of the bracket in the new basis
-                old = list(br.components[:n])
-                newc = linalg.mat_vec(binv, old)
-                val = -newc[k]
-                if not scalar_is_zero(val):
-                    terms[(1 << (i - 1)) | (1 << (j - 1))] = val
+        for mask, newc in brackets.items():
+            if not scalar_is_zero(newc[k]):
+                terms[mask] = -newc[k]
         diffs.append(KForm(2, terms))
     return LieAlgebra(n, diffs, name=L.name, params=L.params)
 
@@ -309,7 +284,10 @@ def catalog(name: str, mu: Fraction | int | str | None = None) -> LieAlgebra:
 def _check_mu(name: str, mu) -> Fraction:
     if mu is None:
         raise CatalogError(f"{name} requires a rational parameter mu")
-    return Fraction(mu)
+    try:
+        return Fraction(mu)
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError(f"{name} requires a rational parameter mu, got {mu!r}") from None
 
 
 #: default rational sample set for parameterized families

@@ -202,7 +202,7 @@ def _blocks_by_class(L: LieAlgebra, names: tuple[str, str]) -> dict[str, int]:
 
 def _derived_algebra(L: LieAlgebra) -> list[Vector]:
     """Basis of [g, g] = ann(Z^1), for an algebra with nonzero Z^1."""
-    rows = [[beta.coeff(1 << i) for i in range(DIM)] for beta in L.closed_forms(1).basis]
+    rows = [[beta.coeff(1 << i) for i in range(DIM)] for beta in L.closed_forms(1)]
     return [Vector(tuple(v)) for v in linalg.nullspace(rows)]
 
 
@@ -218,8 +218,8 @@ def refined_h3_r2R(L: LieAlgebra) -> bool:
     """
     block = _blocks_by_class(L, ("h3", "r2R"))["r2R"]
     a = _in_block(annihilating_forms(L.summands[block])[0], block)
-    z1 = L.closed_forms(1).basis
-    if any(not wedge(wedge(a, sigma), beta).is_zero() for sigma in L.closed_forms(4).basis for beta in z1):
+    z1 = L.closed_forms(1)
+    if any(not wedge(wedge(a, sigma), beta).is_zero() for sigma in L.closed_forms(4) for beta in z1):
         return False
     return _k_entries_vanish(L, [(a, x) for x in _derived_algebra(L)])
 
@@ -232,7 +232,7 @@ def refined_r2R_R3(L: LieAlgebra) -> bool:
     rho, so no SU(p,q) structure of any signature exists.
     """
     _blocks_by_class(L, ("r2R", "R3"))
-    return _k_entries_vanish(L, product(L.closed_forms(1).basis, _derived_algebra(L)))
+    return _k_entries_vanish(L, product(L.closed_forms(1), _derived_algebra(L)))
 
 
 def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
@@ -243,7 +243,7 @@ def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
     quadratic form in n (``stable.k_on_basis``); it vanishes on Z^3 exactly
     when each of its coefficients does.
     """
-    forms = stable.k_on_basis(L.closed_forms(3).basis)
+    forms = stable.k_on_basis(L.closed_forms(3))
     for alpha, x in entries:
         total = {}
         for (u, v), q in forms.items():
@@ -317,7 +317,7 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
     factor, so the sign of the quartic is that of lambda of the drawn form.
     """
     rng = random.Random(seed)
-    basis = L.closed_forms(3).basis
+    basis = L.closed_forms(3)
     quartic = list(stable.trace_of_square_quartic(stable.k_on_basis(basis)).items())
     all_nonneg = True
     first_neg = None

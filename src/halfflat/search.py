@@ -130,7 +130,7 @@ class FloatKernels:
         self.om_hi = np.array([m.bit_length() - 1 for m in self.b2])
         self.om_lo = np.array([(m & -m).bit_length() - 1 for m in self.b2])
         self.id3 = np.eye(len(self.b3))
-        z3 = L.closed_forms(3).basis
+        z3 = L.closed_forms(3)
         self.z3 = np.array(
             [[float(b.coeff(m)) for b in z3] for m in self.b3]
         )  # shape (20, dim Z3)

@@ -30,8 +30,8 @@ G_raw[u][v] = eps * omega(e_u, K_rho e_v) satisfies g = G_raw/sqrt(|lambda|)
 up to the orientation branch, so definiteness and signatures are decided
 without leaving the field of the coefficients.  ``StablePair`` is the one
 place where K, lambda, phi(omega), G_raw and the structure verdict of a
-pair are formed, each once; ``structure_type``, ``induced_metric_raw`` and
-``normalization_scale`` read them from it.
+pair are formed, each once; ``structure_type`` and ``induced_metric_raw``
+read them from it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import NotCompatibleError, NotStableError
-from .exterior import _SIGN, DIM, NU_MASK, KForm, Vector, basis_masks, form, volume_ratio, wedge
+from .exterior import _SIGN, DIM, NU_MASK, KForm, basis_masks, form, volume_ratio, wedge
 from .scalars import (
     Scalar,
     scalar_abs,
@@ -298,26 +298,6 @@ def induced_metric_raw(omega: KForm, rho: KForm) -> tuple[linalg.Matrix, int]:
     return pair.G_raw, pair.eps
 
 
-def signature(m: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
-    """Exact inertia (p, q, z) of a symmetric matrix."""
-    if not linalg.is_symmetric(list(map(list, m))):
-        raise ValueError("signature requires a symmetric matrix")
-    return linalg.inertia(m)
-
-
-def normalization_scale(omega: KForm, rho: KForm) -> tuple[Scalar, int]:
-    """Scale c^4 with |lambda(c rho)| = 4 phi(omega)^2, plus the branch sign.
-
-    The sign reports which branch of phi(rho) = +-2 phi(omega) holds after
-    scaling: with phi(rho) the positive root, it is the orientation
-    sign(phi(omega)).
-    """
-    pair = StablePair(omega, rho)
-    if pair.norm_c4 is None:
-        raise NotStableError("normalization requires both forms stable")
-    return pair.norm_c4, pair.norm_sign
-
-
 def structure_type(omega: KForm, rho: KForm) -> StructureType:
     """Full verdict: stability, compatibility, signature and stabilizer kind.
 
@@ -342,23 +322,6 @@ def j_matrix_values(rho: KForm, alpha: KForm, K: linalg.Matrix | None = None) ->
         sum((c * K[m.bit_length() - 1][v] for m, c in alpha.terms.items()), Fraction(0))
         for v in range(DIM)
     ]
-
-
-def j_apply_oneform(rho: KForm, alpha: KForm, v: Vector) -> Scalar:
-    """J*_rho alpha (v), exactly, as an element of Q(sqrt(|lambda|)).
-
-    Uses J* alpha (v) phi(rho) = alpha(K_rho v) nu with phi(rho) =
-    sqrt(|lambda|) nu (positive root).
-    """
-    K = k_matrix(rho)
-    lam = lambda_of(rho, K)
-    if scalar_is_zero(lam):
-        raise NotStableError("J_rho requires a stable three-form")
-    if not isinstance(lam, (int, Fraction)):
-        raise NotStableError("J on one-forms needs a rational lambda")
-    row = j_matrix_values(rho, alpha, K)
-    num = sum((x * c for x, c in zip(row, v.components)), Fraction(0))
-    return num / sqrt_scalar(scalar_abs(lam))
 
 
 class StablePair:

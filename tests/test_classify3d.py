@@ -1,21 +1,25 @@
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-import pytest
-
-from halfflat import linalg
+from halfflat import cli, linalg
 from halfflat.classify3d import classify, milnor_L
-from halfflat.errors import HalfFlatError
 from halfflat.liealg import LieAlgebra, catalog, catalog_classes, change_basis
 from halfflat.exterior import form
 
 from .conftest import random_fraction
 
 
+def _reversed(m):
+    """Milnor matrix for the reversed orientation of the cross product."""
+    return [[-x for x in row] for row in m]
+
+
 def test_milnor_su2_is_identity_after_orientation_flip():
-    m = milnor_L(catalog("su2"), orientation=-1)
+    m = _reversed(milnor_L(catalog("su2")))
     assert linalg.mat_eq(m, linalg.identity(3))
     assert classify(catalog("su2")).eigen_signs == (1, 1, 1)
 
@@ -27,11 +31,11 @@ def test_milnor_e11_signs():
     assert c.eigen_signs == (1, -1, 0)
 
 
-def test_milnor_symmetry_iff_unimodular():
+def test_milnor_symmetry_iff_unimodular(rng):
     for spec in catalog_classes():
         for L in spec.instances():
-            m = milnor_L(L)
-            assert linalg.is_symmetric(m) == L.is_unimodular()
+            for M in [L] + [change_basis(L, _random_change(rng)) for _ in range(3)]:
+                assert linalg.is_symmetric(milnor_L(M)) == M.is_unimodular() == L.is_unimodular()
 
 
 def test_classify_abelian():
@@ -87,17 +91,20 @@ def test_case_iia_milnor_matrices():
         ],
         name="iia-factor",
     )
-    m = milnor_L(L, orientation=-1)
+    m = _reversed(milnor_L(L))
     expected = [[t, -p, Fraction(0)], [-p, -t, Fraction(0)], [Fraction(0)] * 3]
     assert linalg.mat_eq(m, expected)
     assert classify(L).name == "e11"
 
 
-def test_classify_rejects_invalid():
-    diffs = [form(2, [("e23", 1)]), form(2, [("e12", 1)]), form(2)]
-    bad = LieAlgebra(3, diffs, unchecked=True)
-    with pytest.raises(HalfFlatError):
-        classify(bad)
+def test_classify_rejects_invalid(tmp_path):
+    # constants violating d^2 = 0 never reach classify: the file is refused as input
+    p = tmp_path / "bad.alg"
+    p.write_text("dim 3\nbasis e1 e2 e3\nd e1 = 1 e2^e3\nd e2 = 1 e1^e2\n")
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert cli.main(["classify3d", str(p)]) == cli.EXIT_INPUT_ERROR
+    assert "invalid structure constants" in err.getvalue()
 
 
 def test_classify_basis_change_invariance(rng):

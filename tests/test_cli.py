@@ -88,6 +88,30 @@ def test_parse_rejects_jacobi_violation(tmp_path):
     assert "structure constants" in err or "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["catalog", "r3mu", "--mu", "abc"], None),
+        (["catalog", "r3mu", "--mu", "1/0"], None),
+        (["catalog", "su2", "--sum", "r3pmu", "--mu2", "x"], None),
+        (["catalog", "su2", "--sum", "r3pmu", "--mu2", "2/0"], None),
+        (["appendix", "--mu", "x"], None),
+        (["appendix", "--mu", "1/0"], None),
+        (["classify3d"], "dim 3\nbasis e1 e2 e3\nd e3 = 1/0 e1^e2\n"),
+        (["classify3d"], "dim 3\nbasis e1 e2 e3\nd e3 = 1 e1^e2\nparam mu = 1/0\n"),
+    ],
+    ids=["mu-abc", "mu-1/0", "mu2-x", "mu2-2/0", "appendix-mu-x", "appendix-mu-1/0", "file-coeff-1/0", "file-param-1/0"],
+)
+def test_cli_bad_rationals_are_input_errors(tmp_path, argv, text):
+    if text is not None:
+        p = tmp_path / "bad.alg"
+        p.write_text(text)
+        argv = argv + [str(p)]
+    code, out, err = run_cli(argv)
+    assert code == cli.EXIT_INPUT_ERROR and out == ""
+    assert err.startswith(("error: ", "parse error: ")), err
+
+
 def test_degree_mismatch_distinct_error(tmp_path):
     text = "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1\n"
     p = tmp_path / "deg.alg"
@@ -223,7 +247,7 @@ _B2 = [[Fraction(2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(1, 2), Fr
 )
 def test_cli_obstruct_refined_in_non_standard_basis(tmp_path, g1, g2, detail):
     L1, L2 = change_basis(catalog(g1), _B1), change_basis(catalog(g2), _B2)
-    assert all(M.is_abelian() or M.diffs != catalog(g).diffs for M, g in ((L1, g1), (L2, g2)))
+    assert all(all(dk.is_zero() for dk in M.diffs) or M.diffs != catalog(g).diffs for M, g in ((L1, g1), (L2, g2)))
     p = tmp_path / "g.alg"
     p.write_text(cli.emit(direct_sum(L1, L2)))
     code, out, _ = run_cli(["obstruct", str(p)], expect=cli.EXIT_NEGATIVE)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from halfflat import liealg
+from halfflat import liealg, linalg
 from halfflat.errors import CatalogError, JacobiError
-from halfflat.exterior import DIM, KForm, basis_masks, covector, form, wedge
-from halfflat.liealg import LieAlgebra, Subspace, catalog, catalog_classes, direct_sum
+from halfflat.exterior import DIM, KForm, Vector, basis_masks, covector, evaluate, form, wedge
+from halfflat.liealg import LieAlgebra, catalog, catalog_classes, direct_sum
 from halfflat.scalars import QuadExt
 
 from .conftest import random_fraction, random_form
@@ -50,6 +50,9 @@ def test_catalog_rejects_bad_parameters():
         catalog("r3pmu", Fraction(-1, 2))
     with pytest.raises(CatalogError):
         catalog("su2", 1)
+    for bad in ("abc", "1/0", "1/2/3"):
+        with pytest.raises(CatalogError):
+            catalog("r3mu", bad)
 
 
 def test_abelian_d_vanishes(rng):
@@ -66,20 +69,6 @@ def test_jacobi_detects_invalid_constants():
     diffs = [form(2, [("e23", 1)]), form(2, [("e12", 1)]), form(2)]
     with pytest.raises(JacobiError):
         LieAlgebra(3, diffs, name="bad")
-    bad = LieAlgebra(3, diffs, name="bad", unchecked=True)
-    assert not bad.check_jacobi()
-
-
-def test_direct_sum_unchecked_flag():
-    diffs = [form(2, [("e23", 1)]), form(2, [("e12", 1)]), form(2)]
-    bad = LieAlgebra(3, diffs, name="bad", unchecked=True)
-    with pytest.raises(JacobiError):
-        direct_sum(bad, catalog("su2"))
-    s = direct_sum(bad, catalog("su2"), unchecked=True)
-    assert not s.checked and not s.check_jacobi()
-    assert s.summands[0] is bad and s.d(covector(1)) == form(2, [("e23", 1)])
-    assert s.d(covector(4)) == direct_sum(catalog("R3"), catalog("su2")).d(covector(4))
-    assert direct_sum(catalog("h3"), catalog("r2R")).checked
 
 
 def test_jacobi_on_catalog():
@@ -105,7 +94,7 @@ def test_direct_sum_structure():
     u = direct_sum(catalog("su2"), catalog("sl2"))
     assert u.is_unimodular()
     ab = direct_sum(catalog("R3"), catalog("R3"))
-    assert ab.is_abelian()
+    assert all(dk.is_zero() for dk in ab.diffs)
 
 
 def test_d_squared_zero_all_degrees_catalog_sums(rng):
@@ -153,9 +142,9 @@ def test_unimodular_trace_equals_five_form_condition():
 
 def test_closed_forms_dimensions():
     ab = direct_sum(catalog("R3"), catalog("R3"))
-    assert ab.closed_forms(3).dim == 20
+    assert len(ab.closed_forms(3)) == 20
     L = direct_sum(catalog("r2R"), catalog("R3"))
-    assert L.closed_forms(1).dim == 5
+    assert len(L.closed_forms(1)) == 5
     # every two-form on the h3 factor is closed inside h3 + r2R
     s = direct_sum(catalog("h3"), catalog("r2R"))
     for mask in [0b011, 0b101, 0b110]:
@@ -165,8 +154,8 @@ def test_closed_forms_dimensions():
 def test_closed_forms_are_closed_and_complete(rng):
     L = direct_sum(catalog("e11"), catalog("r3"))
     for k in (1, 2, 3, 4, 5):
-        sub = L.closed_forms(k)
-        for b in sub.basis:
+        basis = L.closed_forms(k)
+        for b in basis:
             assert L.d(b).is_zero()
         # completeness: rank of d on Lambda^k equals codimension
         masks = basis_masks(k)
@@ -174,9 +163,14 @@ def test_closed_forms_are_closed_and_complete(rng):
             L.d(KForm(k, {m: Fraction(1)})).coefficients(basis_masks(k + 1))
             for m in masks
         ]
-        from halfflat import linalg
-
-        assert sub.dim == len(masks) - linalg.rank(rows)
+        assert len(basis) == len(masks) - linalg.rank(rows)
+    # every basis is independent: rank = length, on all ordered catalog sums
+    insts = all_class_instances()
+    for L1, L2 in itertools.product(insts, insts):
+        L = direct_sum(L1, L2)
+        for k in range(DIM + 1):
+            basis = L.closed_forms(k)
+            assert linalg.rank([b.coefficients(basis_masks(k)) for b in basis]) == len(basis), (L.name, k)
 
 
 def test_omega_squared_closed_iff_both_unimodular(rng):
@@ -213,6 +207,35 @@ def test_change_basis_preserves_jacobi_and_unimodularity(rng):
             assert M.is_unimodular() == L.is_unimodular()
 
 
+def test_change_basis_brackets_each_pair_once(rng, monkeypatch):
+    """One bracket per pair i < j, and [b_i, b_j] is the new bracket of the new basis vectors."""
+    real = LieAlgebra.bracket
+    for L in (catalog("r3pmu", 2), direct_sum(catalog("sl2"), catalog("r3"))):
+        b = _random_unimodular_triangular(rng, L.dim)
+        calls = []
+        monkeypatch.setattr(LieAlgebra, "bracket", lambda self, u, v: calls.append(1) or real(self, u, v))
+        M = liealg.change_basis(L, b)
+        monkeypatch.undo()
+        assert len(calls) == L.dim * (L.dim - 1) // 2
+        binv = linalg.invert(b)
+        pad = [Fraction(0)] * (DIM - L.dim)
+        cols = [Vector(tuple(col + pad)) for col in linalg.transpose(b)]
+        for i, j in itertools.combinations(range(L.dim), 2):
+            old = list(L.bracket(cols[i], cols[j]).components[:L.dim])
+            new = M.bracket(Vector.basis(i + 1), Vector.basis(j + 1)).components
+            assert list(new) == linalg.mat_vec(binv, old) + pad
+
+
+def test_bracket_matches_evaluate(rng):
+    # [u, v]_k = -(d e^k)(u, v), on random vectors
+    for L in all_class_instances() + _oracle_algebras(rng):
+        for _ in range(5):
+            u, v = (Vector(tuple(random_fraction(rng, 4) if i < L.dim else Fraction(0) for i in range(DIM)))
+                    for _ in range(2))
+            want = [-evaluate(dk, [u, v]) for dk in L.diffs] + [Fraction(0)] * (DIM - L.dim)
+            assert list(L.bracket(u, v).components) == want, L.name
+
+
 def _random_unimodular_triangular(rng: random.Random, n: int):
     lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     upper = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -226,14 +249,14 @@ def _random_unimodular_triangular(rng: random.Random, n: int):
 
 
 def _quad_algebra(rng, dim):
-    """Unchecked algebra with coefficients in Q(sqrt 3); d need not square to zero."""
-    r3 = QuadExt(0, 1, 3)
-    diffs = [
-        KForm(2, {m: random_fraction(rng, 3) + random_fraction(rng, 3) * r3
-                  for m in basis_masks(2) if not m >> dim and rng.random() < 0.4})
-        for _ in range(dim)
-    ]
-    return LieAlgebra(dim, diffs, name="quad", unchecked=True)
+    """Algebra with dense constants in Q(sqrt 3).
+
+    A catalog algebra with its constants scaled by 1 + sqrt 3 (d^2 = 0 is
+    homogeneous), then a random rational change of basis.
+    """
+    base = catalog("r3pmu", Fraction(1, 2)) if dim == 3 else direct_sum(catalog("sl2"), catalog("r3mu", Fraction(-1, 2)))
+    scaled = LieAlgebra(dim, [dk.scale(QuadExt(1, 1, 3)) for dk in base.diffs], name="quad")
+    return liealg.change_basis(scaled, _random_unimodular_triangular(rng, dim))
 
 
 def _oracle_algebras(rng):
@@ -280,30 +303,4 @@ def test_direct_sum_of_checked_summands_skips_jacobi(monkeypatch):
     sums = [direct_sum(L1, L2) for L1 in instances for L2 in instances]
     assert calls == []
     monkeypatch.undo()
-    assert all(s.checked and s.check_jacobi() for s in sums)
-
-
-def test_subspace_rejects_dependent_bases():
-    e = [covector(i) for i in range(1, 5)]
-    with pytest.raises(ValueError):  # e^3 and e^4 have identity columns, the rest do not
-        Subspace(1, [e[0] + e[1], e[2], e[3], (e[0] + e[1]).scale(2)])
-    with pytest.raises(ValueError):  # no identity column at all
-        Subspace(1, [e[0] + e[1], e[0] - e[1], e[0].scale(3)])
-    with pytest.raises(ValueError):
-        Subspace(1, [e[0], e[0]])
-
-
-def test_subspace_certifies_by_identity_minor_else_rank(monkeypatch):
-    ranks = []
-    real = liealg.linalg.rank
-    monkeypatch.setattr(liealg.linalg, "rank", lambda rows: ranks.append(rows) or real(rows))
-    e1, e2 = covector(1), covector(2)
-    assert Subspace(1, [e1 + e2, e1 - e2]).dim == 2
-    assert Subspace(1, [e1.scale(2), e2]).dim == 2
-    assert len(ranks) == 2
-    L = direct_sum(catalog("e11"), catalog("r3"))
-    ranks.clear()
-    for k in range(DIM + 1):
-        basis = L.closed_forms(k).basis
-        assert Subspace(k, basis).dim == len(basis)
-    assert ranks == []
+    assert all(s.check_jacobi() for s in sums)

@@ -111,7 +111,7 @@ def test_refined_h3_r2R():
 def test_refined_h3_r2R_polarization_consistency(rng):
     # quadratic form vanishes on Z^3 iff the polarized form vanishes on Z^3 x Z^3
     L = direct_sum(catalog("h3"), catalog("r2R"))
-    z3 = L.closed_forms(3).basis
+    z3 = L.closed_forms(3)
     f1 = covector(4)
     for _ in range(40):
         coeffs = [Fraction(rng.randint(-6, 6)) for _ in z3]
@@ -126,14 +126,14 @@ def test_refined_h3_r2R_polarization_consistency(rng):
 def test_refined_r2R_R3():
     L = direct_sum(catalog("r2R"), catalog("R3"))
     assert obstruct.refined_r2R_R3(L)
-    assert L.closed_forms(1).dim == 5
+    assert len(L.closed_forms(1)) == 5
     flat = direct_sum(catalog("R3"), catalog("R3"))
     assert not obstruct._k_entries_vanish(flat, [(covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1])
 
 
 def test_refined_r2R_R3_implies_lambda_nonneg(rng):
     L = direct_sum(catalog("r2R"), catalog("R3"))
-    z3 = L.closed_forms(3).basis
+    z3 = L.closed_forms(3)
     for _ in range(50):
         rho = KForm(3)
         for b in z3:
@@ -164,7 +164,7 @@ def test_lambda_scan_matches_exact_path():
     # K that does not use the library's table
     rng = random.Random(5)
     for L in (direct_sum(catalog("e11"), catalog("r3")), _conjugated_sum(rng, "h3", "r3mu", Fraction(-1, 2))):
-        z3 = L.closed_forms(3).basis
+        z3 = L.closed_forms(3)
         forms = stable.k_on_basis(z3)
         den = math.lcm(*(c.denominator for z in z3 for c in z.terms.values()))
         quartic = stable.trace_of_square_quartic(forms)
@@ -198,7 +198,7 @@ def _conjugated_sum(rng, g1, g2, mu=None):
 def _reference_scan(L, n_samples, seed):
     """The scan on the exact KForm path: Fraction draws, lambda_of per sample."""
     rng = random.Random(seed)
-    z3 = L.closed_forms(3).basis
+    z3 = L.closed_forms(3)
     for sample in range(n_samples):
         rho = KForm(3)
         for b in z3:
@@ -266,7 +266,7 @@ def test_ranks_decide_pure_w_components(rng):
                 pairs.append(pair)
         for pair in pairs:
             coframe = list(pair) + obstruct._complete_to_basis(pair)
-            want = tuple(_reference_pure_w_vanishes(L.closed_forms(k).basis, coframe) for k in (3, 4))
+            want = tuple(_reference_pure_w_vanishes(L.closed_forms(k), coframe) for k in (3, 4))
             try:
                 rep = obstruct.check_obstruction(L, pair)
             except HalfFlatError:
@@ -285,7 +285,7 @@ def test_check_obstruction_refuses_where_ranks_do_not_decide():
     pair = (covector(1) + covector(2), covector(2) + covector(4))
     assert obstruct.is_coherent(L, pair)
     coframe = list(pair) + obstruct._complete_to_basis(pair)
-    assert not _reference_pure_w_vanishes(L.closed_forms(4).basis, coframe)
+    assert not _reference_pure_w_vanishes(L.closed_forms(4), coframe)
     assert obstruct._rank_of_images(L, [wedge_all(coframe[2:])], 5) == 1
     with pytest.raises(HalfFlatError):
         obstruct.check_obstruction(L, pair)
@@ -304,7 +304,7 @@ def test_j_invariance_of_v_on_obstructed_algebras(rng):
     for names in (("r2R", "r3"), ("r2R", "r2R"), ("h3", "r3mu")):
         mu = Fraction(1, 2) if names[1] == "r3mu" else None
         L = direct_sum(catalog(names[0]), catalog(names[1], mu))
-        z3 = L.closed_forms(3).basis
+        z3 = L.closed_forms(3)
         alpha1, alpha2 = _v_std()
         ann = [Vector.basis(i) for i in (2, 3, 5, 6)]
         found_stable = 0
@@ -377,7 +377,7 @@ def test_refined_r2R_R3_reads_column_of_k(rng):
 
 def _polarized_reference(L, entries):
     """alpha ^ (v -| rho1) ^ rho2 + alpha ^ (v -| rho2) ^ rho1 = 0 on Z^3 x Z^3, by wedges."""
-    z3 = L.closed_forms(3).basis
+    z3 = L.closed_forms(3)
     for alpha, ev in entries:
         for i in range(len(z3)):
             for j in range(i, len(z3)):
@@ -407,7 +407,7 @@ def test_k_entries_vanish_matches_polarization_loop():
     hits = 0
     for g1, g2 in (("h3", "r2R"), ("r2R", "R3"), ("r2R", "h3"), ("h3", "R3"), ("R3", "R3")):
         L = _conjugated_sum(rng, g1, g2)
-        z1 = L.closed_forms(1).basis
+        z1 = L.closed_forms(1)
         derived = obstruct._derived_algebra(L)
         for entries in ([(a, x) for a in z1 for x in derived], [(z1[0], x) for x in derived], r2R_entries):
             got = obstruct._k_entries_vanish(L, entries)

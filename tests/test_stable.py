@@ -15,13 +15,10 @@ from halfflat.stable import (
     StablePair,
     induced_metric_raw,
     is_compatible,
-    j_apply_oneform,
     j_matrix_values,
     k_matrix,
     lambda_of,
-    normalization_scale,
     phi_omega,
-    signature,
     structure_type,
 )
 
@@ -159,12 +156,14 @@ def test_symmetry_iff_compatible(rng):
 
 
 def test_normalization_scale_model_and_scaling_law():
-    c4, sign = normalization_scale(MODEL_OMEGA, MODEL_RHO)
-    assert c4 == 1 and sign == 1
-    c4b, _ = normalization_scale(MODEL_OMEGA, MODEL_RHO.scale(Fraction(3)))
-    assert c4b == Fraction(c4, 81)
-    with pytest.raises(NotStableError):
-        normalization_scale(form(2, [("e12", 1)]), MODEL_RHO)
+    pair = StablePair(MODEL_OMEGA, MODEL_RHO)
+    assert pair.norm_c4 == 1 and pair.norm_sign == 1
+    assert StablePair(MODEL_OMEGA, MODEL_RHO.scale(Fraction(3))).norm_c4 == Fraction(1, 81)
+    # the orientation branch follows phi(omega)
+    flipped = StablePair(MODEL_OMEGA.scale(Fraction(-1)), MODEL_RHO)
+    assert flipped.norm_c4 == 1 and flipped.norm_sign == -1
+    degenerate = StablePair(form(2, [("e12", 1)]), MODEL_RHO)
+    assert degenerate.norm_c4 is None and degenerate.norm_sign == 0
 
 
 def test_normalization_scale_table_shape():
@@ -183,30 +182,33 @@ def test_normalization_scale_table_shape():
             ("f123", -1),
         ],
     )
-    c4, _ = normalization_scale(omega, rho0)
-    assert c4 == Fraction(1, 4)
+    assert StablePair(omega, rho0).norm_c4 == Fraction(1, 4)
     assert lambda_of(rho0) == -16
 
 
 def test_signature_examples():
-    assert signature(linalg.identity(6)) == (6, 0, 0)
+    # the signature of a pair is the inertia of its oriented G_raw
+    omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
+    for o, rho, want in ((MODEL_OMEGA, MODEL_RHO, (6, 0, 0)), (omega, RHO_SPLIT, (3, 3, 0))):
+        pair = StablePair(o, rho)
+        assert linalg.is_symmetric(pair.G_raw)
+        assert linalg.inertia(pair.oriented_metric_raw()) == want == pair.structure.signature
     m = [[Fraction(0)] * 6 for _ in range(6)]
     for i in range(6):
         m[i][i] = Fraction(-1 if i < 4 else 1)
-    assert signature(m) == (2, 4, 0)
-    with pytest.raises(ValueError):
-        signature([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
+    assert linalg.inertia(m) == (2, 4, 0)
 
 
 def test_j_apply_oneform_model():
     from halfflat.exterior import covector
 
-    # J e^1 pairs e_4 with 1 under the model conventions
-    val = j_apply_oneform(MODEL_RHO, covector(1), Vector.basis(4))
-    assert val in (Fraction(1), Fraction(-1))
-    assert j_apply_oneform(MODEL_RHO, covector(1), Vector.basis(1)) == 0
-    with pytest.raises(NotStableError):
-        j_apply_oneform(form(3, [("e123", 1)]), covector(1), Vector.basis(1))
+    # (J* alpha)(v) = alpha(K_rho v) / sqrt|lambda|: J e^1 pairs e_4 with 1 up to sign
+    root = sqrt_scalar(scalar_abs(lambda_of(MODEL_RHO)))
+    row = j_matrix_values(MODEL_RHO, covector(1))
+    assert row[3] / root in (Fraction(1), Fraction(-1))
+    assert row[0] == 0
+    # a decomposable rho has lambda = 0 and no J
+    assert lambda_of(form(3, [("e123", 1)])) == 0
 
 
 def test_j_values_define_involution_squares(rng):
@@ -234,16 +236,11 @@ def _check_j_values_against_wedges(rng, rho):
     alpha = random_form(rng, 1, span=4, density=0.6)
     v = Vector(tuple(random_fraction(rng, 3) for _ in range(6)))
     ref = [_wedge_j_value(rho, alpha, Vector.basis(i)) for i in range(1, 7)]
-    assert j_matrix_values(rho, alpha) == ref
+    row = j_matrix_values(rho, alpha)
+    assert row == ref
     assert j_matrix_values(rho, alpha, k_matrix(rho)) == ref
-    lam = lambda_of(rho)
-    if lam == 0 or isinstance(lam, QuadExt):
-        with pytest.raises(NotStableError):
-            j_apply_oneform(rho, alpha, v)
-    else:
-        assert j_apply_oneform(rho, alpha, v) == _wedge_j_value(rho, alpha, v) / sqrt_scalar(
-            scalar_abs(lam)
-        )
+    # linear in v: alpha(K_rho v) is the row applied to v
+    assert sum((x * c for x, c in zip(row, v.components)), Fraction(0)) == _wedge_j_value(rho, alpha, v)
 
 
 def test_j_values_match_wedge_formula(rng):
@@ -414,8 +411,6 @@ def test_wrong_degrees_not_stable():
             StablePair(omega, rho)
         with pytest.raises(NotStableError):
             induced_metric_raw(omega, rho)
-        with pytest.raises(NotStableError):
-            normalization_scale(omega, rho)
 
 
 def test_asymmetric_metric_raises_not_compatible():
@@ -426,8 +421,7 @@ def test_asymmetric_metric_raises_not_compatible():
     assert pair.structure.kind == "NotCompatible"
     with pytest.raises(NotCompatibleError):
         induced_metric_raw(omega, rho)
-    # the wrappers read what the pair holds
-    assert normalization_scale(omega, rho) == (pair.norm_c4, pair.norm_sign)
+    # the wrapper reads what the pair holds
     g, eps = induced_metric_raw(MODEL_OMEGA, MODEL_RHO)
     assert g == StablePair(MODEL_OMEGA, MODEL_RHO).G_raw and eps == stable.EPSILON
 

@@ -9,7 +9,7 @@ from halfflat import corpus, linalg, stable
 from halfflat.classify3d import classify
 from halfflat.errors import DomainError
 from halfflat.exterior import KForm, Vector, contract, covector, form, volume_ratio, wedge
-from halfflat.liealg import catalog, direct_sum
+from halfflat.liealg import catalog, catalog_classes, direct_sum
 from halfflat.verify import (
     _plane_checks,
     _verify_pair,
@@ -114,7 +114,7 @@ def test_ortho_iia_classifies_e11():
 
 def test_ortho_iia_abelian_when_pq_zero():
     L, omega, rho = ortho_type_II("IIa", a=Fraction(3, 5), xi2=1, p=0, q=0)
-    assert L.is_abelian()
+    assert all(dk.is_zero() for dk in L.diffs)
     assert verify(L, omega, rho).half_flat
 
 
@@ -182,6 +182,18 @@ def test_para_eigenspace_pair_flat():
     omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
     _, _, rep = para_eigenspace_pair(catalog("R3"), catalog("R3"), omega)
     assert rep.half_flat
+
+
+def test_para_eigenspace_pair_over_all_class_pairs():
+    # kind SL(3,R) always; half-flat exactly when both summands are unimodular
+    omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
+    reps = [spec.instances()[0] for spec in catalog_classes()]
+    pairs = list(itertools.product(reps, reps))
+    assert len(pairs) == 144
+    for L1, L2 in pairs:
+        _, _, rep = para_eigenspace_pair(L1, L2, omega)
+        assert rep.structure.kind == stable.KIND_SL3R, (L1.name, L2.name)
+        assert rep.half_flat == (L1.is_unimodular() and L2.is_unimodular()), (L1.name, L2.name)
 
 
 def test_para_eigenspace_rejects_bad_omega():
