@@ -31,7 +31,7 @@ from . import stable
 from .errors import CatalogError
 from .exterior import KForm, form
 from .instance import Instance, metric_matrix
-from .liealg import LieAlgebra, catalog, direct_sum
+from .liealg import MU_SAMPLES
 from .scalars import Scalar, scalar_abs, scalar_sign
 from .table5 import (
     example_sl3r, example_su12, row_t5_simple_r2R, row_t5_sl2_r3, row_t5_sl2_r3mu_neg,
@@ -73,10 +73,6 @@ def _identity_metric():
     return metric_matrix([(n, n, F(1)) for n in ("e1", "e2", "e3", "f1", "f2", "f3")])
 
 
-def _factor(name: str, mu: Fraction | None) -> LieAlgebra:
-    return catalog(name, mu) if mu is not None else catalog(name)
-
-
 # -- row builders ---------------------------------------------------------------
 # Each builder returns the Instance for given factor tags (and mu where the
 # family is parameterized).  Forms are transcribed in written order; the
@@ -101,9 +97,7 @@ def row_t3_diagonal(h: str) -> Instance:
     )
     return Instance(
         label=f"T3.1[{h}+{h}]",
-        table=3,
         factors=((h, None), (h, None)),
-        algebra=direct_sum(_factor(h, None), _factor(h, None)),
         omega=OMEGA_UNIMODULAR,
         rho=rho,
         t4=F(1, 4),
@@ -115,9 +109,7 @@ def row_t3_abelian(h: str) -> Instance:
     rho = form(3, [("e12f3", 1), ("e31f2", 1), ("e23f1", 1), ("f123", -1)])
     return Instance(
         label=f"T3.2[{h}+R3]",
-        table=3,
         factors=((h, None), ("R3", None)),
-        algebra=direct_sum(_factor(h, None), catalog("R3")),
         omega=OMEGA_UNIMODULAR,
         rho=rho,
         g0=_identity_metric(),
@@ -153,9 +145,7 @@ def row_t3_su2_sl2() -> Instance:
     )
     return Instance(
         label="T3.3[su2+sl2]",
-        table=3,
         factors=(("su2", None), ("sl2", None)),
-        algebra=direct_sum(catalog("su2"), catalog("sl2")),
         omega=OMEGA_UNIMODULAR,
         rho=rho,
         t4=F(2),
@@ -230,9 +220,7 @@ def row_t3_simple_euclid(pair: tuple[str, str]) -> Instance:
     g0 = _g_t3_e_row_a() if pair in shape_a else _g_t3_e_row_b()
     return Instance(
         label=f"T3[{pair[0]}+{pair[1]}]",
-        table=3,
         factors=((pair[0], None), (pair[1], None)),
-        algebra=direct_sum(catalog(pair[0]), catalog(pair[1])),
         omega=OMEGA_UNIMODULAR,
         rho=rho,
         g0=g0,
@@ -266,9 +254,7 @@ def row_t3_heisenberg(h: str, sign: int) -> Instance:
     )
     return Instance(
         label=f"T3[{h}+h3]",
-        table=3,
         factors=((h, None), ("h3", None)),
-        algebra=direct_sum(catalog(h), catalog("h3")),
         omega=OMEGA_UNIMODULAR,
         rho=rho,
         g0=g0,
@@ -280,9 +266,7 @@ def row_t4_e2() -> Instance:
     rho = form(3, [("e23f3", 1), ("e2f21", 1), ("e13f2", 1), ("e1f31", -1)])
     return Instance(
         label="T4.1[e2+r2R]",
-        table=4,
         factors=(("e2", None), ("r2R", None)),
-        algebra=direct_sum(catalog("e2"), catalog("r2R")),
         omega=omega,
         rho=rho,
         g0=_identity_metric(),
@@ -316,9 +300,7 @@ def row_t4_e11() -> Instance:
     )
     return Instance(
         label="T4.2[e11+r2R]",
-        table=4,
         factors=(("e11", None), ("r2R", None)),
-        algebra=direct_sum(catalog("e11"), catalog("r2R")),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -327,26 +309,27 @@ def row_t4_e11() -> Instance:
 
 # -- enumeration -----------------------------------------------------------------
 
-#: legal sample values for parameterized rows
-def _mu_samples(lo: Fraction, hi: Fraction, include_hi: bool = False):
-    from .liealg import MU_SAMPLES
-
-    return [m for m in MU_SAMPLES if lo < m < hi or (include_hi and m == hi)]
+#: the mu-row families of table 5: the mu each admits and its two row builders
+_MU_FAMILIES = (
+    (lambda m: 0 < m <= 1, (row_t5_su2_r3mu_pos, row_t5_sl2_r3mu_pos)),
+    (lambda m: -1 < m < 0, (row_t5_sl2_r3mu_neg, row_t5_su2_r3mu_neg)),
+    (lambda m: m > 0, (row_t5_su2_r3pmu, row_t5_sl2_r3pmu)),
+)
 
 
 def iter_instances(
     table: int | None = None, mu: Fraction | None = None
 ) -> list[Instance]:
-    """All corpus instances, mu-families instantiated at the sample set.
+    """All corpus instances, mu-families instantiated at ``MU_SAMPLES``.
 
     ``table`` filters on 3, 4 or 5 (0 selects the two worked examples);
-    ``mu`` overrides the sample set for parameterized rows.
+    ``mu`` builds every mu-row family that admits it at mu alone, in place of
+    the samples, and raises CatalogError when no family admits it.
     """
+    if mu is not None and not any(admits(mu) for admits, _ in _MU_FAMILIES):
+        raise CatalogError(f"no mu-row family admits mu = {mu}")
+    mus = MU_SAMPLES if mu is None else (mu,)
     out: list[Instance] = []
-
-    def has(mu_list):
-        return [mu] if mu is not None and mu in mu_list else (mu_list if mu is None else [])
-
     if table in (None, 3):
         for h in UNIMODULAR:
             out.append(row_t3_diagonal(h))
@@ -364,15 +347,9 @@ def iter_instances(
         out.append(row_t5_simple_r2R("sl2"))
         out.append(row_t5_su2_r3())
         out.append(row_t5_sl2_r3())
-        for m in has(_mu_samples(F(0), F(1), include_hi=True)):
-            out.append(row_t5_su2_r3mu_pos(m))
-            out.append(row_t5_sl2_r3mu_pos(m))
-        for m in has(_mu_samples(F(-1), F(0))):
-            out.append(row_t5_sl2_r3mu_neg(m))
-            out.append(row_t5_su2_r3mu_neg(m))
-        for m in has([x for x in _mu_samples(F(0), F(3))]):
-            out.append(row_t5_su2_r3pmu(m))
-            out.append(row_t5_sl2_r3pmu(m))
+        for admits, builders in _MU_FAMILIES:
+            for m in filter(admits, mus):
+                out.extend(build(m) for build in builders)
     if table == 0:
         out.append(example_su12())
         out.append(example_sl3r())
@@ -434,17 +411,3 @@ def _entry_match(raw_entry: Scalar, g0_entry: Scalar, lam_abs: Scalar, s2: Scala
         return False
     return raw_entry * raw_entry == lam_abs * s2 * g0_entry * g0_entry
 
-
-# -- witnesses for the classification ---------------------------------------------
-
-
-def witness(
-    tag1: str, tag2: str, mu1: Fraction | None = None, mu2: Fraction | None = None
-) -> Instance:
-    """A corpus instance covering the ordered-free class pair, or raise."""
-    want = {(tag1, mu1), (tag2, mu2)} if (tag1, mu1) != (tag2, mu2) else {(tag1, mu1)}
-    for inst in iter_instances():
-        have = set(inst.factors)
-        if have == want:
-            return inst
-    raise CatalogError(f"no corpus witness for {tag1}({mu1}) + {tag2}({mu2})")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
 from . import stable
 from .exterior import KForm
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, catalog, direct_sum
 from .scalars import Scalar
 
 F = Fraction
@@ -19,9 +20,7 @@ class Instance:
     """One fully instantiated corpus row; ``t4`` and ``s2`` default to 1."""
 
     label: str
-    table: int
     factors: tuple[tuple[str, Fraction | None], tuple[str, Fraction | None]]
-    algebra: LieAlgebra
     omega: KForm
     rho: KForm
     g0: list[list[Scalar]]
@@ -29,6 +28,12 @@ class Instance:
     s2: Scalar = F(1)
     expected_kind: str = stable.KIND_SU3
     note: str = ""
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """The direct sum of the catalog brackets named by ``factors``."""
+        f1, f2 = self.factors
+        return direct_sum(catalog(*f1), catalog(*f2))
 
 
 def metric_matrix(entries: Iterable[tuple[str, str, Scalar]]):

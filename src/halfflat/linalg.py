@@ -57,6 +57,11 @@ def is_symmetric(m: Sequence[Sequence[Scalar]]) -> bool:
     )
 
 
+def _field(pivot: Scalar) -> Scalar:
+    """A pivot to divide by: an int becomes a Fraction, so int input stays exact."""
+    return Fraction(pivot) if isinstance(pivot, int) else pivot
+
+
 def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices.
 
@@ -72,7 +77,7 @@ def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         if not with_c:
             continue
         piv = live.pop(min(with_c, key=lambda i: len(live[i])))
-        inv = piv.pop(c)
+        inv = _field(piv.pop(c))
         piv = {j: x / inv for j, x in piv.items()}
         for row in done + live:
             f = row.pop(c, None)
@@ -154,7 +159,7 @@ def det(mat: Sequence[Sequence[Scalar]]) -> Scalar:
             m[c], m[p] = m[p], m[c]
             out = -out
         out = out * m[c][c]
-        inv = m[c][c]
+        inv = _field(m[c][c])
         for i in range(c + 1, n):
             if not scalar_is_zero(m[i][c]):
                 f = m[i][c] / inv
@@ -194,7 +199,7 @@ def inertia(mat: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
             for k in range(n):
                 m[k][i] = m[k][i] + m[k][j]
             piv = i
-        d = m[piv][piv]
+        d = _field(m[piv][piv])
         if scalar_sign(d) > 0:
             pos += 1
         else:

@@ -34,18 +34,23 @@ components of a basis of Z^3 and Z^4 in the adapted coframe.
 Two class pairs resist the rank argument and get refined checks.  Both are
 stated without coordinates, through Z^1, [g, g] = ann(Z^1) and entries of
 K_rho on closed three-forms (alpha ^ (v -| rho) ^ rho is alpha(K_rho v) nu),
-with the summands located by ``classify3d.classify``:
+and each checks the hypotheses of its proof only:
 
-- h3 (+) r2R, with a spanning A(r2R): (1) a ^ sigma ^ beta = 0 for every
-  closed four-form sigma and beta in Z^1, that is a ^ sigma = X -| nu with
-  X in [g, g]; (2) a(K_rho X) = 0 for X in [g, g] and every closed rho.
-  Together they make the form a isotropic for all closed (rho, sigma).
-- r2R (+) R^3: beta(K_rho X) = 0 for beta in Z^1 and X in [g, g], so K_rho
-  keeps the line [g, g] for every closed rho; with dim Z^1 = 5 this forces
-  lambda(rho) >= 0 and rules out every SU(p,q).
+- ``refined_h3_r2R(L, a)``, for a one-form a; ``decide`` passes the
+  splitting's form of the r2R block of h3 (+) r2R, which spans A(r2R).
+  (1) a ^ sigma ^ beta = 0 for every closed four-form sigma and beta in
+  Z^1, that is a ^ sigma = X -| nu with X in [g, g]; (2) a(K_rho X) = 0
+  for X in [g, g] and every closed rho.  Together they make a isotropic
+  for all closed (rho, sigma), which rules out a definite metric.
+- ``refined_r2R_R3(L)``, for dim [g, g] = 1, as on r2R (+) R^3:
+  beta(K_rho X) = 0 for beta in Z^1 and X in [g, g], so K_rho keeps the
+  line [g, g] for every closed rho.  Then K_rho X = c X, and
+  K_rho^2 = lambda id (Hitchin) gives lambda(rho) = c^2 >= 0, which rules
+  out every SU(p,q).
 
-``decide`` is the whole decision: the splitting, then the refined check
-of the class pair, else Inconclusive.
+``decide`` is the whole decision: the splitting, its ranks, then the
+refined check of the class pair, with each summand classified once, else
+Inconclusive.
 
 A seeded random scan certifies lambda >= 0 on sampled closed three-forms
 for the nine class pairs where that argument applies; the scan falsifies,
@@ -73,8 +78,6 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 class ObstructionReport:
     """Outcome of the splitting obstruction for one coherent decomposition."""
 
-    v_basis: tuple[KForm, KForm]
-    w_basis: list[KForm]
     rank_d_lambda3_w: int
     rank_d_lambda4_w: int
 
@@ -121,19 +124,19 @@ def _in_block(alpha: KForm, block: int) -> KForm:
     return KForm(alpha.degree, {m << 3 * block: c for m, c in alpha.terms.items()})
 
 
-def coherent_splittings(L: LieAlgebra) -> list[tuple[KForm, KForm]]:
-    """The factor-wise coherent splitting of a direct sum, when there is one.
+def coherent_splittings(L: LieAlgebra) -> tuple[KForm, KForm] | None:
+    """The factor-wise coherent splitting of a direct sum, or None.
 
     V = span(alpha1, alpha2) from the first basis vector of each A(g_i);
     every other factor-wise coherent splitting gives the same verdict.
-    Nonempty exactly when both summands are solvable.
+    There is one exactly when both summands are solvable.
     """
     if L.summands is None:
         raise HalfFlatError("coherent splittings need the direct-sum structure")
     a1, a2 = (annihilating_forms(s) for s in L.summands)
     if not (a1 and a2):
-        return []
-    return [(a1[0], _in_block(a2[0], 1))]
+        return None
+    return a1[0], _in_block(a2[0], 1)
 
 
 def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:
@@ -175,8 +178,6 @@ def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> Obstruction
         raise HalfFlatError("d W has a Lambda^2 V component: the ranks do not decide")
     w3 = [wedge_all(list(t)) for t in combinations(w_basis, 3)]
     return ObstructionReport(
-        v_basis=v_pair,
-        w_basis=w_basis,
         rank_d_lambda3_w=_rank_of_images(L, w3, 4),
         rank_d_lambda4_w=_rank_of_images(L, [vol_w], 5),
     )
@@ -191,33 +192,23 @@ def _rank_of_images(L: LieAlgebra, forms_in: list[KForm], out_degree: int) -> in
 # -- refined arguments ----------------------------------------------------------
 
 
-def _blocks_by_class(L: LieAlgebra, names: tuple[str, str]) -> dict[str, int]:
-    """Block of each summand keyed by its class; raises unless the classes are ``names``."""
-    if L.summands is not None:
-        blocks = {classify(s).name: block for block, s in enumerate(L.summands)}
-        if sorted(blocks) == sorted(names):
-            return blocks
-    raise HalfFlatError(f"refined check expects {names[0]} (+) {names[1]}")
-
-
 def _derived_algebra(L: LieAlgebra) -> list[Vector]:
     """Basis of [g, g] = ann(Z^1), for an algebra with nonzero Z^1."""
     rows = [[beta.coeff(1 << i) for i in range(DIM)] for beta in L.closed_forms(1)]
     return [Vector(tuple(v)) for v in linalg.nullspace(rows)]
 
 
-def refined_h3_r2R(L: LieAlgebra) -> bool:
-    """Isotropy obstruction specific to h3 (+) r2R, in any basis of either factor.
+def refined_h3_r2R(L: LieAlgebra, a: KForm) -> bool:
+    """Isotropy obstruction for the one-form a, in any basis of either factor.
 
-    With a spanning A(r2R), returns True when (1) a ^ sigma ^ beta = 0 for
-    every closed four-form sigma and beta in Z^1, so a ^ sigma = X -| nu
-    with X in [g, g], and (2) a(K_rho X) vanishes for X in [g, g] and every
-    closed rho; since a ^ (X -| rho) ^ rho = a(K_rho X) nu, (2) is the
-    vanishing of entries of K.  Together those force a to be isotropic for
-    every half-flat pair, so no half-flat SU(3) exists.
+    On h3 (+) r2R, a is the splitting's form of the r2R block, spanning
+    A(r2R).  Returns True when (1) a ^ sigma ^ beta = 0 for every closed
+    four-form sigma and beta in Z^1, so a ^ sigma = X -| nu with X in
+    [g, g], and (2) a(K_rho X) vanishes for X in [g, g] and every closed
+    rho; since a ^ (X -| rho) ^ rho = a(K_rho X) nu, (2) is the vanishing
+    of entries of K.  Together those force a to be isotropic for every
+    half-flat pair, so no half-flat SU(3) exists.
     """
-    block = _blocks_by_class(L, ("h3", "r2R"))["r2R"]
-    a = _in_block(annihilating_forms(L.summands[block])[0], block)
     z1 = L.closed_forms(1)
     if any(not wedge(wedge(a, sigma), beta).is_zero() for sigma in L.closed_forms(4) for beta in z1):
         return False
@@ -225,14 +216,15 @@ def refined_h3_r2R(L: LieAlgebra) -> bool:
 
 
 def refined_r2R_R3(L: LieAlgebra) -> bool:
-    """K_rho keeps the line [g, g] for every closed rho on r2R (+) R^3.
+    """K_rho keeps the line [g, g] for every closed rho, as on r2R (+) R^3.
 
-    beta(K_rho X) = 0 for beta in Z^1 = ann[g, g] and X in [g, g].  Together
-    with dim Z^1 = 5 this forces lambda(rho) = c^2 >= 0 for every closed
-    rho, so no SU(p,q) structure of any signature exists.
+    True when dim [g, g] = 1 and beta(K_rho X) = 0 for beta in
+    Z^1 = ann[g, g] and X in [g, g].  Then K_rho X = c X, and
+    K_rho^2 = lambda id forces lambda(rho) = c^2 >= 0 for every closed rho,
+    so no SU(p,q) structure of any signature exists.
     """
-    _blocks_by_class(L, ("r2R", "R3"))
-    return _k_entries_vanish(L, product(L.closed_forms(1), _derived_algebra(L)))
+    derived = _derived_algebra(L)
+    return len(derived) == 1 and _k_entries_vanish(L, product(L.closed_forms(1), derived))
 
 
 def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
@@ -259,23 +251,25 @@ def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
 def decide(L: LieAlgebra) -> tuple[str, str]:
     """The verdict on a direct sum and the text that explains it.
 
-    The coherent splitting decides when its ranks are full; otherwise a
-    refined check of the class pair may still obstruct.
+    The coherent splitting decides when its ranks are full; otherwise the
+    summands are classified, once each, and the refined check of their
+    class pair may still obstruct.
     """
-    splittings = coherent_splittings(L)
-    for v_pair in splittings:
-        rep = check_obstruction(L, v_pair)
-        if rep.verdict == VERDICT_OBSTRUCTED:
-            return rep.verdict, rep.to_text()
-    if splittings:  # both resistant class pairs are solvable
-        classes = {classify(s).name for s in L.summands}
-        for pair, refined, detail in (
-            ({"h3", "r2R"}, refined_h3_r2R, "refined isotropy argument for h3 (+) r2R"),
-            ({"r2R", "R3"}, refined_r2R_R3, "K_rho(e_2) proportional to e_2, lambda >= 0"),
-        ):
-            if classes == pair and refined(L):
-                return VERDICT_OBSTRUCTED, f"verdict: {VERDICT_OBSTRUCTED}\ndetail: {detail}"
-    return VERDICT_INCONCLUSIVE, f"verdict: {VERDICT_INCONCLUSIVE}\ncoherent_splittings: {len(splittings)}"
+    pair = coherent_splittings(L)
+    if pair is None:  # both resistant class pairs are solvable
+        return VERDICT_INCONCLUSIVE, f"verdict: {VERDICT_INCONCLUSIVE}\ncoherent_splittings: 0"
+    rep = check_obstruction(L, pair)
+    if rep.verdict == VERDICT_OBSTRUCTED:
+        return rep.verdict, rep.to_text()
+    names = [classify(s).name for s in L.summands]
+    detail = None
+    if set(names) == {"h3", "r2R"} and refined_h3_r2R(L, pair[names.index("r2R")]):
+        detail = "refined isotropy argument for h3 (+) r2R"
+    elif set(names) == {"r2R", "R3"} and refined_r2R_R3(L):
+        detail = "K_rho(e_2) proportional to e_2, lambda >= 0"
+    if detail:
+        return VERDICT_OBSTRUCTED, f"verdict: {VERDICT_OBSTRUCTED}\ndetail: {detail}"
+    return VERDICT_INCONCLUSIVE, f"verdict: {VERDICT_INCONCLUSIVE}\ncoherent_splittings: 1"
 
 
 # -- randomized certificates -----------------------------------------------------

@@ -11,7 +11,6 @@ from fractions import Fraction
 from . import stable
 from .exterior import form
 from .instance import Instance, metric_matrix
-from .liealg import catalog, direct_sum
 from .scalars import sqrt_scalar
 
 F = Fraction
@@ -36,9 +35,7 @@ def row_t5_simple_r2R(h: str) -> Instance:
     )
     return Instance(
         label=f"T5.1[{h}+r2R]",
-        table=5,
         factors=((h, None), ("r2R", None)),
-        algebra=direct_sum(catalog(h), catalog("r2R")),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -66,9 +63,7 @@ def row_t5_su2_r3() -> Instance:
     )
     return Instance(
         label="T5.2[su2+r3]",
-        table=5,
         factors=(("su2", None), ("r3", None)),
-        algebra=direct_sum(catalog("su2"), catalog("r3")),
         omega=omega,
         rho=rho,
         t4=F(16, 3),
@@ -113,9 +108,7 @@ def row_t5_sl2_r3() -> Instance:
     )
     return Instance(
         label="T5.3[sl2+r3]",
-        table=5,
         factors=(("sl2", None), ("r3", None)),
-        algebra=direct_sum(catalog("sl2"), catalog("r3")),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -142,9 +135,7 @@ def row_t5_su2_r3mu_pos(mu: Fraction) -> Instance:
     )
     return Instance(
         label=f"T5.4[su2+r3mu({m})]",
-        table=5,
         factors=(("su2", None), ("r3mu", m)),
-        algebra=direct_sum(catalog("su2"), catalog("r3mu", m)),
         omega=omega,
         rho=rho,
         t4=1 / (m * (m + 1) ** 2),
@@ -173,9 +164,7 @@ def row_t5_sl2_r3mu_neg(mu: Fraction) -> Instance:
     )
     return Instance(
         label=f"T5.5[sl2+r3mu({m})]",
-        table=5,
         factors=(("sl2", None), ("r3mu", m)),
-        algebra=direct_sum(catalog("sl2"), catalog("r3mu", m)),
         omega=omega,
         rho=rho,
         t4=1 / (-m * (m + 1) ** 2),
@@ -232,9 +221,7 @@ def row_t5_su2_r3mu_neg(mu: Fraction) -> Instance:
     )
     return Instance(
         label=f"T5.6[su2+r3mu({m})]",
-        table=5,
         factors=(("su2", None), ("r3mu", m)),
-        algebra=direct_sum(catalog("su2"), catalog("r3mu", m)),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -291,9 +278,7 @@ def row_t5_sl2_r3mu_pos(mu: Fraction) -> Instance:
     )
     return Instance(
         label=f"T5.7[sl2+r3mu({m})]",
-        table=5,
         factors=(("sl2", None), ("r3mu", m)),
-        algebra=direct_sum(catalog("sl2"), catalog("r3mu", m)),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -336,9 +321,7 @@ def row_t5_su2_r3pmu(mu: Fraction) -> Instance:
     )
     return Instance(
         label=f"T5.8[su2+r3pmu({m})]",
-        table=5,
         factors=(("su2", None), ("r3pmu", m)),
-        algebra=direct_sum(catalog("su2"), catalog("r3pmu", m)),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -379,9 +362,7 @@ def row_t5_sl2_r3pmu(mu: Fraction) -> Instance:
     )
     return Instance(
         label=f"T5.9[sl2+r3pmu({m})]",
-        table=5,
         factors=(("sl2", None), ("r3pmu", m)),
-        algebra=direct_sum(catalog("sl2"), catalog("r3pmu", m)),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -420,9 +401,7 @@ def example_su12() -> Instance:
     )
     return Instance(
         label="EX[su12:r2R+r2R]",
-        table=0,
         factors=(("r2R", None), ("r2R", None)),
-        algebra=direct_sum(catalog("r2R"), catalog("r2R")),
         omega=omega,
         rho=rho,
         g0=g0,
@@ -451,9 +430,7 @@ def example_sl3r() -> Instance:
     )
     return Instance(
         label="EX[sl3r:r2R+r3]",
-        table=0,
         factors=(("r2R", None), ("r3", None)),
-        algebra=direct_sum(catalog("r2R"), catalog("r3")),
         omega=omega,
         rho=rho,
         g0=g0,

@@ -89,12 +89,20 @@ def verify(
     their span is isotropic for the induced metric and J-invariant; both
     checks stay rational by scaling with phi(rho).
     """
-    return _verify_pair(L, omega, rho, plane)[0]
+    report, pair = _verify_pair(L, omega, rho)
+    if plane is not None and pair.structure.is_stabilizer:
+        isotropic, invariant = _plane_checks(pair, plane)
+        report.witness_plane_invariant = invariant
+        if isotropic and invariant:
+            report.isotropic_witness = plane
+        else:
+            report.detail = (
+                f"plane isotropic: {_yn(isotropic)}, J-invariant: {_yn(invariant)}"
+            )
+    return report
 
 
-def _verify_pair(
-    L: LieAlgebra, omega: KForm, rho: KForm, plane: tuple[KForm, KForm] | None = None
-) -> tuple[HalfFlatReport, stable.StablePair]:
+def _verify_pair(L: LieAlgebra, omega: KForm, rho: KForm) -> tuple[HalfFlatReport, stable.StablePair]:
     """``verify`` plus the StablePair its verdict was read from."""
     if L.dim != 6:
         raise ValueError("verification runs on six-dimensional algebras")
@@ -110,15 +118,6 @@ def _verify_pair(
         norm_sign=pair.norm_sign,
         lam=pair.lam,
     )
-    if plane is not None and pair.structure.is_stabilizer:
-        isotropic, invariant = _plane_checks(pair, plane)
-        report.witness_plane_invariant = invariant
-        if isotropic and invariant:
-            report.isotropic_witness = plane
-        else:
-            report.detail = (
-                f"plane isotropic: {_yn(isotropic)}, J-invariant: {_yn(invariant)}"
-            )
     return report, pair
 
 
@@ -189,31 +188,13 @@ def type_I_closure_criterion(L1: LieAlgebra, L2: LieAlgebra, xi1, xi2) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrthoAnsatz:
-    """Validated parameters of the orthogonal ansatz.
-
-    ``a`` must satisfy -1 < a <= 1 with 1 - a^2 a rational square so that
-    b = sqrt(1 - a^2) stays rational; the free structure constants p, q, r
-    and xi2 are the case parameters.
-    """
-
-    case: str
-    a: Fraction
-    xi2: Fraction = Fraction(0)
-    p: Fraction = Fraction(0)
-    q: Fraction = Fraction(0)
-    r: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if not Fraction(-1) < self.a <= 1:
-            raise DomainError("a must satisfy -1 < a <= 1")
-        if not is_square(1 - self.a * self.a):
-            raise DomainError("1 - a^2 must be a rational square")
-
-    @property
-    def b(self) -> Fraction:
-        return rational_sqrt(1 - self.a * self.a)
+def _ortho_b(a: Fraction) -> Fraction:
+    """b = sqrt(1 - a^2) of the orthogonal ansatz, for -1 < a <= 1 with 1 - a^2 a rational square."""
+    if not Fraction(-1) < a <= 1:
+        raise DomainError("a must satisfy -1 < a <= 1")
+    if not is_square(1 - a * a):
+        raise DomainError("1 - a^2 must be a rational square")
+    return rational_sqrt(1 - a * a)
 
 
 def ortho_type_II(case: str, **params) -> tuple[LieAlgebra, KForm, KForm]:
@@ -270,10 +251,10 @@ def _phi0_type_II(a: Fraction, b: Fraction) -> KForm:
 
 
 def _ortho_iia(a, xi2, p, q) -> tuple[LieAlgebra, KForm, KForm]:
-    ans = OrthoAnsatz("IIa", Fraction(a), xi2=Fraction(xi2), p=Fraction(p), q=Fraction(q))
-    if ans.xi2 == 0 or not 0 < abs(ans.a) < 1:
+    a, xi2, p, q = map(Fraction, (a, xi2, p, q))
+    b = _ortho_b(a)
+    if xi2 == 0 or not 0 < abs(a) < 1:
         raise DomainError("case IIa needs xi2 != 0 and 0 < |a| < 1")
-    a, b, xi2, p, q = ans.a, ans.b, ans.xi2, ans.p, ans.q
     s = (a * (xi2 * xi2 - 1) * q - (a * a + xi2 * xi2) * p) / (xi2 * (a * a + 1))
     t = -((xi2 * xi2 * a * a + 1) * q + a * (1 - xi2 * xi2) * p) / (xi2 * (a * a + 1))
     g1 = LieAlgebra(
@@ -300,10 +281,10 @@ def _ortho_iia(a, xi2, p, q) -> tuple[LieAlgebra, KForm, KForm]:
 
 
 def _ortho_iib(a, p, q, r) -> tuple[LieAlgebra, KForm, KForm]:
-    ans = OrthoAnsatz("IIb", Fraction(a), p=Fraction(p), q=Fraction(q), r=Fraction(r))
-    if not 0 < abs(ans.a) < 1:
+    a, p, q, r = map(Fraction, (a, p, q, r))
+    b = _ortho_b(a)
+    if not 0 < abs(a) < 1:
         raise DomainError("case IIb needs 0 < |a| < 1")
-    a, b, p, q, r = ans.a, ans.b, ans.p, ans.q, ans.r
     g1 = LieAlgebra(
         3,
         [

@@ -347,6 +347,19 @@ def test_cli_appendix_mu_filter():
     assert "failures: 0" in out
 
 
+def test_cli_appendix_mu_builds_every_admitting_family():
+    # mu = 5 admits r3pmu only, mu = 1/3 admits r3mu (0 < mu <= 1) and r3pmu
+    code, out, _ = run_cli(["appendix", "--mu", "5"], expect=cli.EXIT_POSITIVE)
+    assert "T5.8[su2+r3pmu(5)]: ok" in out.splitlines()
+    assert "T5.9[sl2+r3pmu(5)]: ok" in out.splitlines()
+    assert out.splitlines()[-1] == "instances: 30  failures: 0"
+    code, out, _ = run_cli(["appendix", "--mu", "1/3"], expect=cli.EXIT_POSITIVE)
+    assert sum("(1/3)]: ok" in line for line in out.splitlines()) == 4
+    assert out.splitlines()[-1] == "instances: 32  failures: 0"
+    code, out, err = run_cli(["appendix", "--mu", "-2"], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and "mu" in err
+
+
 def test_cli_search_exit_codes(tmp_path):
     _, out, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
     p = tmp_path / "s.alg"

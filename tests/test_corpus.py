@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -58,15 +60,29 @@ def test_mu_filter_and_table_filter():
     assert not any("r3mu(1/4)" in l for l in labels)
 
 
-def test_witness_lookup():
-    inst = corpus.witness("su2", "r3mu", None, Fraction(1, 4))
-    assert inst.label.startswith("T5.4")
-    inst2 = corpus.witness("R3", "R3")
-    assert "R3+R3" in inst2.label
-    inst3 = corpus.witness("e11", "r2R")
-    assert inst3.label.startswith("T4.2")
-    with pytest.raises(Exception):
-        corpus.witness("h3", "r2R")  # obstructed class: no witness exists
+def _corpus_rows() -> list[list]:
+    """Every ``verify_instance`` field on the 52 table rows and the 2 worked examples."""
+    rows = []
+    for inst in corpus.iter_instances() + corpus.iter_instances(table=0):
+        rep = corpus.verify_instance(inst)
+        hf = rep.report
+        rows.append([
+            inst.label, rep.ok, rep.normalization_ok, rep.metric_ok, rep.metric_sign, rep.residual,
+            hf.half_flat, hf.d_rho_zero, hf.d_omega2_zero, hf.compatible,
+            hf.structure.kind, hf.structure.signature, repr(hf.lam), repr(hf.norm_c4), hf.norm_sign,
+            repr(inst.algebra.diffs),
+        ])
+    return rows
+
+
+#: sha256 of json.dumps(_corpus_rows()): the verdict fields and the algebra of every row
+CORPUS_GOLDEN = "2c692c3719cfb853c041be666252afdf19e7afb318e68e19cb7041c0d8fa8d3c"
+
+
+def test_corpus_golden():
+    rows = _corpus_rows()
+    assert len(rows) == 54
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CORPUS_GOLDEN
 
 
 def test_printed_metrics_are_exact():

@@ -141,3 +141,42 @@ def test_rref_matches_dense_oracle_over_quadratic_extensions(rng, monkeypatch):
         entry = lambda: QuadExt.make(random_fraction(rng, 3), random_fraction(rng, 2), d)
         for mat in _oracle_matrices(rng, entry, 4):
             _check_against_oracle(monkeypatch, mat, entry)
+
+
+def _no_floats(x) -> bool:
+    if isinstance(x, (list, tuple)):
+        return all(_no_floats(y) for y in x)
+    return not isinstance(x, float)
+
+
+def test_int_input_stays_exact(rng):
+    # int and Fraction entries give equal, float-free results: an int pivot divides as a Fraction
+    from halfflat.liealg import catalog, change_basis
+
+    cases = [[[2, 1, 1]], [[2, 1], [1, 3]], [[0, 3, 1], [3, 0, 2], [1, 2, 0]]]
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+    for mat in cases:
+        fmat = [[Fraction(x) for x in row] for row in mat]
+        got = [
+            linalg.rref(mat), linalg.nullspace(mat), linalg.solve(mat, [1] * len(mat)),
+            linalg.invert(mat) if len(mat) == len(mat[0]) else None,
+            linalg.det(mat) if len(mat) == len(mat[0]) else None,
+        ]
+        want = [
+            linalg.rref(fmat), linalg.nullspace(fmat), linalg.solve(fmat, [Fraction(1)] * len(mat)),
+            linalg.invert(fmat) if len(mat) == len(mat[0]) else None,
+            linalg.det(fmat) if len(mat) == len(mat[0]) else None,
+        ]
+        assert got == want and _no_floats(got), mat
+        if len(mat) == len(mat[0]):
+            sym = [[mat[i][j] + mat[j][i] for j in range(len(mat))] for i in range(len(mat))]
+            assert linalg.inertia(sym) == linalg.inertia([[Fraction(x) for x in row] for row in sym])
+    assert linalg.nullspace([[2, 1, 1]])[0][0] == Fraction(-1, 2)
+    # det 3: a Fraction basis change and its int copy give the same bracket
+    M = [[1, 1, 0], [0, 1, 2], [1, 0, 1]]
+    L = catalog("r3mu", Fraction(1, 2))
+    got = change_basis(L, M)
+    assert got.diffs == change_basis(L, [[Fraction(x) for x in row] for row in M]).diffs
+    assert _no_floats([c for f in got.diffs for c in f.terms.values()])

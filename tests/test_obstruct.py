@@ -9,6 +9,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from halfflat import linalg, obstruct, stable
+from halfflat.classify3d import classify
 from halfflat.errors import HalfFlatError
 from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, wedge_all, volume_ratio, contract, Vector, kappa
 from halfflat.liealg import catalog, catalog_classes, change_basis, direct_sum
@@ -41,9 +42,9 @@ def test_coherent_splittings_iff_solvable():
     for n1 in solvable:
         for n2 in ("su2", "sl2"):
             L = direct_sum(catalog(n1), catalog(n2))
-            assert obstruct.coherent_splittings(L) == []
+            assert obstruct.coherent_splittings(L) is None
     L = direct_sum(catalog("h3"), catalog("r3"))
-    assert len(obstruct.coherent_splittings(L)) >= 1
+    assert obstruct.coherent_splittings(L) is not None
 
 
 def test_one_coherent_splitting_decides(rng):
@@ -54,7 +55,7 @@ def test_one_coherent_splitting_decides(rng):
         if {L1.name, L2.name}.isdisjoint({"h3", "R3"}):
             continue  # A(g1) and A(g2) are lines: nothing else to choose
         L = direct_sum(L1, L2)
-        (pair,) = obstruct.coherent_splittings(L)
+        pair = obstruct.coherent_splittings(L)
         want = obstruct.check_obstruction(L, pair).verdict
         for _ in range(3):
             alphas = []
@@ -100,12 +101,14 @@ def test_check_obstruction_requires_coherent():
 
 
 def test_refined_h3_r2R():
-    L = direct_sum(catalog("h3"), catalog("r2R"))
-    assert obstruct.refined_h3_r2R(L)
+    # a is the r2R-block form of the splitting, spanning A(r2R), in either summand order
+    (a,) = obstruct.annihilating_forms(catalog("r2R"))
+    assert obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")), obstruct._in_block(a, 1))
+    assert obstruct.refined_h3_r2R(direct_sum(catalog("r2R"), catalog("h3")), a)
     control = direct_sum(catalog("su2"), catalog("su2"))
     assert not obstruct._k_entries_vanish(control, ((covector(4), Vector.basis(3)), (covector(4), Vector.basis(5))))
-    with pytest.raises(HalfFlatError):
-        obstruct.refined_h3_r2R(control)
+    # e2 + r2R admits SU(3) (row T4.1), so its A(r2R) form cannot be isotropic for every pair
+    assert not obstruct.refined_h3_r2R(direct_sum(catalog("e2"), catalog("r2R")), obstruct._in_block(a, 1))
 
 
 def test_refined_h3_r2R_polarization_consistency(rng):
@@ -129,6 +132,25 @@ def test_refined_r2R_R3():
     assert len(L.closed_forms(1)) == 5
     flat = direct_sum(catalog("R3"), catalog("R3"))
     assert not obstruct._k_entries_vanish(flat, [(covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1])
+    # the hypothesis dim [g, g] = 1 fails on su2 + su2 and R3 + R3; h3 + R3 meets it and
+    # admits SU(3) (row T3.2), so K_rho cannot keep its line [g, g]
+    for g1, g2 in (("su2", "su2"), ("R3", "R3"), ("h3", "R3")):
+        assert not obstruct.refined_r2R_R3(direct_sum(catalog(g1), catalog(g2))), (g1, g2)
+
+
+def test_refined_decision_classifies_each_summand_once(monkeypatch):
+    calls = []
+
+    def counting_classify(L3):
+        calls.append(L3.name)
+        return classify(L3)
+
+    monkeypatch.setattr(obstruct, "classify", counting_classify)
+    for g1, g2 in (("h3", "r2R"), ("r2R", "h3"), ("r2R", "R3"), ("R3", "r2R")):
+        calls.clear()
+        verdict, _ = obstruct.decide(direct_sum(catalog(g1), catalog(g2)))
+        assert verdict == obstruct.VERDICT_OBSTRUCTED
+        assert calls == [g1, g2]
 
 
 def test_refined_r2R_R3_implies_lambda_nonneg(rng):
@@ -259,7 +281,8 @@ def test_ranks_decide_pure_w_components(rng):
     for L1, L2 in product(insts, insts):
         L = direct_sum(L1, L2)
         a = obstruct.annihilating_forms(L1) + [obstruct._in_block(b, 1) for b in obstruct.annihilating_forms(L2)]
-        pairs = obstruct.coherent_splittings(L)
+        splitting = obstruct.coherent_splittings(L)
+        pairs = [] if splitting is None else [splitting]
         for _ in range(40 if "R3" in (L1.name, L2.name) else 3):
             pair = tuple(sum((b.scale(Fraction(rng.randint(-2, 2))) for b in a), KForm(1)) for _ in range(2))
             if obstruct.is_coherent(L, pair):
