@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import HalfFlatError
-from .exterior import Vector
 from .liealg import CATALOG_INFO, LieAlgebra
 from .scalars import Scalar, is_square, rational_sqrt, scalar_is_zero
 
@@ -56,12 +55,9 @@ def milnor_L(L3: LieAlgebra) -> linalg.Matrix:
     """
     if L3.dim != 3:
         raise ValueError("Milnor endomorphism is defined for dimension three")
-    cols = [
-        L3.bracket(Vector.basis(2), Vector.basis(3)),  # L(e1) = [e2, e3]
-        L3.bracket(Vector.basis(3), Vector.basis(1)),  # L(e2) = [e3, e1]
-        L3.bracket(Vector.basis(1), Vector.basis(2)),  # L(e3) = [e1, e2]
-    ]
-    return [[cols[j].components[i] for j in range(3)] for i in range(3)]
+    e1, e2, e3 = linalg.identity(3)
+    # columns L(e1) = [e2, e3], L(e2) = [e3, e1], L(e3) = [e1, e2]
+    return linalg.transpose([L3.bracket(e2, e3), L3.bracket(e3, e1), L3.bracket(e1, e2)])
 
 
 def classify(L3: LieAlgebra) -> BianchiClass:
@@ -86,13 +82,11 @@ def _classify_unimodular(L3: LieAlgebra) -> BianchiClass:
 def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
     tau = L3.trace_ad()
     norm2 = sum((t * t for t in tau), Fraction(0))
-    x = Vector(tuple([2 * t / norm2 for t in tau] + [Fraction(0)] * 3))
+    x = [2 * t / norm2 for t in tau]
     kernel = linalg.nullspace([tau])
     if len(kernel) != 2:
         raise HalfFlatError("unimodular kernel is not two-dimensional")
-    u1 = Vector(tuple(list(kernel[0]) + [Fraction(0)] * 3))
-    u2 = Vector(tuple(list(kernel[1]) + [Fraction(0)] * 3))
-    if not L3.bracket(u1, u2).is_zero():
+    if not all(scalar_is_zero(c) for c in L3.bracket(kernel[0], kernel[1])):
         raise HalfFlatError("unimodular kernel is not abelian")
     ltilde = _restrict_ad(L3, x, (kernel[0], kernel[1]))
     d = linalg.det(ltilde)
@@ -114,12 +108,11 @@ def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
     )
 
 
-def _restrict_ad(L3: LieAlgebra, x: Vector, kernel_basis) -> linalg.Matrix:
+def _restrict_ad(L3: LieAlgebra, x: list[Scalar], kernel_basis) -> linalg.Matrix:
     cols = []
-    basis_mat = linalg.transpose([list(k) for k in kernel_basis])
+    basis_mat = linalg.transpose(kernel_basis)
     for k in kernel_basis:
-        img = L3.bracket(x, Vector(tuple(list(k) + [Fraction(0)] * 3)))
-        coeffs = linalg.solve(basis_mat, list(img.components[:3]))
+        coeffs = linalg.solve(basis_mat, L3.bracket(x, k))
         if coeffs is None:
             raise HalfFlatError("unimodular kernel is not ad_X invariant")
         cols.append(coeffs)

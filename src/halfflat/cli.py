@@ -245,6 +245,8 @@ def _resplit(L: LieAlgebra) -> LieAlgebra:
 def _cmd_search(args) -> int:
     from . import search  # scipy is loaded only for this command
 
+    if args.restarts < 1:
+        raise HalfFlatError(f"--restarts must be at least 1, got {args.restarts}")
     L, _, _ = _load(args.file)
     if L.dim != 6:
         raise ParseError("search needs a six-dimensional algebra", 0, 0)
@@ -348,8 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_mu(argv: list[str]) -> list[str]:
+    """``--mu v`` and ``--mu2 v`` as ``--mu=v``: argparse takes a value like -7/8 for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--mu", "--mu2"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_mu(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -3,7 +3,8 @@
 Three tables of reference structures are bundled, organized the way the
 construction splits the 35 admitting classes:
 
-* table 3: unimodular direct sums (omega = e1f1 + e2f2 + e3f3 throughout),
+* table 3: unimodular direct sums (omega = e1f1 + e2f2 + e3f3 throughout,
+  the type I frame of ``verify``; rows T3.1 and T3.2 are type I pairs),
 * table 4: solvable non-unimodular direct sums,
 * table 5: direct sums that are neither solvable nor unimodular,
 
@@ -27,18 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import stable
+from . import linalg, stable
 from .errors import CatalogError
 from .exterior import KForm, form
 from .instance import Instance, metric_matrix
-from .liealg import MU_SAMPLES
+from .liealg import MU_SAMPLES, catalog
 from .scalars import Scalar, scalar_abs, scalar_sign
 from .table5 import (
     example_sl3r, example_su12, row_t5_simple_r2R, row_t5_sl2_r3, row_t5_sl2_r3mu_neg,
     row_t5_sl2_r3mu_pos, row_t5_sl2_r3pmu, row_t5_su2_r3, row_t5_su2_r3mu_neg,
     row_t5_su2_r3mu_pos, row_t5_su2_r3pmu,
 )
-from .verify import HalfFlatReport, _verify_pair
+from .verify import OMEGA_TYPE_I, HalfFlatReport, ortho_type_I, verify
 
 F = Fraction
 
@@ -69,50 +70,32 @@ class InstanceReport:
         )
 
 
-def _identity_metric():
-    return metric_matrix([(n, n, F(1)) for n in ("e1", "e2", "e3", "f1", "f2", "f3")])
-
-
 # -- row builders ---------------------------------------------------------------
 # Each builder returns the Instance for given factor tags (and mu where the
 # family is parameterized).  Forms are transcribed in written order; the
 # monomial parser resolves the signs.
 
-OMEGA_UNIMODULAR = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
-
-
 def row_t3_diagonal(h: str) -> Instance:
-    rho = form(
-        3,
-        [
-            ("e123", 1),
-            ("e1f23", -1),
-            ("e2f31", -1),
-            ("e3f12", -1),
-            ("e12f3", 1),
-            ("e31f2", 1),
-            ("e23f1", 1),
-            ("f123", -1),
-        ],
-    )
+    L = catalog(h)
+    omega, rho = ortho_type_I(L, L, 1, 1)
     return Instance(
         label=f"T3.1[{h}+{h}]",
         factors=((h, None), (h, None)),
-        omega=OMEGA_UNIMODULAR,
+        omega=omega,
         rho=rho,
         t4=F(1, 4),
-        g0=_identity_metric(),
+        g0=linalg.identity(6),
     )
 
 
 def row_t3_abelian(h: str) -> Instance:
-    rho = form(3, [("e12f3", 1), ("e31f2", 1), ("e23f1", 1), ("f123", -1)])
+    omega, rho = ortho_type_I(catalog(h), catalog("R3"), 0, 1)
     return Instance(
         label=f"T3.2[{h}+R3]",
         factors=((h, None), ("R3", None)),
-        omega=OMEGA_UNIMODULAR,
+        omega=omega,
         rho=rho,
-        g0=_identity_metric(),
+        g0=linalg.identity(6),
     )
 
 
@@ -146,7 +129,7 @@ def row_t3_su2_sl2() -> Instance:
     return Instance(
         label="T3.3[su2+sl2]",
         factors=(("su2", None), ("sl2", None)),
-        omega=OMEGA_UNIMODULAR,
+        omega=OMEGA_TYPE_I,
         rho=rho,
         t4=F(2),
         s2=F(2),
@@ -221,7 +204,7 @@ def row_t3_simple_euclid(pair: tuple[str, str]) -> Instance:
     return Instance(
         label=f"T3[{pair[0]}+{pair[1]}]",
         factors=((pair[0], None), (pair[1], None)),
-        omega=OMEGA_UNIMODULAR,
+        omega=OMEGA_TYPE_I,
         rho=rho,
         g0=g0,
     )
@@ -255,7 +238,7 @@ def row_t3_heisenberg(h: str, sign: int) -> Instance:
     return Instance(
         label=f"T3[{h}+h3]",
         factors=((h, None), ("h3", None)),
-        omega=OMEGA_UNIMODULAR,
+        omega=OMEGA_TYPE_I,
         rho=rho,
         g0=g0,
     )
@@ -269,7 +252,7 @@ def row_t4_e2() -> Instance:
         factors=(("e2", None), ("r2R", None)),
         omega=omega,
         rho=rho,
-        g0=_identity_metric(),
+        g0=linalg.identity(6),
     )
 
 
@@ -324,8 +307,11 @@ def iter_instances(
 
     ``table`` filters on 3, 4 or 5 (0 selects the two worked examples);
     ``mu`` builds every mu-row family that admits it at mu alone, in place of
-    the samples, and raises CatalogError when no family admits it.
+    the samples, and raises CatalogError when no family admits it or
+    ``table`` selects no mu rows (only table 5 has them).
     """
+    if mu is not None and table not in (None, 5):
+        raise CatalogError(f"table {table} has no mu rows; mu goes with table 5")
     if mu is not None and not any(admits(mu) for admits, _ in _MU_FAMILIES):
         raise CatalogError(f"no mu-row family admits mu = {mu}")
     mus = MU_SAMPLES if mu is None else (mu,)
@@ -367,7 +353,8 @@ def verify_instance(inst: Instance) -> InstanceReport:
     sqrt(|lambda| s^2) G0 via entrywise signs and squares.  A failure is
     reported with the offending residual rather than silently adjusted.
     """
-    rep, pair = _verify_pair(inst.algebra, inst.omega, inst.rho)
+    rep = verify(inst.algebra, inst.omega, inst.rho)
+    pair = rep.pair
     norm_ok = pair.norm_c4 == inst.t4 if pair.norm_c4 is not None else False
     residuals = []
     if not norm_ok:

@@ -8,7 +8,8 @@ sign is obtained by exact transposition counting, so results are
 bit-for-bit reproducible.
 
 The reference volume form is nu = e^123456; all Lambda^6-valued quantities
-are reported as rational (or quadratic-extension) multiples of nu.
+are reported as rational (or quadratic-extension) multiples of nu.  A vector
+is a plain coordinate sequence over the basis e_1..e_6 dual to e^1..e^6.
 """
 
 from __future__ import annotations
@@ -151,30 +152,6 @@ class KForm:
 
 
 @dataclass(frozen=True)
-class Vector:
-    """Vector in the fixed six-dimensional space, components over the basis e_1..e_6."""
-
-    components: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        if len(self.components) != DIM:
-            raise ValueError("a vector has exactly six components")
-
-    @staticmethod
-    def basis(i: int) -> "Vector":
-        return Vector(tuple(Fraction(1 if j == i else 0) for j in range(1, DIM + 1)))
-
-    def __add__(self, other: "Vector") -> "Vector":
-        return Vector(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def scale(self, c: Scalar) -> "Vector":
-        return Vector(tuple(c * a for a in self.components))
-
-    def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.components)
-
-
-@dataclass(frozen=True)
 class VolumeRatio:
     """Element of Lambda^6 V* as an exact multiple of nu = e^123456."""
 
@@ -269,8 +246,8 @@ def wedge_all(forms: Sequence[KForm]) -> KForm:
     return out
 
 
-def contract(v: Vector, a: KForm) -> KForm:
-    """Interior product v -| a, an antiderivation of degree -1."""
+def contract(v: Sequence[Scalar], a: KForm) -> KForm:
+    """Interior product v -| a, an antiderivation of degree -1; v has six components."""
     if a.degree < 1:
         raise DegreeError("cannot contract a 0-form")
     terms: dict[int, Scalar] = {}
@@ -278,7 +255,7 @@ def contract(v: Vector, a: KForm) -> KForm:
         sign = 1
         for i in range(DIM):
             if mask >> i & 1:
-                vc = v.components[i]
+                vc = v[i]
                 if not scalar_is_zero(vc):
                     m = mask & ~(1 << i)
                     terms[m] = terms.get(m, 0) + sign * vc * coeff
@@ -286,11 +263,11 @@ def contract(v: Vector, a: KForm) -> KForm:
     return KForm(a.degree - 1, terms)
 
 
-def kappa(xi: KForm) -> tuple[Vector, VolumeRatio]:
+def kappa(xi: KForm) -> tuple[tuple[Scalar, ...], VolumeRatio]:
     """Inverse of X |-> X -| nu on five-forms.
 
-    Returns the unique vector X with X -| nu = xi, together with the
-    reference volume (ratio 1).
+    Returns the six components of the unique vector X with X -| nu = xi,
+    together with the reference volume (ratio 1).
     """
     if xi.degree != DIM - 1:
         raise DegreeError("kappa is defined on five-forms")
@@ -299,7 +276,7 @@ def kappa(xi: KForm) -> tuple[Vector, VolumeRatio]:
         m = NU_MASK & ~(1 << (u - 1))
         c = xi.coeff(m)
         comps.append(-c if (u - 1) & 1 else c)
-    return Vector(tuple(comps)), VolumeRatio(Fraction(1))
+    return tuple(comps), VolumeRatio(Fraction(1))
 
 
 def volume_ratio(top: KForm) -> Scalar:
@@ -309,7 +286,7 @@ def volume_ratio(top: KForm) -> Scalar:
     return top.coeff(NU_MASK)
 
 
-def evaluate(a: KForm, vectors: Sequence[Vector]) -> Scalar:
+def evaluate(a: KForm, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
     """Evaluate a k-form on k vectors (one determinant per term)."""
     k = a.degree
     if len(vectors) != k:
@@ -317,6 +294,6 @@ def evaluate(a: KForm, vectors: Sequence[Vector]) -> Scalar:
     total: Scalar = Fraction(0)
     for mask, coeff in a.terms.items():
         rows = _mask_indices(mask)
-        sub = [[vectors[c].components[r - 1] for c in range(k)] for r in rows]
+        sub = [[vectors[c][r - 1] for c in range(k)] for r in rows]
         total = total + coeff * linalg.det(sub)
     return total

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import CatalogError, DegreeError, JacobiError
-from .exterior import _SIGN, DIM, KForm, Vector, basis_masks, form
+from .exterior import _SIGN, DIM, KForm, basis_masks, form
 from .scalars import Scalar, scalar_is_zero
 
 
@@ -70,13 +70,13 @@ class LieAlgebra:
         mask = (1 << (i - 1)) | (1 << (j - 1))
         return self.diffs[k - 1].coeff(mask)
 
-    def bracket(self, u: Vector, v: Vector) -> Vector:
-        """[u, v], using d a (X, Y) = -a([X, Y]).
+    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
+        """[x, y] as its ``dim`` components, using d a (X, Y) = -a([X, Y]).
 
-        Component k is -sum over i < j of c_ij^k (u_i v_j - u_j v_i), the
-        2x2 minors of (u, v) weighted by the constants of d e^k.
+        x and y are coordinate sequences over e_1..e_dim.  Component k is
+        -sum over i < j of c_ij^k (x_i y_j - x_j y_i), the 2x2 minors of
+        (x, y) weighted by the constants of d e^k.
         """
-        x, y = u.components, v.components
         comps = []
         for dk in self.diffs:
             t: Scalar = Fraction(0)
@@ -84,8 +84,7 @@ class LieAlgebra:
                 i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
                 t -= c * (x[i] * y[j] - x[j] * y[i])
             comps.append(t)
-        comps += [Fraction(0)] * (DIM - self.dim)
-        return Vector(tuple(comps))
+        return tuple(comps)
 
     def trace_ad(self) -> list[Scalar]:
         """tr(ad_{e_m}) for each basis vector; zero vector iff unimodular."""
@@ -199,13 +198,10 @@ def change_basis(L: LieAlgebra, b_cols: Sequence[Sequence[Scalar]]) -> LieAlgebr
     binv = linalg.invert([list(r) for r in b_cols])
     if binv is None:
         raise ValueError("basis change matrix is singular")
-    new_basis = [
-        Vector(tuple(list(col) + [Fraction(0)] * (DIM - n)))
-        for col in linalg.transpose(b_cols)
-    ]
+    new_basis = linalg.transpose(b_cols)
     # [b_i, b_j] in new coordinates, once per pair i < j
     brackets = {
-        (1 << i) | (1 << j): linalg.mat_vec(binv, list(L.bracket(new_basis[i], new_basis[j]).components[:n]))
+        (1 << i) | (1 << j): linalg.mat_vec(binv, L.bracket(new_basis[i], new_basis[j]))
         for i in range(n)
         for j in range(i + 1, n)
     }

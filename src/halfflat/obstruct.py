@@ -66,7 +66,7 @@ from itertools import combinations, product
 from . import linalg, stable
 from .classify3d import classify
 from .errors import HalfFlatError
-from .exterior import DIM, KForm, Vector, basis_masks, covector, wedge, wedge_all
+from .exterior import DIM, KForm, basis_masks, covector, wedge, wedge_all
 from .liealg import LieAlgebra
 from .scalars import scalar_is_zero
 
@@ -192,10 +192,10 @@ def _rank_of_images(L: LieAlgebra, forms_in: list[KForm], out_degree: int) -> in
 # -- refined arguments ----------------------------------------------------------
 
 
-def _derived_algebra(L: LieAlgebra) -> list[Vector]:
+def _derived_algebra(L: LieAlgebra) -> linalg.Matrix:
     """Basis of [g, g] = ann(Z^1), for an algebra with nonzero Z^1."""
     rows = [[beta.coeff(1 << i) for i in range(DIM)] for beta in L.closed_forms(1)]
-    return [Vector(tuple(v)) for v in linalg.nullspace(rows)]
+    return linalg.nullspace(rows)
 
 
 def refined_h3_r2R(L: LieAlgebra, a: KForm) -> bool:
@@ -230,16 +230,16 @@ def refined_r2R_R3(L: LieAlgebra) -> bool:
 def _k_entries_vanish(L: LieAlgebra, entries) -> bool:
     """alpha(K_rho x) = 0 for every closed three-form rho and every (alpha, x) in ``entries``.
 
-    ``entries`` holds (one-form, Vector) pairs.  On rho = sum_a n_a z_a over
-    a basis z of Z^3, alpha(K_rho x) = sum_{u,v} alpha_u x_v K[u][v] is a
-    quadratic form in n (``stable.k_on_basis``); it vanishes on Z^3 exactly
-    when each of its coefficients does.
+    ``entries`` holds (one-form, six-coordinate vector) pairs.  On rho =
+    sum_a n_a z_a over a basis z of Z^3, alpha(K_rho x) = sum_{u,v} alpha_u
+    x_v K[u][v] is a quadratic form in n (``stable.k_on_basis``); it vanishes
+    on Z^3 exactly when each of its coefficients does.
     """
     forms = stable.k_on_basis(L.closed_forms(3))
     for alpha, x in entries:
         total = {}
         for (u, v), q in forms.items():
-            w = alpha.coeff(1 << u) * x.components[v]
+            w = alpha.coeff(1 << u) * x[v]
             if w:
                 for ab, c in q.items():
                     total[ab] = total.get(ab, 0) + w * c

@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 from . import stable
 from .exterior import DIM, KForm, basis_masks
 from .liealg import LieAlgebra
-from .verify import HalfFlatReport, verify
+from .verify import verify
 
 #: eigenvalue margin, relative to |S|_F, that the penalty pushes the metric past
 MARGIN_OPT = 1e-2
@@ -58,7 +58,6 @@ class SearchResult:
     seed: int = 0
     restarts_used: int = 0
     rationalized: tuple[KForm, KForm] | None = None
-    exact_report: HalfFlatReport | None = None
 
     def to_text(self) -> str:
         lines = [
@@ -191,8 +190,8 @@ class FloatKernels:
             "lambda_float": self.lam_of(r),
         }
 
-    def metric_raw(self, w: np.ndarray, r: np.ndarray, k: np.ndarray | None = None):
-        k = self.k_of(r) if k is None else k
+    def metric_raw(self, w: np.ndarray, r: np.ndarray):
+        k = self.k_of(r)
         lam = float(np.trace(k @ k)) / 6.0
         eps = stable.EPSILON_PARA if lam > 0 else stable.EPSILON
         return eps * (self.omega_matrix(w) @ k), lam
@@ -438,7 +437,6 @@ def rationalize(
         rep = verify(L, omega, rho)
         if rep.half_flat and rep.structure.kind in kinds:
             result.rationalized = (omega, rho)
-            result.exact_report = rep
             return omega, rho
     return None
 

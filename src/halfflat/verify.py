@@ -5,11 +5,14 @@ half-flat when d rho = 0, d omega^2 = 0 and omega ^ rho = 0.  ``verify``
 evaluates the full exact pipeline and reports stability, compatibility,
 normalization, signature and the stabilizer kind.
 
-The constructors cover the orthogonal ansatz on direct sums (type I with
-omega = e1f1 + e2f2 + e3f3, and the three type II solution cases with
-omega = a e12 + b e1f1 + b e2f2 + e3f3 - a f12, b = sqrt(1-a^2)) and the
+The constructors cover the orthogonal ansatz on direct sums and the
 para-complex construction with rho = e123 + f123 whose eigenspaces are the
-two summands.
+two summands.  The ansatz has one frame, written once in ``_frame``:
+omega = a e12 + b e1f1 + b e2f2 + e3f3 - a f12 with b = sqrt(1-a^2) and two
+three-forms psi0, phi0.  The three type II solution cases read it at their
+a; type I is its a = 0 frame, omega = e1f1 + e2f2 + e3f3, which is Hitchin's
+model pair of ``stable``.  The corpus rows T3.1 and T3.2 are built by
+``ortho_type_I``.
 """
 
 from __future__ import annotations
@@ -27,12 +30,16 @@ from .stable import STABILIZER_KINDS, StructureType
 
 @dataclass
 class HalfFlatReport:
-    """Machine-readable verdict for one candidate structure."""
+    """Machine-readable verdict for one candidate structure.
+
+    ``pair`` is the ``StablePair`` the verdict was read from.
+    """
 
     d_rho_zero: bool
     d_omega2_zero: bool
     compatible: bool
     structure: StructureType
+    pair: stable.StablePair
     norm_c4: Scalar | None = None
     norm_sign: int = 0
     lam: Scalar | None = None
@@ -89,7 +96,19 @@ def verify(
     their span is isotropic for the induced metric and J-invariant; both
     checks stay rational by scaling with phi(rho).
     """
-    report, pair = _verify_pair(L, omega, rho)
+    if L.dim != 6:
+        raise ValueError("verification runs on six-dimensional algebras")
+    pair = stable.StablePair(omega, rho)
+    report = HalfFlatReport(
+        d_rho_zero=L.d(rho).is_zero(),
+        d_omega2_zero=L.d(wedge(omega, omega)).is_zero(),
+        compatible=pair.compatible,
+        structure=pair.structure,
+        pair=pair,
+        norm_c4=pair.norm_c4,
+        norm_sign=pair.norm_sign,
+        lam=pair.lam,
+    )
     if plane is not None and pair.structure.is_stabilizer:
         isotropic, invariant = _plane_checks(pair, plane)
         report.witness_plane_invariant = invariant
@@ -100,25 +119,6 @@ def verify(
                 f"plane isotropic: {_yn(isotropic)}, J-invariant: {_yn(invariant)}"
             )
     return report
-
-
-def _verify_pair(L: LieAlgebra, omega: KForm, rho: KForm) -> tuple[HalfFlatReport, stable.StablePair]:
-    """``verify`` plus the StablePair its verdict was read from."""
-    if L.dim != 6:
-        raise ValueError("verification runs on six-dimensional algebras")
-    d_rho = L.d(rho)
-    d_omega2 = L.d(wedge(omega, omega))
-    pair = stable.StablePair(omega, rho)
-    report = HalfFlatReport(
-        d_rho_zero=d_rho.is_zero(),
-        d_omega2_zero=d_omega2.is_zero(),
-        compatible=pair.compatible,
-        structure=pair.structure,
-        norm_c4=pair.norm_c4,
-        norm_sign=pair.norm_sign,
-        lam=pair.lam,
-    )
-    return report, pair
 
 
 def _plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[bool, bool]:
@@ -146,17 +146,29 @@ def _plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[
 
 # -- orthogonal ansatz families -----------------------------------------------
 
-#: type I complex volume form on the product, real and imaginary parts
-_PSI0_TYPE_I = form(
-    3,
-    [("e123", 1), ("e1f23", -1), ("e2f31", -1), ("e3f12", -1)],
-)
-_PHI0_TYPE_I = form(
-    3,
-    [("f123", 1), ("e12f3", -1), ("e31f2", -1), ("e23f1", -1)],
-)
 
-OMEGA_TYPE_I = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
+def _frame(a: Fraction, b: Fraction) -> tuple[KForm, KForm, KForm]:
+    """(omega, psi0, phi0) of the orthogonal ansatz; a = 0, b = 1 is the type I frame.
+
+    omega = a e12 + b e1f1 + b e2f2 + e3f3 - a f12, and psi0, phi0 are the
+    two three-forms the ansatz combines.  At a = 0 the frame is Hitchin's
+    model pair with omega = -stable.MODEL_OMEGA and phi0 = -stable.MODEL_RHO.
+    """
+    omega = form(2, [("e12", a), ("e1f1", b), ("e2f2", b), ("e3f3", 1), ("f12", -a)])
+    psi0 = form(
+        3,
+        [("f123", b), ("e12f3", -b), ("e13f2", 1), ("e23f1", -1), ("e1f13", a), ("e2f23", a)],
+    )
+    phi0 = form(
+        3,
+        [("e123", -b), ("e3f12", b), ("e2f13", -1), ("e1f23", 1), ("e13f1", -a), ("e23f2", -a)],
+    )
+    return omega, psi0, phi0
+
+
+#: the type I frame (a = 0), built once; its omega is e1f1 + e2f2 + e3f3
+_TYPE_I_FRAME = _frame(Fraction(0), Fraction(1))
+OMEGA_TYPE_I = _TYPE_I_FRAME[0]
 
 
 def ortho_type_I(
@@ -164,17 +176,19 @@ def ortho_type_I(
 ) -> tuple[KForm, KForm]:
     """Type I orthogonal ansatz: omega = sum e^i f^i, psi = xi1 psi0 - xi2 phi0.
 
-    Requires both summands unimodular (otherwise d omega^2 != 0 from the
-    start) and (xi1, xi2) != (0, 0).  The returned pair is half-flat exactly
-    when the structure constants satisfy xi1 c(g1) = xi2 c(g2) slotwise.
+    Type I's psi0 = stable.MODEL_RHO and phi0 are -phi0 and psi0 of the
+    frame at a = 0.  Requires both summands unimodular (otherwise
+    d omega^2 != 0 from the start) and (xi1, xi2) != (0, 0).  The returned
+    pair is half-flat exactly when the structure constants satisfy
+    xi1 c(g1) = xi2 c(g2) slotwise.
     """
     if not (L1.is_unimodular() and L2.is_unimodular()):
         raise DomainError("type I requires unimodular summands")
     xi1, xi2 = Fraction(xi1), Fraction(xi2)
     if xi1 == 0 and xi2 == 0:
         raise DomainError("(xi1, xi2) must be nonzero")
-    psi = _PSI0_TYPE_I.scale(xi1) + _PHI0_TYPE_I.scale(-xi2)
-    return OMEGA_TYPE_I, psi
+    omega, psi0, phi0 = _TYPE_I_FRAME
+    return omega, phi0.scale(-xi1) + psi0.scale(-xi2)
 
 
 def type_I_closure_criterion(L1: LieAlgebra, L2: LieAlgebra, xi1, xi2) -> bool:
@@ -215,41 +229,6 @@ def ortho_type_II(case: str, **params) -> tuple[LieAlgebra, KForm, KForm]:
     raise DomainError(f"unknown case {case!r}")
 
 
-def _omega_type_II(a: Fraction, b: Fraction) -> KForm:
-    return form(
-        2,
-        [("e12", a), ("e1f1", b), ("e2f2", b), ("e3f3", 1), ("f12", -a)],
-    )
-
-
-def _psi0_type_II(a: Fraction, b: Fraction) -> KForm:
-    return form(
-        3,
-        [
-            ("f123", b),
-            ("e12f3", -b),
-            ("e13f2", 1),
-            ("e23f1", -1),
-            ("e1f13", a),
-            ("e2f23", a),
-        ],
-    )
-
-
-def _phi0_type_II(a: Fraction, b: Fraction) -> KForm:
-    return form(
-        3,
-        [
-            ("e123", -b),
-            ("e3f12", b),
-            ("e2f13", -1),
-            ("e1f23", 1),
-            ("e13f1", -a),
-            ("e23f2", -a),
-        ],
-    )
-
-
 def _ortho_iia(a, xi2, p, q) -> tuple[LieAlgebra, KForm, KForm]:
     a, xi2, p, q = map(Fraction, (a, xi2, p, q))
     b = _ortho_b(a)
@@ -275,9 +254,8 @@ def _ortho_iia(a, xi2, p, q) -> tuple[LieAlgebra, KForm, KForm]:
         ],
         name="iia-g2",
     )
-    L = direct_sum(g1, g2)
-    psi = _psi0_type_II(a, b) + _phi0_type_II(a, b).scale(-xi2)
-    return L, _omega_type_II(a, b), psi
+    omega, psi0, phi0 = _frame(a, b)
+    return direct_sum(g1, g2), omega, psi0 + phi0.scale(-xi2)
 
 
 def _ortho_iib(a, p, q, r) -> tuple[LieAlgebra, KForm, KForm]:
@@ -303,9 +281,8 @@ def _ortho_iib(a, p, q, r) -> tuple[LieAlgebra, KForm, KForm]:
         ],
         name="iib-g2",
     )
-    L = direct_sum(g1, g2)
-    psi = _psi0_type_II(a, b)
-    return L, _omega_type_II(a, b), psi
+    omega, psi0, _ = _frame(a, b)
+    return direct_sum(g1, g2), omega, psi0
 
 
 def _ortho_iic(xi2, p, q, r, s) -> tuple[LieAlgebra, KForm, KForm]:
@@ -338,10 +315,8 @@ def _ortho_iic(xi2, p, q, r, s) -> tuple[LieAlgebra, KForm, KForm]:
         )
     except JacobiError as exc:
         raise DomainError("case IIc parameters violate the Jacobi identity") from exc
-    L = direct_sum(g1, g2)
-    a, b = Fraction(1), Fraction(0)
-    psi = _psi0_type_II(a, b) + _phi0_type_II(a, b).scale(-xi2)
-    return L, _omega_type_II(a, b), psi
+    omega, psi0, phi0 = _frame(Fraction(1), Fraction(0))
+    return direct_sum(g1, g2), omega, psi0 + phi0.scale(-xi2)
 
 
 # -- para-complex construction -------------------------------------------------
@@ -362,6 +337,5 @@ def para_eigenspace_pair(
             raise DomainError("omega must live in g1* x g2*")
     if scalar_is_zero(stable.phi_omega(omega)):
         raise NotStableError("omega is degenerate")
-    rho = form(3, [("e123", 1), ("f123", 1)])
-    L = direct_sum(L1, L2)
-    return omega, rho, verify(L, omega, rho)
+    rho = stable.MODEL_RHO_PARA
+    return omega, rho, verify(direct_sum(L1, L2), omega, rho)

@@ -139,13 +139,12 @@ def dense_d(brackets, k, dense):
 
 def brackets_of(L):
     """Bracket table [(i,j) -> components] from a library LieAlgebra."""
-    from halfflat.exterior import Vector
+    from .conftest import basis
 
     out = {}
     for i in range(1, L.dim + 1):
         for j in range(i + 1, L.dim + 1):
-            br = L.bracket(Vector.basis(i), Vector.basis(j))
-            out[(i, j)] = list(br.components)
+            out[(i, j)] = list(L.bracket(basis(i), basis(j)))
     return out
 
 

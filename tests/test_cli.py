@@ -345,6 +345,24 @@ def test_cli_appendix_mu_filter():
     )
     assert "r3mu(1/2)" in out
     assert "failures: 0" in out
+    # no row of tables 0, 3 or 4 depends on mu, so mu there checks nothing
+    for table in ("0", "3", "4"):
+        code, out, err = run_cli(["appendix", "--table", table, "--mu", "5"], expect=cli.EXIT_INPUT_ERROR)
+        assert out == "" and err.startswith("error: ") and "table 5" in err
+
+
+def test_cli_negative_mu_as_its_own_argument():
+    # argparse reads -7/8 as an option unless it is joined to --mu
+    _, joined, _ = run_cli(["appendix", "--mu=-7/8"], expect=cli.EXIT_POSITIVE)
+    code, out, _ = run_cli(["appendix", "--mu", "-7/8"], expect=cli.EXIT_POSITIVE)
+    assert out == joined
+    lines = out.splitlines()
+    assert "T5.5[sl2+r3mu(-7/8)]: ok" in lines and "T5.6[su2+r3mu(-7/8)]: ok" in lines
+    assert lines[-1] == "instances: 30  failures: 0"
+    _, out, _ = run_cli(["catalog", "r3mu", "--mu", "-1/2"], expect=cli.EXIT_POSITIVE)
+    assert "param mu = -1/2" in out.splitlines()
+    _, out, _ = run_cli(["catalog", "su2", "--sum", "r3mu", "--mu2", "-1/2"], expect=cli.EXIT_POSITIVE)
+    assert "param mu2 = -1/2" in out.splitlines()
 
 
 def test_cli_appendix_mu_builds_every_admitting_family():
@@ -377,6 +395,15 @@ def test_cli_search_exit_codes(tmp_path):
         expect=cli.EXIT_NEGATIVE,
     )
     assert "found: false" in out2
+
+
+@pytest.mark.parametrize("restarts", ["-1", "0"])
+def test_cli_search_restarts_below_one_is_input_error(tmp_path, restarts):
+    _, out, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
+    p = tmp_path / "s.alg"
+    p.write_text(out)
+    code, out, err = run_cli(["search", str(p), "--restarts", restarts], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err.startswith("error: ") and "--restarts" in err
 
 
 def test_cli_missing_file():

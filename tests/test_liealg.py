@@ -8,11 +8,11 @@ import pytest
 
 from halfflat import liealg, linalg
 from halfflat.errors import CatalogError, JacobiError
-from halfflat.exterior import DIM, KForm, Vector, basis_masks, covector, evaluate, form, wedge
+from halfflat.exterior import DIM, KForm, basis_masks, covector, evaluate, form, wedge
 from halfflat.liealg import LieAlgebra, catalog, catalog_classes, direct_sum
 from halfflat.scalars import QuadExt
 
-from .conftest import random_fraction, random_form
+from .conftest import basis, random_fraction, random_form
 from . import oracles
 
 
@@ -218,22 +218,20 @@ def test_change_basis_brackets_each_pair_once(rng, monkeypatch):
         monkeypatch.undo()
         assert len(calls) == L.dim * (L.dim - 1) // 2
         binv = linalg.invert(b)
-        pad = [Fraction(0)] * (DIM - L.dim)
-        cols = [Vector(tuple(col + pad)) for col in linalg.transpose(b)]
+        cols = linalg.transpose(b)
         for i, j in itertools.combinations(range(L.dim), 2):
-            old = list(L.bracket(cols[i], cols[j]).components[:L.dim])
-            new = M.bracket(Vector.basis(i + 1), Vector.basis(j + 1)).components
-            assert list(new) == linalg.mat_vec(binv, old) + pad
+            new = M.bracket(basis(i + 1), basis(j + 1))
+            assert len(new) == L.dim
+            assert list(new) == linalg.mat_vec(binv, L.bracket(cols[i], cols[j]))
 
 
 def test_bracket_matches_evaluate(rng):
     # [u, v]_k = -(d e^k)(u, v), on random vectors
     for L in all_class_instances() + _oracle_algebras(rng):
         for _ in range(5):
-            u, v = (Vector(tuple(random_fraction(rng, 4) if i < L.dim else Fraction(0) for i in range(DIM)))
-                    for _ in range(2))
-            want = [-evaluate(dk, [u, v]) for dk in L.diffs] + [Fraction(0)] * (DIM - L.dim)
-            assert list(L.bracket(u, v).components) == want, L.name
+            u, v = ([random_fraction(rng, 4) for _ in range(L.dim)] for _ in range(2))
+            want = tuple(-evaluate(dk, [u, v]) for dk in L.diffs)
+            assert L.bracket(u, v) == want and len(want) == L.dim, L.name
 
 
 def _random_unimodular_triangular(rng: random.Random, n: int):

@@ -11,11 +11,11 @@ import pytest
 from halfflat import linalg, obstruct, stable
 from halfflat.classify3d import classify
 from halfflat.errors import HalfFlatError
-from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, wedge_all, volume_ratio, contract, Vector, kappa
+from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, wedge_all, volume_ratio, contract, kappa
 from halfflat.liealg import catalog, catalog_classes, change_basis, direct_sum
 from halfflat.stable import lambda_of
 
-from .conftest import random_form
+from .conftest import basis, random_form
 from .oracles import dense_k_matrix, dense_lambda
 
 V_STD = None
@@ -106,7 +106,7 @@ def test_refined_h3_r2R():
     assert obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")), obstruct._in_block(a, 1))
     assert obstruct.refined_h3_r2R(direct_sum(catalog("r2R"), catalog("h3")), a)
     control = direct_sum(catalog("su2"), catalog("su2"))
-    assert not obstruct._k_entries_vanish(control, ((covector(4), Vector.basis(3)), (covector(4), Vector.basis(5))))
+    assert not obstruct._k_entries_vanish(control, ((covector(4), basis(3)), (covector(4), basis(5))))
     # e2 + r2R admits SU(3) (row T4.1), so its A(r2R) form cannot be isotropic for every pair
     assert not obstruct.refined_h3_r2R(direct_sum(catalog("e2"), catalog("r2R")), obstruct._in_block(a, 1))
 
@@ -121,7 +121,7 @@ def test_refined_h3_r2R_polarization_consistency(rng):
         rho = KForm(3)
         for c, b in zip(coeffs, z3):
             rho = rho + b.scale(c)
-        for v in (Vector.basis(3), Vector.basis(5)):
+        for v in (basis(3), basis(5)):
             quad = wedge(wedge(f1, contract(v, rho)), rho)
             assert quad.is_zero()
 
@@ -131,7 +131,7 @@ def test_refined_r2R_R3():
     assert obstruct.refined_r2R_R3(L)
     assert len(L.closed_forms(1)) == 5
     flat = direct_sum(catalog("R3"), catalog("R3"))
-    assert not obstruct._k_entries_vanish(flat, [(covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1])
+    assert not obstruct._k_entries_vanish(flat, [(covector(u + 1), basis(2)) for u in range(6) if u != 1])
     # the hypothesis dim [g, g] = 1 fails on su2 + su2 and R3 + R3; h3 + R3 meets it and
     # admits SU(3) (row T3.2), so K_rho cannot keep its line [g, g]
     for g1, g2 in (("su2", "su2"), ("R3", "R3"), ("h3", "R3")):
@@ -255,7 +255,7 @@ def test_lambda_scan_matches_reference_scan(g1, g2, mu):
 def _reference_pure_w_vanishes(forms_in, coframe):
     """All C(6, k) coefficients in the adapted wedge basis, then the pure-W ones."""
     c_mat = [[c.coeff(1 << i) for i in range(6)] for c in coframe]
-    duals = [Vector(tuple(col)) for col in linalg.transpose(linalg.invert(c_mat))]
+    duals = linalg.transpose(linalg.invert(c_mat))
     for f in forms_in:
         for subset in combinations(range(6), f.degree):
             if 0 not in subset and 1 not in subset:
@@ -329,7 +329,7 @@ def test_j_invariance_of_v_on_obstructed_algebras(rng):
         L = direct_sum(catalog(names[0]), catalog(names[1], mu))
         z3 = L.closed_forms(3)
         alpha1, alpha2 = _v_std()
-        ann = [Vector.basis(i) for i in (2, 3, 5, 6)]
+        ann = [basis(i) for i in (2, 3, 5, 6)]
         found_stable = 0
         for _ in range(100):
             rho = KForm(3)
@@ -384,11 +384,11 @@ def test_refined_r2R_R3_reads_column_of_k(rng):
     # column 2 of K is kappa((e_2 -| rho) ^ rho), the vector the check inspects
     for _ in range(30):
         rho = random_form(rng, 3, span=3, density=0.5)
-        x, _ = kappa(wedge(contract(Vector.basis(2), rho), rho))
-        assert [row[1] for row in k_matrix(rho)] == list(x.components)
+        x, _ = kappa(wedge(contract(basis(2), rho), rho))
+        assert [row[1] for row in k_matrix(rho)] == list(x)
     verdicts = {
         (g1, g2): obstruct._k_entries_vanish(
-            direct_sum(catalog(g1), catalog(g2)), [(covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1]
+            direct_sum(catalog(g1), catalog(g2)), [(covector(u + 1), basis(2)) for u in range(6) if u != 1]
         )
         for g1, g2 in (("r2R", "R3"), ("R3", "r2R"), ("su2", "su2"), ("r2R", "r3"), ("h3", "r2R"))
     }
@@ -413,8 +413,8 @@ def _polarized_reference(L, entries):
 
 
 def test_k_entries_vanish_matches_polarization_loop():
-    h3_entries = ((covector(4), Vector.basis(3)), (covector(4), Vector.basis(5)))
-    r2R_entries = tuple((covector(u + 1), Vector.basis(2)) for u in range(6) if u != 1)
+    h3_entries = ((covector(4), basis(3)), (covector(4), basis(5)))
+    r2R_entries = tuple((covector(u + 1), basis(2)) for u in range(6) if u != 1)
     verdicts = {}
     for g1, g2 in (("h3", "r2R"), ("r2R", "h3"), ("su2", "su2"), ("h3", "R3"), ("r2R", "R3"),
                    ("h3", "h3"), ("r2R", "r2R"), ("R3", "R3")):

@@ -11,7 +11,7 @@ from halfflat.stable import EPSILON, EPSILON_PARA, k_matrix, lambda_of, omega_ma
 from halfflat import linalg
 from halfflat.verify import verify
 
-from .conftest import random_form
+from .conftest import basis, random_form
 
 
 def test_gradient_matches_finite_differences():
@@ -36,11 +36,11 @@ def test_gradient_matches_finite_differences():
 
 def _reference_k_tensor(b3):
     """The float K tensor built by contract, wedge and kappa on basis forms."""
-    from halfflat.exterior import DIM, KForm, Vector, contract, kappa, wedge
+    from halfflat.exterior import DIM, KForm, contract, kappa, wedge
 
     out = np.zeros((DIM, DIM, len(b3), len(b3)))
     for v in range(DIM):
-        ev = Vector.basis(v + 1)
+        ev = basis(v + 1)
         for i, mi in enumerate(b3):
             ci = contract(ev, KForm(3, {mi: Fraction(1)}))
             for j, mj in enumerate(b3):
@@ -49,7 +49,7 @@ def _reference_k_tensor(b3):
                     continue
                 x, _ = kappa(prod)
                 for u in range(DIM):
-                    c = float(x.components[u])
+                    c = float(x[u])
                     if c:
                         out[u, v, i, j] += c
     return out
@@ -270,7 +270,7 @@ def test_float_kernels_agree_with_exact(rng):
             for j in range(6):
                 assert abs(k_float[i, j] - float(k_exact[i][j])) / kf_scale < 1e-10
         if lam_exact != 0:
-            g_float, _ = kern.metric_raw(w, r, k_float)
+            g_float, _ = kern.metric_raw(w, r)
             eps = EPSILON_PARA if lam_exact > 0 else EPSILON
             g_exact = linalg.mat_mul(omega_matrix(omega), k_exact)
             gs = max(1.0, float(np.max(np.abs(g_float))))

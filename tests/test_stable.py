@@ -6,7 +6,7 @@ import pytest
 
 from halfflat import corpus, linalg, stable
 from halfflat.errors import NotCompatibleError, NotStableError
-from halfflat.exterior import KForm, Vector, basis_masks, contract, form, volume_ratio, wedge
+from halfflat.exterior import KForm, basis_masks, contract, form, volume_ratio, wedge
 from halfflat.scalars import QuadExt, scalar_abs, sqrt_scalar
 from halfflat.stable import (
     MODEL_OMEGA,
@@ -22,7 +22,7 @@ from halfflat.stable import (
     structure_type,
 )
 
-from .conftest import random_fraction, random_form
+from .conftest import basis, random_fraction, random_form
 from .oracles import dense_k_matrix, dense_lambda
 
 RHO_SPLIT = form(3, [("e123", 1), ("f123", 1)])
@@ -234,13 +234,13 @@ def _wedge_j_value(rho, alpha, v):
 
 def _check_j_values_against_wedges(rng, rho):
     alpha = random_form(rng, 1, span=4, density=0.6)
-    v = Vector(tuple(random_fraction(rng, 3) for _ in range(6)))
-    ref = [_wedge_j_value(rho, alpha, Vector.basis(i)) for i in range(1, 7)]
+    v = tuple(random_fraction(rng, 3) for _ in range(6))
+    ref = [_wedge_j_value(rho, alpha, basis(i)) for i in range(1, 7)]
     row = j_matrix_values(rho, alpha)
     assert row == ref
     assert j_matrix_values(rho, alpha, k_matrix(rho)) == ref
     # linear in v: alpha(K_rho v) is the row applied to v
-    assert sum((x * c for x, c in zip(row, v.components)), Fraction(0)) == _wedge_j_value(rho, alpha, v)
+    assert sum((x * c for x, c in zip(row, v)), Fraction(0)) == _wedge_j_value(rho, alpha, v)
 
 
 def test_j_values_match_wedge_formula(rng):

@@ -8,17 +8,18 @@ import pytest
 from halfflat import corpus, linalg, stable
 from halfflat.classify3d import classify
 from halfflat.errors import DomainError
-from halfflat.exterior import KForm, Vector, contract, covector, form, volume_ratio, wedge
+from halfflat.exterior import KForm, contract, covector, form, volume_ratio, wedge
 from halfflat.liealg import catalog, catalog_classes, direct_sum
 from halfflat.verify import (
     _plane_checks,
-    _verify_pair,
     ortho_type_I,
     ortho_type_II,
     para_eigenspace_pair,
     type_I_closure_criterion,
     verify,
 )
+
+from .conftest import basis
 
 UNIMODULAR = ("su2", "sl2", "e2", "e11", "h3", "R3")
 
@@ -55,11 +56,30 @@ def test_verify_report_text_golden():
     )
 
 
+#: rho of the rows T3.1[h+h] and T3.2[h+R3] as printed in table 3
+T3_1_RHO = form(
+    3,
+    [("e123", 1), ("e1f23", -1), ("e2f31", -1), ("e3f12", -1)]
+    + [("e12f3", 1), ("e31f2", 1), ("e23f1", 1), ("f123", -1)],
+)
+T3_2_RHO = form(3, [("e12f3", 1), ("e31f2", 1), ("e23f1", 1), ("f123", -1)])
+
+
+def test_type_I_frame_is_the_model_pair():
+    su2 = catalog("su2")
+    omega, rho = ortho_type_I(su2, su2, 1, 0)
+    assert omega == -stable.MODEL_OMEGA and rho == stable.MODEL_RHO
+    assert para_eigenspace_pair(su2, su2, omega)[1] == stable.MODEL_RHO_PARA == form(3, [("e123", 1), ("f123", 1)])
+
+
 def test_ortho_type_I_equal_summands():
     L1 = L2 = catalog("su2")
     omega, rho = ortho_type_I(L1, L2, 1, 1)
     rep = verify(direct_sum(L1, L2), omega, rho)
     assert rep.half_flat and rep.structure.kind == "SU(3)"
+    assert omega == form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)]) and rho == T3_1_RHO
+    for h in UNIMODULAR:
+        assert (corpus.row_t3_diagonal(h).omega, corpus.row_t3_diagonal(h).rho) == (omega, T3_1_RHO)
 
 
 def test_ortho_type_I_abelian_branch():
@@ -67,8 +87,9 @@ def test_ortho_type_I_abelian_branch():
     L = direct_sum(catalog("h3"), catalog("R3"))
     rep = verify(L, omega, rho)
     assert rep.half_flat
-    # same shape as the corpus h+R3 row
-    assert rho == corpus.row_t3_abelian("h3").rho
+    assert rho == T3_2_RHO
+    for h in UNIMODULAR:
+        assert (corpus.row_t3_abelian(h).omega, corpus.row_t3_abelian(h).rho) == (omega, T3_2_RHO)
 
 
 def test_ortho_type_I_different_simple_summands_fail():
@@ -269,11 +290,11 @@ def _plane_checks_reference(pair, plane):
     isotropic = True
     for a in plane:
         for b in plane:
-            jb = KForm(1, {1 << v: j_value(b, Vector.basis(v + 1)) for v in range(6)})
+            jb = KForm(1, {1 << v: j_value(b, basis(v + 1)) for v in range(6)})
             if volume_ratio(wedge(wedge(a, jb), omega2)) != 0:
                 isotropic = False
     ann = linalg.nullspace([[a.coeff(1 << i) for i in range(6)] for a in plane])
-    invariant = all(j_value(a, Vector(tuple(vec))) == 0 for vec in ann for a in plane)
+    invariant = all(j_value(a, vec) == 0 for vec in ann for a in plane)
     return isotropic, invariant
 
 
@@ -282,8 +303,8 @@ def test_plane_checks_match_wedge_reference():
     planes += [(covector(1) + covector(4), covector(2) - covector(5)), (covector(1) + 2 * covector(3), covector(6))]
     seen = set()
     for inst in corpus.iter_instances() + corpus.iter_instances(table=0):
-        rep, pair = _verify_pair(inst.algebra, inst.omega, inst.rho)
-        assert rep.structure.is_stabilizer, inst.label
+        pair = verify(inst.algebra, inst.omega, inst.rho).pair
+        assert pair.structure.is_stabilizer, inst.label
         for plane in planes:
             got = _plane_checks(pair, plane)
             assert got == _plane_checks_reference(pair, plane), (inst.label, plane)
