@@ -35,15 +35,17 @@ class BianchiClass:
     """Classification result: catalog tag, Bianchi numeral and the invariant."""
 
     name: str
-    bianchi: str
     eigen_signs: tuple[int, int, int] | None = None
     det_d: Scalar | None = None
     mu: Fraction | None = None
-    ltilde_identity: bool | None = None
 
     @property
     def display(self) -> str:
         return CATALOG_INFO[self.name][0]
+
+    @property
+    def bianchi(self) -> str:
+        return CATALOG_INFO[self.name][1]
 
 
 def milnor_L(L3: LieAlgebra) -> linalg.Matrix:
@@ -76,7 +78,7 @@ def _classify_unimodular(L3: LieAlgebra) -> BianchiClass:
         pos, neg = neg, pos
     signs = tuple([1] * pos + [-1] * neg + [0] * zero)
     name = _UNIMODULAR_BY_SIGNS[(pos, neg)]
-    return BianchiClass(name=name, bianchi=CATALOG_INFO[name][1], eigen_signs=signs)
+    return BianchiClass(name=name, eigen_signs=signs)
 
 
 def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
@@ -90,22 +92,15 @@ def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
         raise HalfFlatError("unimodular kernel is not abelian")
     ltilde = _restrict_ad(L3, x, (kernel[0], kernel[1]))
     d = linalg.det(ltilde)
-    is_id = linalg.mat_eq(ltilde, linalg.identity(2))
     if scalar_is_zero(d):
         name = "r2R"
     elif d == 1:
-        name = "r31" if is_id else "r3"
+        name = "r31" if linalg.mat_eq(ltilde, linalg.identity(2)) else "r3"
     elif d < 1:
         name = "r3mu"
     else:
         name = "r3pmu"
-    return BianchiClass(
-        name=name,
-        bianchi=CATALOG_INFO[name][1],
-        det_d=d,
-        mu=_recover_mu(name, d),
-        ltilde_identity=is_id,
-    )
+    return BianchiClass(name=name, det_d=d, mu=_recover_mu(name, d))
 
 
 def _restrict_ad(L3: LieAlgebra, x: list[Scalar], kernel_basis) -> linalg.Matrix:

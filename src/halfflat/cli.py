@@ -243,10 +243,12 @@ def _resplit(L: LieAlgebra) -> LieAlgebra:
 
 
 def _cmd_search(args) -> int:
-    from . import search  # scipy is loaded only for this command
-
     if args.restarts < 1:
         raise HalfFlatError(f"--restarts must be at least 1, got {args.restarts}")
+    if not 0 <= args.tol < float("inf"):  # nan or inf would switch the residual gate off
+        raise HalfFlatError(f"--tol must be a finite nonnegative number, got {args.tol}")
+    from . import search  # scipy is loaded only for this command
+
     L, _, _ = _load(args.file)
     if L.dim != 6:
         raise ParseError("search needs a six-dimensional algebra", 0, 0)
@@ -264,6 +266,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.sum is None and args.mu2 is not None:
+        raise HalfFlatError("--mu2 needs --sum")
     if args.name is None:
         for tag, (display, bianchi, unimod) in CATALOG_INFO.items():
             print(f"{tag}: {display} (Bianchi {bianchi}, {'unimodular' if unimod else 'non-unimodular'})")

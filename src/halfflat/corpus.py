@@ -48,14 +48,23 @@ UNIMODULAR = ("su2", "sl2", "e2", "e11", "h3", "R3")
 
 @dataclass
 class InstanceReport:
-    """Exact verification outcome for one corpus instance."""
+    """Exact verification outcome for one corpus instance.
+
+    ``metric_sign`` is the orientation sign under which the printed metric
+    matches, or 0 when it matches under none.
+    """
 
     instance: Instance
     report: HalfFlatReport
-    normalization_ok: bool
-    metric_ok: bool
     metric_sign: int
-    residual: str = ""
+
+    @property
+    def normalization_ok(self) -> bool:
+        return self.report.norm_c4 == self.instance.t4
+
+    @property
+    def metric_ok(self) -> bool:
+        return self.metric_sign != 0
 
     @property
     def ok(self) -> bool:
@@ -68,6 +77,23 @@ class InstanceReport:
             and self.normalization_ok
             and self.metric_ok
         )
+
+    @property
+    def residual(self) -> str:
+        """What failed, with the offending values; empty when nothing did."""
+        rep = self.report
+        residuals = []
+        if not self.normalization_ok:
+            residuals.append(f"c4={rep.norm_c4} expected {self.instance.t4}")
+        if not self.metric_ok:
+            residuals.append("metric mismatch against printed g")
+        if not rep.half_flat:
+            residuals.append(
+                f"half-flat system failed: drho=0 {rep.d_rho_zero}, "
+                f"domega2=0 {rep.d_omega2_zero}, compatible {rep.compatible}, "
+                f"type {rep.structure.kind}"
+            )
+        return "; ".join(residuals)
 
 
 # -- row builders ---------------------------------------------------------------
@@ -354,31 +380,11 @@ def verify_instance(inst: Instance) -> InstanceReport:
     reported with the offending residual rather than silently adjusted.
     """
     rep = verify(inst.algebra, inst.omega, inst.rho)
-    pair = rep.pair
-    norm_ok = pair.norm_c4 == inst.t4 if pair.norm_c4 is not None else False
-    residuals = []
-    if not norm_ok:
-        residuals.append(f"c4={pair.norm_c4} expected {inst.t4}")
-    metric_ok, sign_used = _metric_match(pair, inst)
-    if not metric_ok:
-        residuals.append("metric mismatch against printed g")
-    if not rep.half_flat:
-        residuals.append(
-            f"half-flat system failed: drho=0 {rep.d_rho_zero}, "
-            f"domega2=0 {rep.d_omega2_zero}, compatible {rep.compatible}, "
-            f"type {rep.structure.kind}"
-        )
-    return InstanceReport(
-        instance=inst,
-        report=rep,
-        normalization_ok=norm_ok,
-        metric_ok=metric_ok,
-        metric_sign=sign_used,
-        residual="; ".join(residuals),
-    )
+    return InstanceReport(instance=inst, report=rep, metric_sign=_metric_sign(rep.pair, inst))
 
 
-def _metric_match(pair: stable.StablePair, inst: Instance) -> tuple[bool, int]:
+def _metric_sign(pair: stable.StablePair, inst: Instance) -> int:
+    """The sign under which sqrt(|lambda| s^2) G0 is the oriented G_raw, or 0."""
     lam_abs = scalar_abs(pair.lam)
     target = inst.g0
     raw = pair.oriented_metric_raw()
@@ -389,8 +395,8 @@ def _metric_match(pair: stable.StablePair, inst: Instance) -> tuple[bool, int]:
             for u in range(6)
             for v in range(6)
         ):
-            return True, sgn
-    return False, 0
+            return sgn
+    return 0
 
 
 def _entry_match(raw_entry: Scalar, g0_entry: Scalar, lam_abs: Scalar, s2: Scalar) -> bool:

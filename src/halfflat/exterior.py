@@ -15,7 +15,6 @@ is a plain coordinate sequence over the basis e_1..e_6 dual to e^1..e^6.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -151,13 +150,6 @@ class KForm:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class VolumeRatio:
-    """Element of Lambda^6 V* as an exact multiple of nu = e^123456."""
-
-    value: Scalar
-
-
 #: degree -> the masks with that many bits, in increasing order
 _MASKS_BY_DEGREE = {k: tuple(m for m in range(1 << DIM) if _popcount(m) == k) for k in range(DIM + 1)}
 
@@ -263,12 +255,8 @@ def contract(v: Sequence[Scalar], a: KForm) -> KForm:
     return KForm(a.degree - 1, terms)
 
 
-def kappa(xi: KForm) -> tuple[tuple[Scalar, ...], VolumeRatio]:
-    """Inverse of X |-> X -| nu on five-forms.
-
-    Returns the six components of the unique vector X with X -| nu = xi,
-    together with the reference volume (ratio 1).
-    """
+def kappa(xi: KForm) -> tuple[Scalar, ...]:
+    """Inverse of X |-> X -| nu on five-forms: the six components of X with X -| nu = xi."""
     if xi.degree != DIM - 1:
         raise DegreeError("kappa is defined on five-forms")
     comps = []
@@ -276,7 +264,7 @@ def kappa(xi: KForm) -> tuple[tuple[Scalar, ...], VolumeRatio]:
         m = NU_MASK & ~(1 << (u - 1))
         c = xi.coeff(m)
         comps.append(-c if (u - 1) & 1 else c)
-    return tuple(comps), VolumeRatio(Fraction(1))
+    return tuple(comps)
 
 
 def volume_ratio(top: KForm) -> Scalar:

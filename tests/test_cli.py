@@ -406,6 +406,24 @@ def test_cli_search_restarts_below_one_is_input_error(tmp_path, restarts):
     assert out == "" and err.startswith("error: ") and "--restarts" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_search_tol_not_finite_nonnegative_is_input_error(tmp_path, tol):
+    # -1 rejects every point, nan and inf would switch the residual gate off
+    _, out, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
+    p = tmp_path / "s.alg"
+    p.write_text(out)
+    code, out, err = run_cli(["search", str(p), "--tol", tol], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err.startswith("error: ") and "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "su2", "--mu2", "1/2"], ["catalog", "r3mu", "--mu", "1/2", "--mu2", "1/3"]]
+)
+def test_cli_catalog_mu2_without_sum_is_input_error(argv):
+    code, out, err = run_cli(argv, expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err == "error: --mu2 needs --sum\n"
+
+
 def test_cli_missing_file():
     code, _, err = run_cli(["verify", "/nonexistent/file.alg"])
     assert code == cli.EXIT_INPUT_ERROR

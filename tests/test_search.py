@@ -47,7 +47,7 @@ def _reference_k_tensor(b3):
                 prod = wedge(ci, KForm(3, {mj: Fraction(1)}))
                 if prod.is_zero():
                     continue
-                x, _ = kappa(prod)
+                x = kappa(prod)
                 for u in range(DIM):
                     c = float(x[u])
                     if c:

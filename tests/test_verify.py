@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from halfflat import corpus, linalg, stable
+from halfflat import corpus, linalg, obstruct, stable
 from halfflat.classify3d import classify
 from halfflat.errors import DomainError
 from halfflat.exterior import KForm, contract, covector, form, volume_ratio, wedge
 from halfflat.liealg import catalog, catalog_classes, direct_sum
 from halfflat.verify import (
-    _plane_checks,
     ortho_type_I,
     ortho_type_II,
     para_eigenspace_pair,
+    plane_checks,
     type_I_closure_criterion,
     verify,
 )
@@ -224,12 +226,11 @@ def test_para_eigenspace_rejects_bad_omega():
 
 def test_su12_example_with_isotropic_plane():
     inst = corpus.example_su12()
-    rep = verify(inst.algebra, inst.omega, inst.rho, plane=(covector(1), covector(4)))
+    rep = verify(inst.algebra, inst.omega, inst.rho)
     assert rep.half_flat
     assert rep.structure.kind in ("SU(1,2)", "SU(2,1)")
     assert rep.structure.signature in ((2, 4, 0), (4, 2, 0))
-    assert rep.isotropic_witness is not None
-    assert rep.witness_plane_invariant
+    assert plane_checks(rep.pair, (covector(1), covector(4))) == (True, True)
 
 
 def test_sl3r_example():
@@ -262,7 +263,7 @@ def test_verify_forms_k_once(monkeypatch):
     calls.clear()
     L = direct_sum(catalog("su2"), catalog("su2"))
     omega, rho = ortho_type_I(catalog("su2"), catalog("su2"), 1, 1)
-    verify(L, omega, rho, plane=(covector(1), covector(4)))
+    plane_checks(verify(L, omega, rho).pair, (covector(1), covector(4)))
     assert len(calls) == 1
 
 
@@ -306,11 +307,38 @@ def test_plane_checks_match_wedge_reference():
         pair = verify(inst.algebra, inst.omega, inst.rho).pair
         assert pair.structure.is_stabilizer, inst.label
         for plane in planes:
-            got = _plane_checks(pair, plane)
+            got = plane_checks(pair, plane)
             assert got == _plane_checks_reference(pair, plane), (inst.label, plane)
             seen.add(got)
-            with_plane = verify(inst.algebra, inst.omega, inst.rho, plane=plane)
-            assert with_plane.witness_plane_invariant == got[1]
-            assert (with_plane.isotropic_witness is not None) == (got == (True, True))
     # witness planes, invariant non-isotropic planes and neither all occur
     assert {(True, True), (False, True), (False, False)} <= seen
+
+
+# -- printed reports ----------------------------------------------------------------
+
+
+def _report_texts() -> list[str]:
+    """``to_text`` of every corpus row's verdict, two negative verdicts and two scans."""
+    texts = [
+        verify(inst.algebra, inst.omega, inst.rho).to_text()
+        for inst in corpus.iter_instances() + corpus.iter_instances(table=0)
+    ]
+    inst = corpus.row_t4_e2()
+    # rho with 2 e1^e3^f2 in place of 1 e1^e3^f2 is not closed; e^123 alone is not stable
+    texts.append(verify(inst.algebra, inst.omega, inst.rho + form(3, [("e13f2", 1)])).to_text())
+    texts.append(verify(inst.algebra, inst.omega, form(3, [("e123", 1)])).to_text())
+    for g1, g2 in (("su2", "su2"), ("h3", "r3")):
+        L = direct_sum(catalog(g1), catalog(g2))
+        texts.append(obstruct.lambda_nonneg_scan(L, 20, seed=1).to_text())
+    return texts
+
+
+#: sha256 of json.dumps(_report_texts()), computed before the reports derived their fields
+REPORT_TEXT_GOLDEN = "829764f15976340602fb020ab04073dde1408f957eb9217b66ae2064a22e0b5c"
+
+
+def test_report_text_golden():
+    texts = _report_texts()
+    assert len(texts) == 58
+    assert "first_negative_sample: 1" in texts[-2] and "lambda_nonnegative: true" in texts[-1]
+    assert hashlib.sha256(json.dumps(texts).encode()).hexdigest() == REPORT_TEXT_GOLDEN
