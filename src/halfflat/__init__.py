@@ -5,8 +5,8 @@ Submodules: ``exterior`` (sparse exact exterior algebra), ``liealg``
 forms and induced metrics), ``verify`` (half-flat verdicts and ansatz
 constructions), ``classify3d`` (Bianchi/Milnor classification),
 ``obstruct`` (non-existence machinery), ``corpus`` (built-in reference
-structures, with ``instance`` and ``table5``), ``search`` (float penalty
-search), ``cli`` (command line and file format).
+structures), ``search`` (float penalty search), ``cli`` (command line and
+file format).
 """
 
 __version__ = "0.1.0"

@@ -268,6 +268,10 @@ def _cmd_search(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.sum is None and args.mu2 is not None:
         raise HalfFlatError("--mu2 needs --sum")
+    if args.name is None and args.mu is not None:
+        raise HalfFlatError("--mu needs a class name")
+    if args.name is None and args.sum is not None:
+        raise HalfFlatError("--sum needs a class name")
     if args.name is None:
         for tag, (display, bianchi, unimod) in CATALOG_INFO.items():
             print(f"{tag}: {display} (Bianchi {bianchi}, {'unimodular' if unimod else 'non-unimodular'})")

@@ -132,14 +132,6 @@ class KForm:
     def __hash__(self):
         return hash((self.degree, frozenset(self.terms.items())))
 
-    # -- products ------------------------------------------------------------
-
-    def wedge(self, other: "KForm") -> "KForm":
-        return wedge(self, other)
-
-    def __xor__(self, other: "KForm") -> "KForm":
-        return wedge(self, other)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -126,18 +126,6 @@ class QuadExt:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out: Scalar = Fraction(1)
-        base: Scalar = self
-        while n:
-            if n & 1:
-                out = base * out if isinstance(base, QuadExt) else out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
@@ -164,23 +152,8 @@ class QuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other):
-        return scalar_sign(self - self._coerce(other)) < 0
-
-    def __le__(self, other):
-        return scalar_sign(self - self._coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return scalar_sign(self - self._coerce(other)) > 0
-
-    def __ge__(self, other):
-        return scalar_sign(self - self._coerce(other)) >= 0
-
     def __bool__(self):
         return not (self.a == 0 and self.b == 0)
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"

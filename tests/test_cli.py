@@ -424,6 +424,12 @@ def test_cli_catalog_mu2_without_sum_is_input_error(argv):
     assert out == "" and err == "error: --mu2 needs --sum\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--mu", "1/2"), ("--sum", "su2")])
+def test_cli_catalog_option_without_name_is_input_error(flag, value):
+    code, out, err = run_cli(["catalog", flag, value], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err == f"error: {flag} needs a class name\n"
+
+
 def test_cli_missing_file():
     code, _, err = run_cli(["verify", "/nonexistent/file.alg"])
     assert code == cli.EXIT_INPUT_ERROR

@@ -89,3 +89,27 @@ def test_printed_metrics_are_exact():
     for table in (0, 3, 4, 5):
         for inst in corpus.iter_instances(table=table):
             assert not any(isinstance(x, float) for row in inst.g0 for x in row), inst.label
+
+
+def _row_data() -> list[list]:
+    """The transcribed literals of every row: all tables, the worked examples, three single mu."""
+    instances = corpus.iter_instances() + corpus.iter_instances(table=0)
+    for mu in (Fraction(5), Fraction(-7, 8), Fraction(1, 3)):
+        instances += corpus.iter_instances(table=5, mu=mu)
+    return [
+        [
+            inst.label, repr(inst.factors), repr(inst.omega), repr(inst.rho), repr(inst.g0),
+            repr(inst.t4), repr(inst.s2), inst.expected_kind, inst.note,
+        ]
+        for inst in instances
+    ]
+
+
+#: sha256 of json.dumps(_row_data()): label, factors, forms, metric, t4, s2, kind and note
+ROW_DATA_GOLDEN = "296fd5ab9c65c03464b22a2c639dd1f7b4295e0fd53249e542725fd32a61ee52"
+
+
+def test_corpus_rows_golden():
+    rows = _row_data()
+    assert len(rows) == 74
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ROW_DATA_GOLDEN
