@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import HalfFlatError
 from .liealg import CATALOG_INFO, LieAlgebra
 from .scalars import Scalar, is_square, rational_sqrt, scalar_is_zero
 
@@ -82,15 +81,17 @@ def _classify_unimodular(L3: LieAlgebra) -> BianchiClass:
 
 
 def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
+    """The class read from D = det(ad_X) on the unimodular kernel, with tr(ad_X) = 2.
+
+    The kernel of tr(ad) is a plane since tr(ad) != 0.  Every ``LieAlgebra``
+    satisfies d^2 = 0, and the unimodular kernel of a non-unimodular
+    three-dimensional Lie algebra is an abelian ideal (Milnor 1976, section
+    6), so ad_X maps the plane into itself and D is defined.
+    """
     tau = L3.trace_ad()
     norm2 = sum((t * t for t in tau), Fraction(0))
     x = [2 * t / norm2 for t in tau]
-    kernel = linalg.nullspace([tau])
-    if len(kernel) != 2:
-        raise HalfFlatError("unimodular kernel is not two-dimensional")
-    if not all(scalar_is_zero(c) for c in L3.bracket(kernel[0], kernel[1])):
-        raise HalfFlatError("unimodular kernel is not abelian")
-    ltilde = _restrict_ad(L3, x, (kernel[0], kernel[1]))
+    ltilde = _restrict_ad(L3, x, linalg.nullspace([tau]))
     d = linalg.det(ltilde)
     if scalar_is_zero(d):
         name = "r2R"
@@ -104,14 +105,8 @@ def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
 
 
 def _restrict_ad(L3: LieAlgebra, x: list[Scalar], kernel_basis) -> linalg.Matrix:
-    cols = []
     basis_mat = linalg.transpose(kernel_basis)
-    for k in kernel_basis:
-        coeffs = linalg.solve(basis_mat, L3.bracket(x, k))
-        if coeffs is None:
-            raise HalfFlatError("unimodular kernel is not ad_X invariant")
-        cols.append(coeffs)
-    return linalg.transpose(cols)
+    return linalg.transpose([linalg.solve(basis_mat, L3.bracket(x, k)) for k in kernel_basis])
 
 
 def _recover_mu(name: str, d: Scalar) -> Fraction | None:

@@ -47,6 +47,7 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
     diffs: dict[int, list[tuple[Fraction, list[int]]]] = {}
     forms: dict[str, list[tuple[Fraction, list[int]]]] = {}
     params: dict[str, Fraction] = {}
+    seen: set[tuple[str, str]] = set()
 
     def index_of(name: str, line_no: int, col: int) -> int:
         if basis is None:
@@ -62,6 +63,11 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
             continue
         tokens = line.split()
         head = tokens[0]
+        # dim and basis, and d, form and param per name, may each be given once
+        key = (head, tokens[1] if head in ("d", "form", "param") and len(tokens) > 1 else "")
+        if key in seen:
+            raise ParseError(f"repeated {' '.join(key).strip()} line", line_no, 0)
+        seen.add(key)
         if head == "dim":
             if len(tokens) != 2 or tokens[1] not in ("3", "6"):
                 raise ParseError("expected 'dim 3' or 'dim 6'", line_no, len(head) + 1)
@@ -220,26 +226,9 @@ def _cmd_obstruct(args) -> int:
     L, _, _ = _load(args.file)
     if L.dim != 6:
         raise ParseError("obstruct needs a six-dimensional algebra", 0, 0)
-    if L.summands is None:
-        L = _resplit(L)
     verdict, text = obstruct.decide(L)
     print(text)
     return EXIT_NEGATIVE if verdict == obstruct.VERDICT_OBSTRUCTED else EXIT_POSITIVE
-
-
-def _resplit(L: LieAlgebra) -> LieAlgebra:
-    """Rebuild the direct-sum structure of a file algebra split over e/f blocks."""
-    lo = [KForm(2, {m: c for m, c in dk.terms.items()}) for dk in L.diffs[:3]]
-    hi = [KForm(2, {m >> 3: c for m, c in dk.terms.items()}) for dk in L.diffs[3:]]
-    for dk in L.diffs[:3]:
-        if any(m >> 3 for m in dk.terms):
-            raise HalfFlatError("algebra is not split over the declared blocks")
-    for dk in L.diffs[3:]:
-        if any(m & 0b111 for m in dk.terms):
-            raise HalfFlatError("algebra is not split over the declared blocks")
-    L1 = LieAlgebra(3, lo, name="file-g1")
-    L2 = LieAlgebra(3, hi, name="file-g2")
-    return direct_sum(L1, L2)
 
 
 def _cmd_search(args) -> int:

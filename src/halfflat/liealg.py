@@ -19,17 +19,21 @@ from .errors import CatalogError, DegreeError, JacobiError
 from .exterior import _SIGN, DIM, KForm, basis_masks, form
 from .scalars import Scalar, scalar_is_zero
 
+#: the e-block e^1..e^3 of a six-dimensional coframe as a monomial mask; the f-block is its shift by 3
+E_BLOCK = 0b111
+
 
 class LieAlgebra:
     """Lie algebra given by the differentials of its basis covectors.
 
     ``diffs[k-1]`` is d e^k as a two-form.  Every instance satisfies the
     Jacobi identity d^2 = 0: antisymmetry is structural, and construction
-    raises ``JacobiError`` on constants that violate d^2 = 0.  A direct sum
-    (``summands`` given) is not re-tested, since its valid summands have no
-    cross terms and d^2 vanishes block by block.  An instance does not change
-    after construction, so the closed-form spaces are computed once per
-    degree and cached.
+    raises ``JacobiError`` on constants that violate d^2 = 0.  ``summands``
+    is read from d: in dimension six with no cross terms between the e-block
+    e^1..e^3 and the f-block f^1..f^3 it holds the two three-dimensional block
+    algebras, otherwise None.  An instance does not change after
+    construction, so the closed-form spaces are computed once per degree and
+    cached.
     """
 
     __slots__ = ("dim", "diffs", "name", "params", "summands", "_closed")
@@ -40,7 +44,6 @@ class LieAlgebra:
         diffs: Sequence[KForm],
         name: str = "",
         params: Mapping[str, Fraction] | None = None,
-        summands: tuple["LieAlgebra", "LieAlgebra"] | None = None,
     ):
         if dim not in (3, 6):
             raise ValueError("only dimensions 3 and 6 are supported")
@@ -56,10 +59,14 @@ class LieAlgebra:
         self.diffs = tuple(diffs)
         self.name = name
         self.params = dict(params or {})
-        self.summands = summands
         self._closed: dict[int, tuple[KForm, ...]] = {}
-        if summands is None and not self.check_jacobi():
+        if not self.check_jacobi():
             raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
+        self.summands: tuple[LieAlgebra, LieAlgebra] | None = None
+        # row k of d lies in the block of e^k exactly when there are no cross terms
+        if dim == 6 and not any(m & ~(E_BLOCK << 3 * (k // 3)) for k, dk in enumerate(diffs) for m in dk.terms):
+            hi = [KForm(2, {m >> 3: c for m, c in dk.terms.items()}) for dk in diffs[3:]]
+            self.summands = (LieAlgebra(3, diffs[:3]), LieAlgebra(3, hi))
 
     # -- structure constants ------------------------------------------------
 
@@ -166,26 +173,24 @@ class LieAlgebra:
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     """Direct sum with basis order e1,e2,e3,f1,f2,f3 and no cross terms.
 
-    With no cross terms d^2 vanishes block by block, so the sum of two valid
-    summands is valid without a second Jacobi test.
+    Its ``summands`` are the block algebras read back from d, equal to L1 and
+    L2 up to their names and parameters.
     """
     if L1.dim != 3 or L2.dim != 3:
         raise ValueError("direct sums are formed from three-dimensional algebras")
-    diffs = list(L1.diffs)
-    for dk in L2.diffs:
-        shifted: dict[int, Scalar] = {}
-        for mask, coeff in dk.terms.items():
-            shifted[mask << 3] = coeff
-        diffs.append(KForm(2, shifted))
     params = {**{f"{k}1": v for k, v in L1.params.items()},
               **{f"{k}2": v for k, v in L2.params.items()}}
     return LieAlgebra(
         6,
-        diffs,
+        list(L1.diffs) + [to_block(dk, 1) for dk in L2.diffs],
         name=f"{L1.name}+{L2.name}" if L1.name and L2.name else "",
         params=params,
-        summands=(L1, L2),
     )
+
+
+def to_block(alpha: KForm, block: int) -> KForm:
+    """A form of a three-dimensional summand moved to its block of the sum (0 for e, 1 for f)."""
+    return KForm(alpha.degree, {m << 3 * block: c for m, c in alpha.terms.items()})
 
 
 def change_basis(L: LieAlgebra, b_cols: Sequence[Sequence[Scalar]]) -> LieAlgebra:

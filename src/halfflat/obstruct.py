@@ -67,7 +67,7 @@ from . import linalg, stable
 from .classify3d import classify
 from .errors import HalfFlatError
 from .exterior import DIM, KForm, basis_masks, covector, wedge, wedge_all
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, to_block
 from .scalars import scalar_is_zero
 
 VERDICT_OBSTRUCTED = "NoHalfFlatSU3"
@@ -119,24 +119,20 @@ def annihilating_forms(L3: LieAlgebra) -> list[KForm]:
     return [KForm(1, {1 << i: c for i, c in enumerate(v)}) for v in linalg.nullspace(rows)]
 
 
-def _in_block(alpha: KForm, block: int) -> KForm:
-    """A form of a summand moved to its block of the sum (0 for e, 1 for f)."""
-    return KForm(alpha.degree, {m << 3 * block: c for m, c in alpha.terms.items()})
-
-
 def coherent_splittings(L: LieAlgebra) -> tuple[KForm, KForm] | None:
     """The factor-wise coherent splitting of a direct sum, or None.
 
-    V = span(alpha1, alpha2) from the first basis vector of each A(g_i);
-    every other factor-wise coherent splitting gives the same verdict.
-    There is one exactly when both summands are solvable.
+    V = span(alpha1, alpha2) from the first basis vector of each A(g_i),
+    g_i the e/f blocks of ``L.summands``; every other factor-wise coherent
+    splitting gives the same verdict.  There is one exactly when both
+    summands are solvable.
     """
     if L.summands is None:
-        raise HalfFlatError("coherent splittings need the direct-sum structure")
+        raise HalfFlatError("algebra is not split over the e/f blocks")
     a1, a2 = (annihilating_forms(s) for s in L.summands)
     if not (a1 and a2):
         return None
-    return a1[0], _in_block(a2[0], 1)
+    return a1[0], to_block(a2[0], 1)
 
 
 def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import linalg, stable
 from .errors import DomainError, JacobiError, NotStableError
 from .exterior import KForm, form, volume_ratio, wedge
-from .liealg import LieAlgebra, direct_sum
+from .liealg import E_BLOCK, LieAlgebra, direct_sum
 from .scalars import Scalar, is_square, rational_sqrt, scalar_is_zero
 from .stable import STABILIZER_KINDS, StructureType
 
@@ -314,7 +314,7 @@ def para_eigenspace_pair(
     when both summands are unimodular.
     """
     for mask in omega.terms:
-        lo, hi = mask & 0b111, mask >> 3
+        lo, hi = mask & E_BLOCK, mask & ~E_BLOCK
         if lo and not hi or hi and not lo:
             raise DomainError("omega must live in g1* x g2*")
     if scalar_is_zero(stable.phi_omega(omega)):

@@ -215,6 +215,14 @@ def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatc
         assert sorted(calls) == want, (g1, g2)
 
 
+def test_cli_obstruct_mixed_blocks_is_input_error(tmp_path):
+    # f2 has an e1^f2 term: the algebra is not split over e1-e3 / f1-f3
+    p = tmp_path / "mixed.alg"
+    p.write_text("dim 6\nbasis e1 e2 e3 f1 f2 f3\nd e3 = 1 e1^e2\nd f2 = -1 e1^f2 - 1 f1^f2\n")
+    code, out, err = run_cli(["obstruct", str(p)], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and "not split over the e/f blocks" in err
+
+
 #: sha256 of json.dumps([[exit code, stdout], ...]) of ``halfflat obstruct`` on the 400
 #: ordered sums of catalog instances, the first summand in the outer loop
 OBSTRUCT_GOLDEN = "f9a6e8b56635bab62cedb6fa706b99c08fc02947daa0a6047ecadf9dd8164e88"
@@ -428,6 +436,28 @@ def test_cli_catalog_mu2_without_sum_is_input_error(argv):
 def test_cli_catalog_option_without_name_is_input_error(flag, value):
     code, out, err = run_cli(["catalog", flag, value], expect=cli.EXIT_INPUT_ERROR)
     assert out == "" and err == f"error: {flag} needs a class name\n"
+
+
+_BASIS6 = "dim 6\nbasis e1 e2 e3 f1 f2 f3\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, line, what",
+    [
+        ("classify3d", _BASIS6 + "dim 3\nd e3 = 1 e1^f1\n", 3, "dim"),
+        ("classify3d", _BASIS6 + "dim 3\n", 3, "dim"),
+        ("obstruct", _BASIS6 + "basis e1 e2 e3 f1 f2 f3\n", 3, "basis"),
+        ("obstruct", _BASIS6 + "d e3 = 1 e1^e2\nd e3 = 2 e1^e2\n", 4, "d e3"),
+        ("verify", _BASIS6 + "form rho = 1 e1^e2^e3\n# comment\nform rho = 1 f1^f2^f3\n", 5, "form rho"),
+        ("obstruct", _BASIS6 + "param mu = 1/2\nparam mu = 1/3\n", 4, "param mu"),
+    ],
+    ids=["dim-after-basis", "dim-after-basis-no-d", "basis", "d", "form", "param"],
+)
+def test_cli_repeated_directive_is_parse_error(tmp_path, command, text, line, what):
+    p = tmp_path / "rep.alg"
+    p.write_text(text)
+    code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err == f"parse error: line {line}, column 0: repeated {what} line\n"
 
 
 def test_cli_missing_file():

@@ -292,13 +292,25 @@ def test_d_matrix_matches_d_on_basis_monomials(rng):
                 assert [row[j] for row in M] == image.coefficients(out_masks)
 
 
-def test_direct_sum_of_checked_summands_skips_jacobi(monkeypatch):
+def test_direct_sum_blocks_are_its_checked_factors():
+    # the block algebras read back from d are the factors, and every sum passes
+    # the Jacobi check that construction now runs on it
     instances = all_class_instances()
     assert len(instances) == 20
-    calls = []
-    real = LieAlgebra.check_jacobi
-    monkeypatch.setattr(LieAlgebra, "check_jacobi", lambda self: calls.append(self) or real(self))
-    sums = [direct_sum(L1, L2) for L1 in instances for L2 in instances]
-    assert calls == []
-    monkeypatch.undo()
-    assert all(s.check_jacobi() for s in sums)
+    for L1 in instances:
+        for L2 in instances:
+            L = direct_sum(L1, L2)
+            assert [s.diffs for s in L.summands] == [L1.diffs, L2.diffs]
+            assert L.check_jacobi()
+
+
+def test_summands_follow_the_basis(rng):
+    # a block-diagonal change of basis keeps the e/f split, one that mixes e1 into f1 loses it
+    L = direct_sum(catalog("h3"), catalog("r2R"))
+    a, b = _random_unimodular_triangular(rng, 3), _random_unimodular_triangular(rng, 3)
+    zero = [Fraction(0)] * 3
+    M = liealg.change_basis(L, [row + zero for row in a] + [zero + row for row in b])
+    assert [s.diffs for s in M.summands] == [liealg.change_basis(s, m).diffs for s, m in zip(L.summands, (a, b))]
+    mixing = linalg.identity(6)
+    mixing[0][3] = Fraction(1)  # new f1 = e1 + f1
+    assert liealg.change_basis(L, mixing).summands is None

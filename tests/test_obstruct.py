@@ -12,7 +12,7 @@ from halfflat import linalg, obstruct, stable
 from halfflat.classify3d import classify
 from halfflat.errors import HalfFlatError
 from halfflat.exterior import KForm, basis_masks, covector, evaluate, wedge, wedge_all, volume_ratio, contract, kappa
-from halfflat.liealg import catalog, catalog_classes, change_basis, direct_sum
+from halfflat.liealg import catalog, catalog_classes, change_basis, direct_sum, to_block
 from halfflat.stable import lambda_of
 
 from .conftest import basis, random_form
@@ -64,7 +64,7 @@ def test_one_coherent_splitting_decides(rng):
                 while alpha.is_zero():
                     for b in obstruct.annihilating_forms(L3):
                         alpha = alpha + b.scale(Fraction(rng.randint(-2, 2)))
-                alphas.append(obstruct._in_block(alpha, block))
+                alphas.append(to_block(alpha, block))
             assert obstruct.check_obstruction(L, tuple(alphas)).verdict == want, (L1.name, L2.name)
 
 
@@ -103,12 +103,12 @@ def test_check_obstruction_requires_coherent():
 def test_refined_h3_r2R():
     # a is the r2R-block form of the splitting, spanning A(r2R), in either summand order
     (a,) = obstruct.annihilating_forms(catalog("r2R"))
-    assert obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")), obstruct._in_block(a, 1))
+    assert obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")), to_block(a, 1))
     assert obstruct.refined_h3_r2R(direct_sum(catalog("r2R"), catalog("h3")), a)
     control = direct_sum(catalog("su2"), catalog("su2"))
     assert not obstruct._k_entries_vanish(control, ((covector(4), basis(3)), (covector(4), basis(5))))
     # e2 + r2R admits SU(3) (row T4.1), so its A(r2R) form cannot be isotropic for every pair
-    assert not obstruct.refined_h3_r2R(direct_sum(catalog("e2"), catalog("r2R")), obstruct._in_block(a, 1))
+    assert not obstruct.refined_h3_r2R(direct_sum(catalog("e2"), catalog("r2R")), to_block(a, 1))
 
 
 def test_refined_h3_r2R_polarization_consistency(rng):
@@ -142,15 +142,28 @@ def test_refined_decision_classifies_each_summand_once(monkeypatch):
     calls = []
 
     def counting_classify(L3):
-        calls.append(L3.name)
+        calls.append(L3)
         return classify(L3)
 
     monkeypatch.setattr(obstruct, "classify", counting_classify)
     for g1, g2 in (("h3", "r2R"), ("r2R", "h3"), ("r2R", "R3"), ("R3", "r2R")):
         calls.clear()
-        verdict, _ = obstruct.decide(direct_sum(catalog(g1), catalog(g2)))
+        L = direct_sum(catalog(g1), catalog(g2))
+        verdict, _ = obstruct.decide(L)
         assert verdict == obstruct.VERDICT_OBSTRUCTED
-        assert calls == [g1, g2]
+        assert calls == list(L.summands)
+
+
+def test_decide_in_block_diagonal_basis(rng):
+    # the e/f split is read from d, so a change of basis within each block keeps the
+    # decision: one sum per ordered class pair, each factor in a random GL(3,Q) basis
+    zero = [Fraction(0)] * 3
+    insts = [spec.instances()[0] for spec in catalog_classes()]
+    for L1, L2 in product(insts, insts):
+        L = direct_sum(L1, L2)
+        a, b = _gl3(rng), _gl3(rng)
+        M = change_basis(L, [row + zero for row in a] + [zero + row for row in b])
+        assert obstruct.decide(M) == obstruct.decide(L), (L1.name, L2.name)
 
 
 def test_refined_r2R_R3_implies_lambda_nonneg(rng):
@@ -206,15 +219,17 @@ def test_lambda_scan_matches_exact_path():
             assert dense_lambda(dense_k_matrix(rho)) == exact
 
 
+def _gl3(rng):
+    """A random invertible rational 3x3 matrix."""
+    while True:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        if linalg.det(m) != 0:
+            return m
+
+
 def _conjugated_sum(rng, g1, g2, mu=None):
     """g1 (+) g2 with each factor in a random rational basis (dense quadratic forms)."""
-    def gl3():
-        while True:
-            m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
-            if linalg.det(m) != 0:
-                return m
-
-    return direct_sum(change_basis(catalog(g1), gl3()), change_basis(catalog(g2, mu), gl3()))
+    return direct_sum(change_basis(catalog(g1), _gl3(rng)), change_basis(catalog(g2, mu), _gl3(rng)))
 
 
 def _reference_scan(L, n_samples, seed):
@@ -280,7 +295,7 @@ def test_ranks_decide_pure_w_components(rng):
     seen = Counter()
     for L1, L2 in product(insts, insts):
         L = direct_sum(L1, L2)
-        a = obstruct.annihilating_forms(L1) + [obstruct._in_block(b, 1) for b in obstruct.annihilating_forms(L2)]
+        a = obstruct.annihilating_forms(L1) + [to_block(b, 1) for b in obstruct.annihilating_forms(L2)]
         splitting = obstruct.coherent_splittings(L)
         pairs = [] if splitting is None else [splitting]
         for _ in range(40 if "R3" in (L1.name, L2.name) else 3):
