@@ -98,7 +98,7 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
             raise ParseError(f"unknown directive {head!r}", line_no, 0)
 
     if dim is None or basis is None:
-        raise ParseError("file must declare dim and basis", 0, 0)
+        raise HalfFlatError("file must declare dim and basis")
     diff_forms = []
     for k in range(1, dim + 1):
         diff_forms.append(_terms_to_form(diffs.get(k, []), 2))
@@ -198,9 +198,9 @@ def _emit_terms(form: KForm, names: list[str]) -> str:
 def _cmd_verify(args) -> int:
     L, omega, rho = _load(args.file)
     if L.dim != 6:
-        raise ParseError("verify needs a six-dimensional algebra", 0, 0)
+        raise HalfFlatError("verify needs a six-dimensional algebra")
     if omega is None or rho is None:
-        raise ParseError("verify needs both omega and rho forms", 0, 0)
+        raise HalfFlatError("verify needs both omega and rho forms")
     report = verify(L, omega, rho)
     print(report.to_text())
     return EXIT_POSITIVE if report.half_flat else EXIT_NEGATIVE
@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
 def _cmd_classify3d(args) -> int:
     L, _, _ = _load(args.file)
     if L.dim != 3:
-        raise ParseError("classify3d needs a three-dimensional algebra", 0, 0)
+        raise HalfFlatError("classify3d needs a three-dimensional algebra")
     c = classify(L)
     print(f"class: {c.display}")
     print(f"bianchi: {c.bianchi}")
@@ -225,7 +225,7 @@ def _cmd_classify3d(args) -> int:
 def _cmd_obstruct(args) -> int:
     L, _, _ = _load(args.file)
     if L.dim != 6:
-        raise ParseError("obstruct needs a six-dimensional algebra", 0, 0)
+        raise HalfFlatError("obstruct needs a six-dimensional algebra")
     verdict, text = obstruct.decide(L)
     print(text)
     return EXIT_NEGATIVE if verdict == obstruct.VERDICT_OBSTRUCTED else EXIT_POSITIVE
@@ -236,11 +236,11 @@ def _cmd_search(args) -> int:
         raise HalfFlatError(f"--restarts must be at least 1, got {args.restarts}")
     if not 0 <= args.tol < float("inf"):  # nan or inf would switch the residual gate off
         raise HalfFlatError(f"--tol must be a finite nonnegative number, got {args.tol}")
-    from . import search  # scipy is loaded only for this command
-
     L, _, _ = _load(args.file)
     if L.dim != 6:
-        raise ParseError("search needs a six-dimensional algebra", 0, 0)
+        raise HalfFlatError("search needs a six-dimensional algebra")
+    from . import search  # scipy is loaded only for this command, once its input is checked
+
     result = search.find_halfflat(
         L,
         target=args.target,
@@ -298,7 +298,7 @@ def _load(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", 0, 0)
+        raise HalfFlatError(f"cannot read {path}: {exc}") from None
 
 
 @functools.cache

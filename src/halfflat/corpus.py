@@ -34,7 +34,7 @@ from . import linalg, stable
 from .errors import CatalogError
 from .exterior import KForm, form
 from .liealg import CATALOG_INFO, MU_SAMPLES, LieAlgebra, catalog, direct_sum
-from .scalars import Scalar, scalar_abs, scalar_sign, sqrt_scalar
+from .scalars import Scalar, scalar_abs, scalar_is_zero, scalar_sign, sqrt_scalar
 from .verify import OMEGA_TYPE_I, HalfFlatReport, ortho_type_I, verify
 
 F = Fraction
@@ -838,23 +838,24 @@ def verify_instance(inst: Instance) -> InstanceReport:
 
 
 def _metric_sign(pair: stable.StablePair, inst: Instance) -> int:
-    """The sign under which sqrt(|lambda| s^2) G0 is the oriented G_raw, or 0."""
-    lam_abs = scalar_abs(pair.lam)
-    target = inst.g0
-    raw = pair.oriented_metric_raw()
-    signs = (1,) if inst.expected_kind == stable.KIND_SU3 else (1, -1)
-    for sgn in signs:
-        if all(
-            _entry_match(sgn * raw[u][v], target[u][v], lam_abs, inst.s2)
-            for u in range(6)
-            for v in range(6)
-        ):
-            return sgn
-    return 0
+    """The sign under which sqrt(|lambda| s^2) G0 is the oriented G_raw, or 0.
 
-
-def _entry_match(raw_entry: Scalar, g0_entry: Scalar, lam_abs: Scalar, s2: Scalar) -> bool:
-    if scalar_sign(raw_entry) != scalar_sign(g0_entry):
-        return False
-    return raw_entry * raw_entry == lam_abs * s2 * g0_entry * g0_entry
-
+    With c = |lambda| s^2 formed once, a zero G0 entry needs a zero raw entry;
+    a nonzero one needs raw^2 = c G0^2 and sign(raw) sign(G0) equal to that of
+    every other nonzero entry.  SU(3) rows admit only +1.
+    """
+    c = scalar_abs(pair.lam) * inst.s2
+    sign = 0
+    for raw_row, g0_row in zip(pair.oriented_metric_raw(), inst.g0):
+        for x, g in zip(raw_row, g0_row):
+            if scalar_is_zero(g):
+                if not scalar_is_zero(x):
+                    return 0
+                continue
+            s = scalar_sign(x) * scalar_sign(g)
+            if s == 0 or s == -sign or x * x != c * g * g:
+                return 0
+            sign = s
+    if sign < 0 and inst.expected_kind == stable.KIND_SU3:
+        return 0
+    return sign or 1

@@ -2,8 +2,8 @@
 
 Rational arithmetic is ``fractions.Fraction``.  ``QuadExt`` represents
 ``a + b*sqrt(D)`` for a fixed rational radicand ``D >= 0`` that is not a
-rational square; a value automatically collapses to a ``Fraction`` whenever
-the irrational part cancels or the radicand is a perfect square.  All
+rational square; a value collapses to a ``Fraction`` whenever the irrational
+part cancels, and ``make`` collapses a perfect-square radicand.  All
 arithmetic is closed and exact, and the ordering of Q(sqrt(D)) as a subfield
 of the reals is decidable, which is what the signature computations rely on.
 """
@@ -43,7 +43,10 @@ def rational_sqrt(q: Fraction | int) -> Fraction:
 class QuadExt:
     """Element a + b*sqrt(d) of a real quadratic extension of Q.
 
-    Instances are immutable.  Mixing two different radicands in one
+    Instances are immutable.  The library never builds a square radicand:
+    ``make`` and ``sqrt_scalar`` test d once, and arithmetic between values
+    of one field keeps their d, so it collapses to a ``Fraction`` exactly
+    when b == 0 and never re-tests d.  Mixing two different radicands in one
     operation raises ``RadicandMismatchError``; the library never needs a
     general algebraic-number tower.
     """
@@ -73,43 +76,48 @@ class QuadExt:
             return a + b * rational_sqrt(d)
         return QuadExt(a, b, d)
 
-    # -- helpers -----------------------------------------------------------
+    def _same_field(self, a: Fraction, b: Fraction) -> Scalar:
+        """a + b*sqrt(self.d) for Fraction parts: a Fraction when b == 0."""
+        if not b:
+            return a
+        x = object.__new__(QuadExt)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "d", self.d)
+        return x
 
-    def _coerce(self, other) -> "QuadExt":
+    def _parts(self, other) -> tuple[Fraction | int, Fraction | int]:
+        """(a, b) of a rational or of a value of the same field."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
-                raise RadicandMismatchError(
-                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-                )
-            return other
+                raise RadicandMismatchError(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
+            return other.a, other.b
         if isinstance(other, _RAT):
-            return QuadExt(Fraction(other), 0, self.d)
+            return other, 0
         raise TypeError(f"unsupported scalar {other!r}")
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return QuadExt.make(self.a + o.a, self.b + o.b, self.d)
+        a, b = self._parts(other)
+        return self._same_field(self.a + a, self.b + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return self._same_field(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return QuadExt.make(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        a, b = self._parts(other)
+        if not b:
+            return self._same_field(self.a * a, self.b * a)
+        return self._same_field(self.a * a + self.b * b * self.d, self.a * b + self.b * a)
 
     __rmul__ = __mul__
 
@@ -117,14 +125,14 @@ class QuadExt:
         n = self.a * self.a - self.b * self.b * self.d
         if n == 0:
             raise ZeroDivisionError("not invertible")
-        return QuadExt.make(self.a / n, -self.b / n, self.d)
+        return self._same_field(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        a, b = self._parts(other)
+        return self * other.inverse() if b else self._same_field(self.a / a, self.b / a)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     # -- comparisons -------------------------------------------------------
 
@@ -159,19 +167,16 @@ class QuadExt:
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
-def _rat_sign(q: Fraction) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
+def _rat_sign(q: Fraction | int) -> int:
+    n = q.numerator  # the denominator is positive
+    return (n > 0) - (n < 0)
 
 
 def scalar_sign(x: Scalar) -> int:
     """Exact sign (-1, 0, 1) of a rational or quadratic-extension scalar."""
     if isinstance(x, QuadExt):
         return x.sign()
-    return _rat_sign(Fraction(x))
+    return _rat_sign(x)
 
 
 def scalar_abs(x: Scalar) -> Scalar:
@@ -179,9 +184,7 @@ def scalar_abs(x: Scalar) -> Scalar:
 
 
 def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, QuadExt):
-        return x.a == 0 and x.b == 0
-    return x == 0
+    return not x
 
 
 def sqrt_scalar(q: Fraction | int) -> Scalar:

@@ -32,6 +32,13 @@ without leaving the field of the coefficients.  ``StablePair`` is the one
 place where K, lambda, phi(omega), G_raw and the structure verdict of a
 pair are formed, each once; ``structure_type`` and ``induced_metric_raw``
 read them from it.
+
+The products of a pair run on integers.  A form f is cleared once by the
+positive lcm den of its coefficient denominators (a Q(sqrt D) coefficient
+keeps its type, with integral parts): K is formed as den^2 K_rho, and
+``StablePair`` clears K once more for 6 lambda and, with omega cleared, for
+G_raw.  Each value is divided by its positive scale once, at the end, so no
+sign, zero test or symmetry test read from the scaled values changes.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from . import linalg
 from .errors import NotCompatibleError, NotStableError
 from .exterior import _SIGN, DIM, NU_MASK, KForm, basis_masks, form, volume_ratio, wedge
 from .scalars import (
+    QuadExt,
     Scalar,
     scalar_abs,
     scalar_is_zero,
@@ -112,13 +120,35 @@ def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
 K_TABLE = _k_table()
 
 
+def _cleared(values: Sequence[Scalar]) -> tuple[int, list[Scalar]]:
+    """(den, den * values) for the positive lcm den of their denominators: ints, or QuadExt."""
+    # a list, not a generator: a tuple unpacked from a generator is grown and shrunk, and the
+    # freed tuples pile up in the interpreter's free lists (0.4 MB more RSS over 100 corpus rounds)
+    den = math.lcm(
+        *[math.lcm(x.a.denominator, x.b.denominator) if isinstance(x, QuadExt) else x.denominator for x in values]
+    )
+    return den, [x * den if isinstance(x, QuadExt) else x.numerator * (den // x.denominator) for x in values]
+
+
+def _cleared_terms(f: KForm) -> tuple[int, dict[int, Scalar]]:
+    """``_cleared`` on the coefficients of a form: den and the terms of den * f."""
+    den, values = _cleared(list(f.terms.values()))
+    return den, dict(zip(f.terms, values))
+
+
+def _unscaled(x: Scalar, den: int) -> Scalar:
+    """x / den for a cleared value x, of the type of the uncleared value."""
+    return x / den if isinstance(x, QuadExt) else Fraction(x, den)
+
+
 def k_matrix(rho: KForm) -> linalg.Matrix:
     """K_rho relative to the reference volume; column j is K_rho(e_j)."""
     if rho.degree != 3:
         raise NotStableError("K is defined for three-forms")
-    K = [[Fraction(0)] * DIM for _ in range(DIM)]
-    get = rho.terms.get
-    for i, ci in rho.terms.items():
+    den, terms = _cleared_terms(rho)
+    K: linalg.Matrix = [[0] * DIM for _ in range(DIM)]
+    get = terms.get
+    for i, ci in terms.items():
         for v, j, u, sign in K_TABLE[i]:
             cj = get(j)
             if cj is not None:
@@ -126,12 +156,12 @@ def k_matrix(rho: KForm) -> linalg.Matrix:
                     K[u][v] += ci * cj
                 else:
                     K[u][v] -= ci * cj
-    return K
+    return [[_unscaled(x, den * den) for x in row] for row in K]
 
 
 def trace_of_square(K: linalg.Matrix) -> Scalar:
-    """tr(K^2), which is 6 lambda for K = K_rho."""
-    diag = off = Fraction(0)
+    """tr(K^2), which is 6 lambda for K = K_rho; an int for an int matrix."""
+    diag = off = 0
     for i in range(DIM):
         row = K[i]
         diag += row[i] * row[i]
@@ -220,10 +250,10 @@ def omega_matrix(omega: KForm) -> linalg.Matrix:
     return m
 
 
-def _omega_times_k(omega: KForm, K: linalg.Matrix, eps: int) -> linalg.Matrix:
-    """eps * omega_matrix(omega) @ K, summed over the terms of omega only."""
-    G = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for mask, c in omega.terms.items():
+def _omega_times_k(omega: dict[int, Scalar], K: linalg.Matrix, eps: int) -> linalg.Matrix:
+    """eps * omega_matrix @ K for omega given by its terms, summed over those terms only."""
+    G: linalg.Matrix = [[0] * DIM for _ in range(DIM)]
+    for mask, c in omega.items():
         a = (mask & -mask).bit_length() - 1
         b = mask.bit_length() - 1
         if eps < 0:
@@ -260,7 +290,7 @@ def _calibrate_epsilon(rho: KForm, expected: linalg.Matrix) -> int:
     K = k_matrix(rho)
     lam = lambda_of(rho, K)
     root = sqrt_scalar(scalar_abs(lam))
-    g_unsigned = _omega_times_k(MODEL_OMEGA, K, 1)
+    g_unsigned = _omega_times_k(MODEL_OMEGA.terms, K, 1)
     for eps in (1, -1):
         g = [[eps * x / root for x in row] for row in g_unsigned]
         if linalg.mat_eq(g, expected):
@@ -350,7 +380,10 @@ class StablePair:
         self.omega = omega
         self.rho = rho
         self.K = k_matrix(rho)
-        self.lam = lambda_of(rho, self.K)
+        den_k, flat = _cleared([x for row in self.K for x in row])
+        K = [flat[i : i + DIM] for i in range(0, DIM * DIM, DIM)]
+        den_w, w = _cleared_terms(omega)
+        self.lam = _unscaled(trace_of_square(K), 6 * den_k * den_k)
         self.phi_omega = phi_omega(omega)
         self.eps = epsilon_for(self.lam)
         stable = not (scalar_is_zero(self.lam) or scalar_is_zero(self.phi_omega))
@@ -360,8 +393,9 @@ class StablePair:
         else:
             self.norm_c4 = None
             self.norm_sign = 0
-        self.G_raw = _omega_times_k(omega, self.K, self.eps)
-        self.symmetric = linalg.is_symmetric(self.G_raw)
+        G = _omega_times_k(w, K, self.eps)
+        self.G_raw = [[_unscaled(x, den_w * den_k) for x in row] for row in G]
+        self.symmetric = linalg.is_symmetric(G)
         wedge_zero = is_compatible(omega, rho)
         self.compatible = self.symmetric and wedge_zero
         self.structure = self._verdict(stable, wedge_zero)

@@ -463,3 +463,42 @@ def test_cli_repeated_directive_is_parse_error(tmp_path, command, text, line, wh
 def test_cli_missing_file():
     code, _, err = run_cli(["verify", "/nonexistent/file.alg"])
     assert code == cli.EXIT_INPUT_ERROR
+
+
+_SU2_SU2 = "dim 6\nbasis e1 e2 e3 f1 f2 f3\nd e1 = 1 e2^e3\nd e2 = 1 e3^e1\nd e3 = 1 e1^e2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("verify", SU2_TEXT, "verify needs a six-dimensional algebra"),
+        ("verify", _SU2_SU2, "verify needs both omega and rho forms"),
+        ("classify3d", _SU2_SU2, "classify3d needs a three-dimensional algebra"),
+        ("obstruct", SU2_TEXT, "obstruct needs a six-dimensional algebra"),
+        ("search", SU2_TEXT, "search needs a six-dimensional algebra"),
+        ("obstruct", "# no declarations\n", "file must declare dim and basis"),
+        ("classify3d", "dim 3\n", "file must declare dim and basis"),
+        ("verify", None, "cannot read "),
+    ],
+    ids=["verify-dim", "verify-forms", "classify3d-dim", "obstruct-dim", "search-dim", "no-dim", "no-basis", "unreadable"],
+)
+def test_cli_errors_without_a_line_name_none(tmp_path, command, text, message):
+    p = tmp_path / "f.alg"
+    if text is not None:
+        p.write_text(text)
+    code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err.startswith("error: " + message), err
+
+
+def test_cli_search_checks_its_file_before_loading_scipy(tmp_path):
+    p = tmp_path / "su2.alg"
+    p.write_text(SU2_TEXT)
+    script = (
+        "import sys; from halfflat import cli; code = cli.main(['search', sys.argv[1]]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(p)], capture_output=True, text=True, env=env)
+    assert done.stdout == f"{cli.EXIT_INPUT_ERROR} False\n", done.stderr
+    assert done.stderr == "error: search needs a six-dimensional algebra\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -113,3 +114,45 @@ def test_corpus_rows_golden():
     rows = _row_data()
     assert len(rows) == 74
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ROW_DATA_GOLDEN
+
+
+def _planted(inst, **changes):
+    return dataclasses.replace(inst, **changes)
+
+
+def test_metric_sign_rejects_planted_metrics():
+    rows = [
+        corpus.row_t3_diagonal("su2"),
+        corpus.row_t4_e2(),
+        corpus.row_t5_su2_r3(),
+        corpus.row_t5_sl2_r3mu_pos(Fraction(1, 2)),
+        corpus.example_su12(),
+        corpus.example_sl3r(),
+    ]
+    for inst in rows:
+        pair = corpus.verify_instance(inst).report.pair
+        assert corpus._metric_sign(pair, inst) != 0, inst.label
+        g0 = inst.g0
+        nonzero = [(u, v) for u in range(6) for v in range(6) if g0[u][v] != 0]
+        raw_zero = [(u, v) for u in range(6) for v in range(6) if pair.G_raw[u][v] == 0]
+        assert nonzero and raw_zero, inst.label
+        u, v = nonzero[len(nonzero) // 2]
+        flipped = [list(row) for row in g0]
+        flipped[u][v] = -flipped[u][v]
+        u, v = raw_zero[0]
+        filled = [list(row) for row in g0]
+        filled[u][v] = Fraction(1)
+        u, v = nonzero[0]
+        dropped = [list(row) for row in g0]
+        dropped[u][v] = Fraction(0)
+        planted = [_planted(inst, g0=g) for g in (flipped, filled, dropped)] + [_planted(inst, s2=4 * inst.s2)]
+        for bad in planted:
+            assert corpus._metric_sign(pair, bad) == 0, inst.label
+    # the whole metric negated matches only rows whose kind allows the sign -1
+    su3 = rows[0]
+    negated = [[-x for x in row] for row in su3.g0]
+    assert corpus._metric_sign(corpus.verify_instance(su3).report.pair, _planted(su3, g0=negated)) == 0
+    sl3r = rows[-1]
+    sign = corpus._metric_sign(corpus.verify_instance(sl3r).report.pair, sl3r)
+    negated = [[-x for x in row] for row in sl3r.g0]
+    assert corpus._metric_sign(corpus.verify_instance(sl3r).report.pair, _planted(sl3r, g0=negated)) == -sign

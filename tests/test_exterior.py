@@ -18,7 +18,7 @@ from halfflat.exterior import (
     volume_ratio,
     wedge,
 )
-from halfflat.scalars import QuadExt, scalar_sign, sqrt_scalar
+from halfflat.scalars import QuadExt, is_square, scalar_sign, sqrt_scalar
 
 from .conftest import basis, random_form
 from . import oracles
@@ -182,6 +182,29 @@ def test_quadext_field_operations(rng):
         if not isinstance(prod, Fraction):
             assert (prod / b) == a
         assert (a + b) - b == a
+
+
+def _no_square_radicand(x) -> bool:
+    return not isinstance(x, QuadExt) or (x.b != 0 and not is_square(x.d))
+
+
+def test_quadext_never_has_a_square_radicand(rng):
+    radicands = [Fraction(n, d) for n in range(0, 13) for d in (1, 2, 4, 9)]
+    assert any(is_square(d) for d in radicands) and not all(is_square(d) for d in radicands)
+    for d in radicands:
+        assert _no_square_radicand(sqrt_scalar(d))
+        values = [QuadExt.make(rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 3)), d) for _ in range(8)]
+        values += [QuadExt.make(1, 1, d), QuadExt.make(0, 1, d), Fraction(2, 3), 0, -1]
+        assert all(_no_square_radicand(x) for x in values)
+        for x in values:
+            for y in values:
+                results = [x + y, x - y, x * y, -x]
+                if y != 0:
+                    results.append(x / y)
+                assert all(_no_square_radicand(r) for r in results), (x, y)
+                # a value with its irrational part cancelled is a Fraction
+                if isinstance(x, QuadExt):
+                    assert type(x - x) is Fraction and type(x + QuadExt.make(0, -x.b, d)) is Fraction
 
 
 def test_quadext_radicand_mismatch():

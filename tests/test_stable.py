@@ -6,8 +6,8 @@ import pytest
 
 from halfflat import corpus, linalg, stable
 from halfflat.errors import NotCompatibleError, NotStableError
-from halfflat.exterior import KForm, basis_masks, contract, form, volume_ratio, wedge
-from halfflat.scalars import QuadExt, scalar_abs, sqrt_scalar
+from halfflat.exterior import KForm, basis_masks, contract, evaluate, form, volume_ratio, wedge
+from halfflat.scalars import QuadExt, scalar_abs, scalar_sign, sqrt_scalar
 from halfflat.stable import (
     MODEL_OMEGA,
     MODEL_RHO,
@@ -23,7 +23,7 @@ from halfflat.stable import (
 )
 
 from .conftest import basis, random_fraction, random_form
-from .oracles import dense_k_matrix, dense_lambda
+from .oracles import dense_from_sparse, dense_k_matrix, dense_lambda, dense_wedge
 
 RHO_SPLIT = form(3, [("e123", 1), ("f123", 1)])
 
@@ -433,3 +433,117 @@ def test_sparse_metric_matches_dense_product(rng):
         pair = StablePair(omega, rho)
         dense = linalg.mat_mul(stable.omega_matrix(omega), k_matrix(rho))
         assert pair.G_raw == [[pair.eps * x for x in row] for row in dense]
+
+
+# -- StablePair on cleared denominators against the dense oracle -----------------
+
+
+def _dense_phi_omega(omega):
+    k, d = dense_from_sparse(omega)
+    k4, d4 = dense_wedge(k, d, k, d)
+    _, d6 = dense_wedge(k4, d4, k, d)
+    return d6.get((1, 2, 3, 4, 5, 6), Fraction(0)) / 6
+
+
+def _dense_pair(omega, rho):
+    """Every StablePair field from the dense formulas; inertia reads the dense G."""
+    K = dense_k_matrix(rho)
+    lam = dense_lambda(K)
+    phi = _dense_phi_omega(omega)
+    eps = stable.EPSILON_PARA if scalar_sign(lam) > 0 else stable.EPSILON
+    _, dw = dense_from_sparse(omega)
+    W = [[dw.get((u, v), Fraction(0)) for v in range(1, 7)] for u in range(1, 7)]
+    G = [[eps * sum(W[u][w] * K[w][v] for w in range(6)) for v in range(6)] for u in range(6)]
+    symmetric = all(G[u][v] == G[v][u] for u in range(6) for v in range(6))
+    ka, da = dense_from_sparse(omega)
+    kb, db = dense_from_sparse(rho)
+    wedge_zero = not any(dense_wedge(ka, da, kb, db)[1].values())
+    stable_pair = lam != 0 and phi != 0
+    want = {
+        "K": K, "lam": lam, "phi_omega": phi, "eps": eps, "G_raw": G, "symmetric": symmetric,
+        "compatible": symmetric and wedge_zero,
+        "norm_c4": 4 * phi * phi / scalar_abs(lam) if stable_pair else None,
+        "norm_sign": scalar_sign(phi) if stable_pair else 0,
+    }
+    if stable_pair and wedge_zero and symmetric:
+        oriented = G if scalar_sign(phi) > 0 else [[-x for x in row] for row in G]
+        want["signature"] = linalg.inertia(oriented)
+    return want
+
+
+def _field_type(x):
+    return QuadExt if isinstance(x, QuadExt) else Fraction
+
+
+def _assert_pair_matches_oracle(omega, rho):
+    pair = StablePair(omega, rho)
+    want = _dense_pair(omega, rho)
+    for name in ("lam", "phi_omega", "eps", "symmetric", "compatible", "norm_c4", "norm_sign"):
+        assert getattr(pair, name) == want[name], name
+    for name in ("lam", "phi_omega"):
+        assert type(getattr(pair, name)) is _field_type(want[name]), name
+    if pair.norm_c4 is not None:
+        assert type(pair.norm_c4) is _field_type(want["norm_c4"])
+    for name in ("K", "G_raw"):
+        got = getattr(pair, name)
+        assert got == want[name], name
+        assert all(type(x) is _field_type(y) for row, wrow in zip(got, want[name]) for x, y in zip(row, wrow)), name
+    if "signature" in want:
+        assert pair.structure.signature == want["signature"]
+    return pair
+
+
+def _pullback(f, A):
+    """The form f(A ., ..., A .) for a 6 x 6 matrix A; column i of A is the image of e_i."""
+    cols = [[A[r][c] for r in range(6)] for c in range(6)]
+    terms = {}
+    for mask in basis_masks(f.degree):
+        vectors = [cols[i] for i in range(6) if mask >> i & 1]
+        terms[mask] = evaluate(f, vectors)
+    return KForm(f.degree, terms)
+
+
+def _sparse_gl6(rng, entry):
+    """Upper triangular with a nonzero diagonal and three entries above it, all drawn by ``entry``."""
+    A = [[Fraction(0)] * 6 for _ in range(6)]
+    for i in range(6):
+        while not A[i][i]:
+            A[i][i] = entry()
+    for _ in range(3):
+        i, j = sorted(rng.sample(range(6), 2))
+        A[i][j] = entry()
+    return A
+
+
+def test_stable_pair_equals_dense_oracle_rational(rng):
+    big = lambda: random_fraction(rng, 3, max_den=10**4)
+    pairs = [(random_form(rng, 2, density=0.5), random_form(rng, 3, density=0.4)) for _ in range(6)]
+    for omega, rho in list(pairs):
+        pairs.append((KForm(2, {m: big() for m in omega.terms}), KForm(3, {m: big() for m in rho.terms})))
+    for omega, rho in ((MODEL_OMEGA, MODEL_RHO), (MODEL_OMEGA, MODEL_RHO_PARA)):
+        for _ in range(3):
+            A = _sparse_gl6(rng, big)
+            pairs.append((_pullback(omega, A), _pullback(rho, A).scale(big())))
+    pairs.append((MODEL_OMEGA.scale(Fraction(-7, 9999)), MODEL_RHO.scale(Fraction(3, 10**4))))
+    # integer coefficients: nothing to clear, and still no int in the fields
+    pairs += [(MODEL_OMEGA, MODEL_RHO), (MODEL_OMEGA.scale(-2), MODEL_RHO_PARA)]
+    pairs.append((random_form(rng, 2, density=0.5, span=3).scale(12), random_form(rng, 3, density=0.4, span=3).scale(12)))
+    kinds = {_assert_pair_matches_oracle(omega, rho).structure.kind for omega, rho in pairs}
+    assert {"SU(3)", "SL(3,R)", "NotCompatible"} <= kinds
+
+
+def test_stable_pair_equals_dense_oracle_quadratic_extension(rng):
+    D = Fraction(3, 2)
+    quad = lambda: QuadExt.make(random_fraction(rng, 3, max_den=50), random_fraction(rng, 3, max_den=50), D)
+    pairs = [(random_form(rng, 2, density=0.5).scale(quad()), _quad_form(rng, D, density=0.4)) for _ in range(4)]
+    for omega, rho in ((MODEL_OMEGA, MODEL_RHO), (MODEL_OMEGA, MODEL_RHO_PARA)):
+        for _ in range(2):
+            A = _sparse_gl6(rng, quad)
+            pairs.append((_pullback(omega, A), _pullback(rho, A)))
+    inst = corpus.row_t5_sl2_r3mu_pos(Fraction(1, 3))
+    pairs.append((inst.omega, inst.rho))
+    seen_quad = False
+    for omega, rho in pairs:
+        pair = _assert_pair_matches_oracle(omega, rho)
+        seen_quad |= any(isinstance(x, QuadExt) for row in pair.G_raw for x in row)
+    assert seen_quad
