@@ -49,53 +49,58 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
     params: dict[str, Fraction] = {}
     seen: set[tuple[str, str]] = set()
 
-    def index_of(name: str, line_no: int, col: int) -> int:
+    def index_of(name: str, line_no: int, line: str, k: int) -> int:
         if basis is None:
-            raise ParseError("basis line must precede this line", line_no, col)
+            raise ParseError("basis line must precede this line", line_no, _column(line, k))
         try:
             return basis.index(name) + 1
         except ValueError:
-            raise ParseError(f"unknown basis name {name!r}", line_no, col)
+            raise ParseError(f"unknown basis name {name!r}", line_no, _column(line, k))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
         # dim and basis, and d, form and param per name, may each be given once
         key = (head, tokens[1] if head in ("d", "form", "param") and len(tokens) > 1 else "")
         if key in seen:
-            raise ParseError(f"repeated {' '.join(key).strip()} line", line_no, 0)
+            raise ParseError(f"repeated {' '.join(key).strip()} line", line_no, _column(line, 0))
         seen.add(key)
         if head == "dim":
             if len(tokens) != 2 or tokens[1] not in ("3", "6"):
-                raise ParseError("expected 'dim 3' or 'dim 6'", line_no, len(head) + 1)
+                raise _shape_error("expected 'dim 3' or 'dim 6'", line_no, line, [None, ("3", "6")])
             dim = int(tokens[1])
         elif head == "basis":
             if dim is None:
-                raise ParseError("dim line must precede basis", line_no, 0)
+                raise ParseError("dim line must precede basis", line_no, _column(line, 0))
             if len(tokens) != dim + 1:
-                raise ParseError(f"basis needs exactly {dim} names", line_no, len(head) + 1)
+                raise _shape_error(f"basis needs exactly {dim} names", line_no, line, [None] * (dim + 1))
             basis = tokens[1:]
             if len(set(basis)) != dim:
-                raise ParseError("duplicate basis name", line_no, len(head) + 1)
+                k = next(k for k in range(2, dim + 1) if tokens[k] in tokens[1:k])
+                raise ParseError("duplicate basis name", line_no, _column(line, k))
         elif head == "d":
             if len(tokens) < 4 or tokens[2] != "=":
-                raise ParseError("expected 'd <name> = <terms>'", line_no, 1)
-            target = index_of(tokens[1], line_no, 2)
-            diffs[target] = _parse_terms(tokens[3:], index_of, line_no, expect_degree=2)
+                raise _shape_error("expected 'd <name> = <terms>'", line_no, line, [None, None, ("=",), None])
+            target = index_of(tokens[1], line_no, line, 1)
+            diffs[target] = _parse_terms(tokens, line, index_of, line_no, expect_degree=2)
         elif head == "form":
             if len(tokens) < 4 or tokens[1] not in ("omega", "rho") or tokens[2] != "=":
-                raise ParseError("expected 'form omega|rho = <terms>'", line_no, 1)
+                allowed = [None, ("omega", "rho"), ("=",), None]
+                raise _shape_error("expected 'form omega|rho = <terms>'", line_no, line, allowed)
             degree = 2 if tokens[1] == "omega" else 3
-            forms[tokens[1]] = _parse_terms(tokens[3:], index_of, line_no, expect_degree=degree)
+            forms[tokens[1]] = _parse_terms(tokens, line, index_of, line_no, expect_degree=degree)
         elif head == "param":
             if len(tokens) != 4 or tokens[2] != "=":
-                raise ParseError("expected 'param <name> = <rational>'", line_no, 1)
-            params[tokens[1]] = _parse_rational(tokens[3], line_no)
+                allowed = [None, None, ("=",), None]
+                raise _shape_error("expected 'param <name> = <rational>'", line_no, line, allowed)
+            if not _TOKEN_RAT.match(tokens[3]):
+                raise ParseError(f"bad rational {tokens[3]!r}", line_no, _column(line, 3))
+            params[tokens[1]] = Fraction(tokens[3])
         else:
-            raise ParseError(f"unknown directive {head!r}", line_no, 0)
+            raise ParseError(f"unknown directive {head!r}", line_no, _column(line, 0))
 
     if dim is None or basis is None:
         raise HalfFlatError("file must declare dim and basis")
@@ -108,18 +113,25 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
     return L, omega, rho
 
 
-def _parse_rational(tok: str, line_no: int) -> Fraction:
-    if not _TOKEN_RAT.match(tok):
-        raise ParseError(f"bad rational {tok!r}", line_no, 0)
-    return Fraction(tok)
+def _column(line: str, k: int) -> int:
+    """1-based column of token k of a line (just past its last token for k past them); read on errors only."""
+    spans = [m.span() for m in re.finditer(r"\S+", line)]
+    return spans[k][0] + 1 if k < len(spans) else spans[-1][1] + 1
 
 
-def _parse_terms(tokens: list[str], index_of, line_no: int, expect_degree: int):
-    """Terms are 'coeff name^name^...' joined by '+'/'-' tokens."""
+def _shape_error(message: str, line_no: int, line: str, allowed: list) -> ParseError:
+    """A ParseError at the first token outside its allowed values (None allows any), or past them."""
+    tokens = line.split()
+    bad = (k for k, ok in enumerate(allowed) if k >= len(tokens) or ok is not None and tokens[k] not in ok)
+    return ParseError(message, line_no, _column(line, next(bad, len(allowed))))
+
+
+def _parse_terms(tokens: list[str], line: str, index_of, line_no: int, expect_degree: int):
+    """Terms, from tokens[3] on, are 'coeff name^name^...' joined by '+'/'-' tokens."""
     out: list[tuple[Fraction, list[int]]] = []
     sign = Fraction(1)
-    i = 0
-    if tokens and tokens[0] == "0" and len(tokens) == 1:
+    i = 3
+    if tokens[3:] == ["0"]:
         return out
     while i < len(tokens):
         tok = tokens[i]
@@ -132,18 +144,16 @@ def _parse_terms(tokens: list[str], index_of, line_no: int, expect_degree: int):
             i += 1
             continue
         if not _TOKEN_RAT.match(tok):
-            raise ParseError(f"expected a coefficient, got {tok!r}", line_no, i)
+            raise ParseError(f"expected a coefficient, got {tok!r}", line_no, _column(line, i))
         coeff = sign * Fraction(tok)
         i += 1
         if i >= len(tokens):
-            raise ParseError("coefficient without a monomial", line_no, i)
+            raise ParseError("coefficient without a monomial", line_no, _column(line, i))
         names = tokens[i].split("^")
-        idx = [index_of(n, line_no, i) for n in names]
+        idx = [index_of(n, line_no, line, i) for n in names]
         if len(idx) != expect_degree:
-            raise HalfFlatError(
-                f"degree mismatch at line {line_no}: monomial of degree "
-                f"{len(idx)}, expected {expect_degree}"
-            )
+            message = f"degree mismatch: monomial of degree {len(idx)}, expected {expect_degree}"
+            raise ParseError(message, line_no, _column(line, i))
         out.append((coeff, idx))
         i += 1
         sign = Fraction(1)
@@ -236,6 +246,8 @@ def _cmd_search(args) -> int:
         raise HalfFlatError(f"--restarts must be at least 1, got {args.restarts}")
     if not 0 <= args.tol < float("inf"):  # nan or inf would switch the residual gate off
         raise HalfFlatError(f"--tol must be a finite nonnegative number, got {args.tol}")
+    if args.max_den < 0:  # 0 skips the rationalization; a negative one would skip it silently
+        raise HalfFlatError(f"--max-den must be at least 0, got {args.max_den}")
     L, _, _ = _load(args.file)
     if L.dim != 6:
         raise HalfFlatError("search needs a six-dimensional algebra")

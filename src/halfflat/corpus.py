@@ -841,18 +841,20 @@ def _metric_sign(pair: stable.StablePair, inst: Instance) -> int:
     """The sign under which sqrt(|lambda| s^2) G0 is the oriented G_raw, or 0.
 
     With c = |lambda| s^2 formed once, a zero G0 entry needs a zero raw entry;
-    a nonzero one needs raw^2 = c G0^2 and sign(raw) sign(G0) equal to that of
-    every other nonzero entry.  SU(3) rows admit only +1.
+    a nonzero one needs raw^2 = c G0^2 and branch sign(raw) sign(G0) equal to
+    that of every other nonzero entry, where the orientation branch is -1 for
+    norm_sign < 0.  SU(3) rows admit only +1.
     """
     c = scalar_abs(pair.lam) * inst.s2
+    branch = -1 if pair.norm_sign < 0 else 1
     sign = 0
-    for raw_row, g0_row in zip(pair.oriented_metric_raw(), inst.g0):
+    for raw_row, g0_row in zip(pair.G_raw, inst.g0):
         for x, g in zip(raw_row, g0_row):
             if scalar_is_zero(g):
                 if not scalar_is_zero(x):
                     return 0
                 continue
-            s = scalar_sign(x) * scalar_sign(g)
+            s = branch * scalar_sign(x) * scalar_sign(g)
             if s == 0 or s == -sign or x * x != c * g * g:
                 return 0
             sign = s

@@ -36,9 +36,9 @@ class DomainError(HalfFlatError):
 
 
 class ParseError(HalfFlatError):
-    """Syntax error in the structure-file format, with position information."""
+    """Syntax error in the structure-file format at a line and a 1-based character column."""
 
-    def __init__(self, message: str, line: int, column: int = 0):
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column

@@ -125,7 +125,7 @@ class FloatKernels:
         self.t22 = _Terms(self.w22)
         self.t23 = _Terms(self.w23)
         self.tk = _Terms(self.kt.reshape(DIM * DIM, len(self.b3), len(self.b3)))
-        # omega_{lo,hi} sits at m[lo, hi] and -omega_{lo,hi} at m[hi, lo]
+        # omega_{lo,hi} sits at Omega[lo, hi] and -omega_{lo,hi} at Omega[hi, lo]
         self.om_hi = np.array([m.bit_length() - 1 for m in self.b2])
         self.om_lo = np.array([(m & -m).bit_length() - 1 for m in self.b2])
         self.id3 = np.eye(len(self.b3))
@@ -157,15 +157,6 @@ class FloatKernels:
 
     # -- float evaluations ------------------------------------------------
 
-    def omega_matrix(self, w: np.ndarray) -> np.ndarray:
-        m = np.zeros((DIM, DIM))
-        m[self.om_lo, self.om_hi] = w
-        m[self.om_hi, self.om_lo] = -w
-        return m
-
-    def k_of(self, r: np.ndarray) -> np.ndarray:
-        return self.tk.contract(0, r, r).reshape(DIM, DIM)
-
     def k_grad(self, a: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Gradient in r of sum_uv a_uv K_uv(r)."""
         f = a.ravel()
@@ -177,9 +168,15 @@ class FloatKernels:
     def wedge23(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
         return self.t23.contract(2, w, r)
 
-    def lam_of(self, r: np.ndarray) -> float:
-        k = self.k_of(r)
-        return float(np.trace(k @ k)) / 6.0
+    def pair(self, w: np.ndarray, r: np.ndarray):
+        """(K, lambda, eps, Omega, G = eps Omega K) of the pair at (w, r), the float ``StablePair``."""
+        k = self.tk.contract(0, r, r).reshape(DIM, DIM)
+        lam = float(np.trace(k @ k)) / 6.0
+        eps = stable.EPSILON_PARA if lam > 0 else stable.EPSILON
+        om = np.zeros((DIM, DIM))
+        om[self.om_lo, self.om_hi] = w
+        om[self.om_hi, self.om_lo] = -w
+        return k, lam, eps, om, eps * (om @ k)
 
     def residuals(self, w: np.ndarray, r: np.ndarray) -> dict:
         """Float residuals of d rho, d omega^2 and omega ^ rho, plus lambda."""
@@ -187,14 +184,8 @@ class FloatKernels:
             "resid_drho": float(np.linalg.norm(self.d3 @ r)),
             "resid_domega2": float(np.linalg.norm(self.d4 @ self.wedge22(w))),
             "resid_omega_rho": float(np.linalg.norm(self.wedge23(w, r))),
-            "lambda_float": self.lam_of(r),
+            "lambda_float": self.pair(w, r)[1],
         }
-
-    def metric_raw(self, w: np.ndarray, r: np.ndarray):
-        k = self.k_of(r)
-        lam = float(np.trace(k @ k)) / 6.0
-        eps = stable.EPSILON_PARA if lam > 0 else stable.EPSILON
-        return eps * (self.omega_matrix(w) @ k), lam
 
 
 def _hinge(x: float) -> float:
@@ -245,8 +236,7 @@ class _Penalty:
         grad_r = 2.0 * kern.t23.contract(1, w, r2)
 
         # lambda sign hinge
-        kmat = kern.k_of(r)
-        lam = float(np.trace(kmat @ kmat)) / 6.0
+        kmat, lam, eps, om, g = kern.pair(w, r)
         dlam_dr = kern.k_grad(kmat.T, r) / 3.0
         if self.target in ("su3", "su12"):
             h = _hinge(lam + LAM_GAP)
@@ -260,9 +250,6 @@ class _Penalty:
                 grad_r -= 2.0 * h * dlam_dr
 
         # eigenvalue hinges on the symmetrized metric matrix
-        eps = stable.EPSILON_PARA if lam > 0 else stable.EPSILON
-        om = kern.omega_matrix(w)
-        g = eps * (om @ kmat)
         s = 0.5 * (g + g.T)
         evals, evecs = np.linalg.eigh(s)
         scale = max(float(np.linalg.norm(s)), 1e-12)
@@ -282,7 +269,7 @@ class _Penalty:
             # the margin itself scales with |S|_F
             ds += hsum * MARGIN_OPT * s / scale
         if p4 > 0.0:
-            # dS from omega: d g = eps * d omega_matrix @ K (antisymmetric slots)
+            # dS from omega: d g = eps * d Omega @ K (antisymmetric slots)
             dg = eps * (ds @ kmat.T)
             grad_w += 0.5 * (dg[kern.om_lo, kern.om_hi] - dg[kern.om_hi, kern.om_lo]) * 2.0
             # dS from rho through K
@@ -374,7 +361,7 @@ def _gate(kern, pen, x, target, tol):
     residuals = kern.residuals(w, r)
     if max(residuals["resid_drho"], residuals["resid_domega2"], residuals["resid_omega_rho"]) > tol:
         return None
-    g, lam = kern.metric_raw(w, r)
+    _, lam, _, _, g = kern.pair(w, r)
     s = 0.5 * (g + g.T)
     evals = np.linalg.eigvalsh(s)
     if target in ("su3", "su12") and lam >= 0:

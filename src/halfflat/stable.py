@@ -29,9 +29,11 @@ g = eps * omega(. , J_rho .).  The matrix G_raw with
 G_raw[u][v] = eps * omega(e_u, K_rho e_v) satisfies g = G_raw/sqrt(|lambda|)
 up to the orientation branch, so definiteness and signatures are decided
 without leaving the field of the coefficients.  ``StablePair`` is the one
-place where K, lambda, phi(omega), G_raw and the structure verdict of a
-pair are formed, each once; ``structure_type`` and ``induced_metric_raw``
-read them from it.
+place where K, lambda, omega^2, phi(omega) = omega^2 ^ omega / 6, G_raw and
+the structure verdict of a pair are formed, each once; ``structure_type``,
+``induced_metric_raw`` and the checks of ``verify`` read them from it.  The
+orientation branch is a sign: for norm_sign < 0 the oriented metric is
+-G_raw, whose inertia is that of G_raw with p and q swapped.
 
 The products of a pair run on integers.  A form f is cleared once by the
 positive lcm den of its coefficient denominators (a Q(sqrt D) coefficient
@@ -224,34 +226,13 @@ def trace_of_square_quartic(forms: KQuadratic) -> dict[tuple[int, int, int, int]
     return {key: c for key, c in quartic.items() if c}
 
 
-def lambda_of(rho: KForm, K: linalg.Matrix | None = None) -> Scalar:
+def lambda_of(rho: KForm) -> Scalar:
     """Quartic invariant lambda(rho) = tr(K_rho^2)/6 relative to nu^2."""
-    K = k_matrix(rho) if K is None else K
-    return trace_of_square(K) / 6
-
-
-def phi_omega(omega: KForm) -> Scalar:
-    """phi(omega) = omega^3 / 6 as a multiple of the reference volume."""
-    if omega.degree != 2:
-        raise NotStableError("phi(omega) is defined for two-forms")
-    top = wedge(wedge(omega, omega), omega)
-    v = volume_ratio(top)
-    return v / 6
-
-
-def omega_matrix(omega: KForm) -> linalg.Matrix:
-    """Antisymmetric matrix of omega(e_u, e_v)."""
-    m = linalg.zeros(DIM, DIM)
-    for mask, coeff in omega.terms.items():
-        idx = [i + 1 for i in range(DIM) if mask >> i & 1]
-        u, v = idx
-        m[u - 1][v - 1] = coeff
-        m[v - 1][u - 1] = -coeff
-    return m
+    return trace_of_square(k_matrix(rho)) / 6
 
 
 def _omega_times_k(omega: dict[int, Scalar], K: linalg.Matrix, eps: int) -> linalg.Matrix:
-    """eps * omega_matrix @ K for omega given by its terms, summed over those terms only."""
+    """eps * Omega @ K for the antisymmetric Omega[u][v] = omega(e_u, e_v), summed over omega's terms."""
     G: linalg.Matrix = [[0] * DIM for _ in range(DIM)]
     for mask, c in omega.items():
         a = (mask & -mask).bit_length() - 1
@@ -288,8 +269,7 @@ def _calibrate_epsilon(rho: KForm, expected: linalg.Matrix) -> int:
     convention stays consistent with the kappa/volume choices above.
     """
     K = k_matrix(rho)
-    lam = lambda_of(rho, K)
-    root = sqrt_scalar(scalar_abs(lam))
+    root = sqrt_scalar(scalar_abs(trace_of_square(K) / 6))
     g_unsigned = _omega_times_k(MODEL_OMEGA.terms, K, 1)
     for eps in (1, -1):
         g = [[eps * x / root for x in row] for row in g_unsigned]
@@ -302,11 +282,6 @@ def _calibrate_epsilon(rho: KForm, expected: linalg.Matrix) -> int:
 EPSILON: int = _calibrate_epsilon(MODEL_RHO, linalg.identity(DIM))
 #: metric sign for lambda > 0, from the para-Hermitian model frame
 EPSILON_PARA: int = _calibrate_epsilon(MODEL_RHO_PARA, _MODEL_PARA_METRIC)
-
-
-def epsilon_for(lam: Scalar) -> int:
-    """Calibrated metric sign for the given quartic invariant."""
-    return EPSILON_PARA if scalar_sign(lam) > 0 else EPSILON
 
 
 def is_compatible(omega: KForm, rho: KForm) -> bool:
@@ -340,14 +315,13 @@ def structure_type(omega: KForm, rho: KForm) -> StructureType:
     return StablePair(omega, rho).structure
 
 
-def j_matrix_values(rho: KForm, alpha: KForm, K: linalg.Matrix | None = None) -> list[Scalar]:
-    """phi-scaled values alpha(K_rho e_v) for v = 1..6: the row alpha^T K.
+def j_matrix_values(K: linalg.Matrix, alpha: KForm) -> list[Scalar]:
+    """phi-scaled values alpha(K_rho e_v) for v = 1..6: the row alpha^T K for K = K_rho.
 
     These are sqrt(|lambda|) * (J* alpha)(e_v) = alpha ^ (e_v -| rho) ^ rho / nu,
     rational whenever the inputs are, which lets invariance and isotropy
     checks stay in the base field.
     """
-    K = k_matrix(rho) if K is None else K
     return [
         sum((c * K[m.bit_length() - 1][v] for m, c in alpha.terms.items()), Fraction(0))
         for v in range(DIM)
@@ -355,7 +329,7 @@ def j_matrix_values(rho: KForm, alpha: KForm, K: linalg.Matrix | None = None) ->
 
 
 class StablePair:
-    """A candidate pair (omega, rho) with K, lambda, G_raw and the verdict computed once.
+    """A candidate pair (omega, rho) with K, lambda, omega^2, G_raw and the verdict computed once.
 
     Wrong degrees raise NotStableError; omega ^ rho = 0 with an asymmetric
     G_raw raises NotCompatibleError.
@@ -365,6 +339,7 @@ class StablePair:
         "omega",
         "rho",
         "lam",
+        "omega2",
         "phi_omega",
         "K",
         "G_raw",
@@ -377,6 +352,8 @@ class StablePair:
     )
 
     def __init__(self, omega: KForm, rho: KForm):
+        if omega.degree != 2:
+            raise NotStableError("phi(omega) is defined for two-forms")
         self.omega = omega
         self.rho = rho
         self.K = k_matrix(rho)
@@ -384,8 +361,9 @@ class StablePair:
         K = [flat[i : i + DIM] for i in range(0, DIM * DIM, DIM)]
         den_w, w = _cleared_terms(omega)
         self.lam = _unscaled(trace_of_square(K), 6 * den_k * den_k)
-        self.phi_omega = phi_omega(omega)
-        self.eps = epsilon_for(self.lam)
+        self.omega2 = wedge(omega, omega)
+        self.phi_omega = volume_ratio(wedge(self.omega2, omega)) / 6
+        self.eps = EPSILON_PARA if scalar_sign(self.lam) > 0 else EPSILON
         stable = not (scalar_is_zero(self.lam) or scalar_is_zero(self.phi_omega))
         if stable:
             self.norm_c4 = 4 * self.phi_omega * self.phi_omega / scalar_abs(self.lam)
@@ -407,15 +385,11 @@ class StablePair:
             return StructureType(KIND_NOT_COMPATIBLE)
         if not self.symmetric:
             raise NotCompatibleError("omega(., K_rho .) is not symmetric: pair not compatible")
-        p, q, z = linalg.inertia(self.oriented_metric_raw())
+        p, q, z = linalg.inertia(self.G_raw)
+        if self.norm_sign < 0:
+            p, q = q, p
         if z == 0 and scalar_sign(self.lam) < 0 and (p, q) in _SU_KIND_BY_SIGNATURE:
             return StructureType(_SU_KIND_BY_SIGNATURE[(p, q)], (p, q, z))
         if z == 0 and scalar_sign(self.lam) > 0 and (p, q) == (3, 3):
             return StructureType(KIND_SL3R, (p, q, z))
         return StructureType(KIND_NOT_NORMALIZABLE, (p, q, z))
-
-    def oriented_metric_raw(self) -> linalg.Matrix:
-        """G_raw with the orientation branch applied (positive branch)."""
-        if self.norm_sign >= 0:
-            return self.G_raw
-        return [[-x for x in row] for row in self.G_raw]

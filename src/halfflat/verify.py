@@ -25,7 +25,7 @@ from .errors import DomainError, JacobiError, NotStableError
 from .exterior import KForm, form, volume_ratio, wedge
 from .liealg import E_BLOCK, LieAlgebra, direct_sum
 from .scalars import Scalar, is_square, rational_sqrt, scalar_is_zero
-from .stable import STABILIZER_KINDS, StructureType
+from .stable import StructureType
 
 
 @dataclass
@@ -62,12 +62,7 @@ class HalfFlatReport:
 
     @property
     def half_flat(self) -> bool:
-        return (
-            self.d_rho_zero
-            and self.d_omega2_zero
-            and self.compatible
-            and self.structure.kind in STABILIZER_KINDS
-        )
+        return self.d_rho_zero and self.d_omega2_zero and self.compatible and self.structure.is_stabilizer
 
     def to_text(self) -> str:
         lines = [
@@ -95,11 +90,8 @@ def verify(L: LieAlgebra, omega: KForm, rho: KForm) -> HalfFlatReport:
     """Exact half-flat verdict for (omega, rho) on L."""
     if L.dim != 6:
         raise ValueError("verification runs on six-dimensional algebras")
-    return HalfFlatReport(
-        d_rho_zero=L.d(rho).is_zero(),
-        d_omega2_zero=L.d(wedge(omega, omega)).is_zero(),
-        pair=stable.StablePair(omega, rho),
-    )
+    pair = stable.StablePair(omega, rho)
+    return HalfFlatReport(d_rho_zero=L.d(rho).is_zero(), d_omega2_zero=L.d(pair.omega2).is_zero(), pair=pair)
 
 
 def plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[bool, bool]:
@@ -111,11 +103,10 @@ def plane_checks(pair: stable.StablePair, plane: tuple[KForm, KForm]) -> tuple[b
     alpha ^ J*beta ^ omega^2 = (1/3) g(alpha, beta) omega^3;
     J-invariance checks alpha(K_rho v) = 0 for v annihilating the plane.
     """
-    omega2 = wedge(pair.omega, pair.omega)
-    j_rows = [stable.j_matrix_values(pair.rho, a, pair.K) for a in plane]
+    j_rows = [stable.j_matrix_values(pair.K, a) for a in plane]
     j_forms = [KForm(1, {1 << v: x for v, x in enumerate(row)}) for row in j_rows]
     isotropic = all(
-        scalar_is_zero(volume_ratio(wedge(wedge(a, jb), omega2))) for a in plane for jb in j_forms
+        scalar_is_zero(volume_ratio(wedge(wedge(a, jb), pair.omega2))) for a in plane for jb in j_forms
     )
     ann = linalg.nullspace([[a.coeff(1 << i) for i in range(6)] for a in plane])
     invariant = all(
@@ -317,7 +308,7 @@ def para_eigenspace_pair(
         lo, hi = mask & E_BLOCK, mask & ~E_BLOCK
         if lo and not hi or hi and not lo:
             raise DomainError("omega must live in g1* x g2*")
-    if scalar_is_zero(stable.phi_omega(omega)):
+    report = verify(direct_sum(L1, L2), omega, stable.MODEL_RHO_PARA)
+    if scalar_is_zero(report.pair.phi_omega):
         raise NotStableError("omega is degenerate")
-    rho = stable.MODEL_RHO_PARA
-    return omega, rho, verify(direct_sum(L1, L2), omega, rho)
+    return omega, stable.MODEL_RHO_PARA, report

@@ -97,6 +97,27 @@ def dense_lambda(K):
     return sum(K[i][j] * K[j][i] for i in range(DIM) for j in range(DIM)) / 6
 
 
+def dense_phi_omega(omega):
+    """phi(omega) = omega^3 / 6 relative to e^1 ^ ... ^ e^6, from dense wedges."""
+    k, d = dense_from_sparse(omega)
+    k4, d4 = dense_wedge(k, d, k, d)
+    _, d6 = dense_wedge(k4, d4, k, d)
+    return d6.get(tuple(range(1, DIM + 1)), Fraction(0)) / 6
+
+
+def omega_matrix(omega):
+    """Antisymmetric matrix of omega(e_u, e_v) for a two-form omega."""
+    _, dense = dense_from_sparse(omega)
+    return [[dense_value(dense, (u, v)) for v in range(1, DIM + 1)] for u in range(1, DIM + 1)]
+
+
+def oriented_metric_raw(pair):
+    """G_raw of a ``StablePair`` with its orientation branch applied: a negated copy for norm_sign < 0."""
+    if pair.norm_sign >= 0:
+        return pair.G_raw
+    return [[-x for x in row] for row in pair.G_raw]
+
+
 def dense_equal_sparse(kd, dense, form) -> bool:
     fk, fd = dense_from_sparse(form)
     if fk != kd:

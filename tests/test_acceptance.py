@@ -18,10 +18,11 @@ from halfflat.classify3d import classify
 from halfflat.exterior import KForm, basis_masks, covector, form, volume_ratio, wedge
 from halfflat.liealg import LieAlgebra, catalog, change_basis, direct_sum
 from halfflat.scalars import scalar_abs, sqrt_scalar
-from halfflat.stable import StablePair, k_matrix, lambda_of, omega_matrix, phi_omega
+from halfflat.stable import StablePair, k_matrix, lambda_of
 from halfflat.verify import ortho_type_I, ortho_type_II, plane_checks, type_I_closure_criterion, verify
 
 from .conftest import random_fraction, random_form
+from .oracles import dense_phi_omega, omega_matrix, oriented_metric_raw
 
 F = Fraction
 
@@ -286,7 +287,7 @@ def test_criterion_7_property_suites():
     for _ in range(200):
         rho = random_form(rng, 3, span=4, density=0.4)
         K = k_matrix(rho)
-        lam = lambda_of(rho, K)
+        lam = lambda_of(rho)
         expect = [[lam if i == j else F(0) for j in range(6)] for i in range(6)]
         ok_b = ok_b and linalg.mat_eq(linalg.mat_mul(K, K), expect)
     results.append(("K^2=lambda*id", ok_b))
@@ -317,14 +318,14 @@ def test_criterion_7_property_suites():
     for pair in pairs:
         root = sqrt_scalar(scalar_abs(pair.lam))
         o = pair.norm_sign
-        ginv = linalg.invert(pair.oriented_metric_raw())
+        ginv = linalg.invert(oriented_metric_raw(pair))
         omega2 = wedge(pair.omega, pair.omega)
         omega3 = wedge(omega2, pair.omega)
         vol3 = volume_ratio(omega3)
         for _ in range(50):
             alpha = random_form(rng, 1, span=4)
             beta = random_form(rng, 1, span=4)
-            vals = stable.j_matrix_values(pair.rho, beta)
+            vals = stable.j_matrix_values(pair.K, beta)
             jbeta = KForm(1, {1 << v: vals[v] for v in range(6)})
             lhs = volume_ratio(wedge(wedge(alpha, jbeta), omega2)) / (o * root)
             avec = alpha.coefficients([1 << i for i in range(6)])
@@ -347,7 +348,7 @@ def test_criterion_7_property_suites():
             continue
         if done_generic < 100:
             omega = random_form(rng, 2, span=3, density=0.6)
-            if phi_omega(omega) != 0:
+            if dense_phi_omega(omega) != 0:
                 G = linalg.mat_mul(omega_matrix(omega), k_matrix(rho))
                 ok_e = ok_e and linalg.is_symmetric(G) == wedge(omega, rho).is_zero()
                 done_generic += 1
@@ -357,7 +358,7 @@ def test_criterion_7_property_suites():
             ]
             for vec in linalg.nullspace(linalg.transpose(cols)):
                 omega = KForm(2, dict(zip(masks2, vec)))
-                if phi_omega(omega) == 0:
+                if dense_phi_omega(omega) == 0:
                     continue
                 G = linalg.mat_mul(omega_matrix(omega), k_matrix(rho))
                 ok_e = ok_e and linalg.is_symmetric(G)

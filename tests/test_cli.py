@@ -77,6 +77,41 @@ def test_parse_errors_carry_position():
         assert exc.line == 3
 
 
+_BASIS3 = "dim 3\nbasis e1 e2 e3\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        (_BASIS3 + "d e2 = 1 e1^e3 + x e1^e2\n", 3, 18, "expected a coefficient, got 'x'"),
+        (_BASIS3 + "d e2 = 1 e1^e9\n", 3, 10, "unknown basis name 'e9'"),
+        (_BASIS3 + "d e9 = 1 e1^e2\n", 3, 3, "unknown basis name 'e9'"),
+        (_BASIS3 + "  d e2 = 1 e1^e3   # comment\n", 3, 3, None),
+        (_BASIS3 + "\td e2 = 1 e1^e3 -\t2 e2^e1^e3\n", 3, 21, "degree mismatch"),
+        ("dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1\n", 3, 16, "degree mismatch"),
+        (_BASIS3 + "d e2 = 1\n", 3, 9, "coefficient without a monomial"),
+        (_BASIS3 + "d e2 1 e1^e3\n", 3, 6, "expected 'd <name> = <terms>'"),
+        (_BASIS3 + "param mu = 1/0\n", 3, 12, "bad rational '1/0'"),
+        ("dim 5\n", 1, 5, "expected 'dim 3' or 'dim 6'"),
+        ("dim 3\nbasis e1 e2 e1\n", 2, 13, "duplicate basis name"),
+        ("dim 3\nbasis e1 e2\n", 2, 12, "basis needs exactly 3 names"),
+        (_BASIS3 + "\n   nonsense\n", 4, 4, "unknown directive 'nonsense'"),
+    ],
+    ids=["coeff", "monomial", "target", "fine", "degree-tab", "degree", "no-monomial", "no-equals", "param", "dim",
+         "duplicate", "short-basis", "directive"],
+)
+def test_parse_error_column_is_the_token_character(tmp_path, text, line, column, message):
+    # the column is the 1-based character position of the token at fault (past the end when one is missing)
+    p = tmp_path / "f.alg"
+    p.write_text(text)
+    code, out, err = run_cli(["classify3d" if text.startswith("dim 3") else "verify", str(p)])
+    if message is None:
+        assert code == cli.EXIT_POSITIVE, err
+        return
+    assert code == cli.EXIT_INPUT_ERROR and out == ""
+    assert err.startswith(f"parse error: line {line}, column {column}: {message}"), err
+
+
 def test_parse_rejects_jacobi_violation(tmp_path):
     bad = "dim 3\nbasis e1 e2 e3\nd e1 = 1 e2^e3\nd e2 = 1 e1^e2\n"
     with pytest.raises(Exception):
@@ -414,6 +449,22 @@ def test_cli_search_restarts_below_one_is_input_error(tmp_path, restarts):
     assert out == "" and err.startswith("error: ") and "--restarts" in err
 
 
+def test_cli_search_negative_max_den_is_input_error(tmp_path):
+    # --max-den 0 skips the rationalization; a negative value is refused before scipy is loaded
+    _, text, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
+    p = tmp_path / "s.alg"
+    p.write_text(text)
+    script = (
+        "import sys; from halfflat import cli; code = cli.main(['search', sys.argv[1], '--max-den', '-5']); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(p)], capture_output=True, text=True, env=env)
+    assert done.stdout == f"{cli.EXIT_INPUT_ERROR} False\n", done.stderr
+    assert done.stderr == "error: --max-den must be at least 0, got -5\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_cli_search_tol_not_finite_nonnegative_is_input_error(tmp_path, tol):
     # -1 rejects every point, nan and inf would switch the residual gate off
@@ -457,7 +508,7 @@ def test_cli_repeated_directive_is_parse_error(tmp_path, command, text, line, wh
     p = tmp_path / "rep.alg"
     p.write_text(text)
     code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err == f"parse error: line {line}, column 0: repeated {what} line\n"
+    assert out == "" and err == f"parse error: line {line}, column 1: repeated {what} line\n"
 
 
 def test_cli_missing_file():

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from halfflat import corpus
-from halfflat.scalars import QuadExt
+from halfflat import corpus, stable
+from halfflat.scalars import QuadExt, scalar_abs, scalar_is_zero, scalar_sign
+
+from .oracles import oriented_metric_raw
 
 
 def test_all_table_instances_verify_exactly():
@@ -120,7 +122,36 @@ def _planted(inst, **changes):
     return dataclasses.replace(inst, **changes)
 
 
+def _metric_sign_reference(pair, inst):
+    """The sign s with oriented G_raw = s sqrt(|lambda| s^2) G0, or 0, on the negated copy of G_raw."""
+    G = oriented_metric_raw(pair)
+    c = scalar_abs(pair.lam) * inst.s2
+    signs = set()
+    for u in range(6):
+        for v in range(6):
+            x, g = G[u][v], inst.g0[u][v]
+            if scalar_is_zero(g) != scalar_is_zero(x) or x * x != c * g * g:
+                return 0
+            if not scalar_is_zero(g):
+                signs.add(scalar_sign(x) * scalar_sign(g))
+    if len(signs) > 1 or signs == {-1} and inst.expected_kind == stable.KIND_SU3:
+        return 0
+    return signs.pop() if signs else 1
+
+
 def test_metric_sign_rejects_planted_metrics():
+    # on every row and with omega and -omega, so both orientation branches occur, the sign
+    # read from G_raw with the branch as a sign equals the one read from the negated copy
+    branches = set()
+    for inst in corpus.iter_instances() + corpus.iter_instances(table=0):
+        negated = [[-x for x in row] for row in inst.g0]
+        for omega in (inst.omega, inst.omega.scale(-1)):
+            pair = stable.StablePair(omega, inst.rho)
+            branches.add(pair.norm_sign)
+            for row in (inst, _planted(inst, g0=negated), _planted(inst, s2=4 * inst.s2)):
+                assert corpus._metric_sign(pair, row) == _metric_sign_reference(pair, row), inst.label
+            assert corpus._metric_sign(pair, inst) == 1, inst.label
+    assert branches == {1, -1}
     rows = [
         corpus.row_t3_diagonal("su2"),
         corpus.row_t4_e2(),

@@ -18,12 +18,19 @@ from halfflat.stable import (
     j_matrix_values,
     k_matrix,
     lambda_of,
-    phi_omega,
     structure_type,
 )
 
 from .conftest import basis, random_fraction, random_form
-from .oracles import dense_from_sparse, dense_k_matrix, dense_lambda, dense_wedge
+from .oracles import (
+    dense_from_sparse,
+    dense_k_matrix,
+    dense_lambda,
+    dense_phi_omega,
+    dense_wedge,
+    omega_matrix,
+    oriented_metric_raw,
+)
 
 RHO_SPLIT = form(3, [("e123", 1), ("f123", 1)])
 
@@ -70,7 +77,7 @@ def test_k_squared_is_lambda_identity(rng):
     for _ in range(200):
         rho = random_form(rng, 3, span=4, density=0.4)
         K = k_matrix(rho)
-        lam = lambda_of(rho, K)
+        lam = lambda_of(rho)
         expected = [[lam if i == j else Fraction(0) for j in range(6)] for i in range(6)]
         assert linalg.mat_eq(linalg.mat_mul(K, K), expected)
 
@@ -83,7 +90,7 @@ def test_epsilon_calibration_model_metric_identity():
     g = [[x / root for x in row] for row in g_raw]
     assert linalg.mat_eq(g, linalg.identity(6))
     assert eps == stable.EPSILON
-    assert phi_omega(MODEL_OMEGA) == 1
+    assert StablePair(MODEL_OMEGA, MODEL_RHO).phi_omega == 1
     assert lam == -4
 
 
@@ -120,10 +127,10 @@ def test_symmetry_iff_compatible(rng):
         if lambda_of(rho) == 0:
             continue
         omega = random_form(rng, 2, span=3, density=0.6)
-        if phi_omega(omega) == 0:
+        if dense_phi_omega(omega) == 0:
             continue
         K = k_matrix(rho)
-        G = linalg.mat_mul(stable.omega_matrix(omega), K)
+        G = linalg.mat_mul(omega_matrix(omega), K)
         if is_compatible(omega, rho):
             assert linalg.is_symmetric(G)
             hits_sym += 1
@@ -148,9 +155,9 @@ def test_symmetry_iff_compatible(rng):
         rows = linalg.transpose(cols)
         for vec in linalg.nullspace(rows):
             omega = KForm(2, dict(zip(masks2, vec)))
-            if phi_omega(omega) == 0:
+            if dense_phi_omega(omega) == 0:
                 continue
-            G = linalg.mat_mul(stable.omega_matrix(omega), k_matrix(rho))
+            G = linalg.mat_mul(omega_matrix(omega), k_matrix(rho))
             assert linalg.is_symmetric(G)
             sampled += 1
 
@@ -186,13 +193,46 @@ def test_normalization_scale_table_shape():
     assert lambda_of(rho0) == -16
 
 
-def test_signature_examples():
-    # the signature of a pair is the inertia of its oriented G_raw
+def _compatible_pairs(rng, count):
+    """Stable compatible pairs (omega, rho): omega drawn from the solutions of omega ^ rho = 0."""
+    masks2, masks5 = basis_masks(2), basis_masks(5)
+    pairs = []
+    while len(pairs) < count:
+        rho = random_form(rng, 3, span=3, density=0.5)
+        if lambda_of(rho) == 0:
+            continue
+        cols = [wedge(KForm(2, {m: Fraction(1)}), rho).coefficients(masks5) for m in masks2]
+        null = linalg.nullspace(linalg.transpose(cols))
+        if not null:
+            continue
+        coeffs = [random_fraction(rng, 3) for _ in null]
+        vec = [sum(c * v[i] for c, v in zip(coeffs, null)) for i in range(len(masks2))]
+        omega = KForm(2, dict(zip(masks2, vec)))
+        if dense_phi_omega(omega) != 0:
+            pairs.append((omega, rho))
+    return pairs
+
+
+def test_signature_examples(rng):
+    # the signature of a pair is the inertia of its oriented G_raw, on either orientation branch
     omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
     for o, rho, want in ((MODEL_OMEGA, MODEL_RHO, (6, 0, 0)), (omega, RHO_SPLIT, (3, 3, 0))):
         pair = StablePair(o, rho)
         assert linalg.is_symmetric(pair.G_raw)
-        assert linalg.inertia(pair.oriented_metric_raw()) == want == pair.structure.signature
+        assert linalg.inertia(oriented_metric_raw(pair)) == want == pair.structure.signature
+    pairs = [(inst.omega, inst.rho) for inst in corpus.iter_instances() + corpus.iter_instances(table=0)]
+    pairs += _compatible_pairs(rng, 30)
+    branches = set()
+    for o, rho in pairs:
+        signatures = set()
+        for w in (o, o.scale(-1)):
+            pair = StablePair(w, rho)
+            assert pair.compatible and pair.norm_sign != 0
+            branches.add(pair.norm_sign)
+            signatures.add(pair.structure.signature)
+            assert pair.structure.signature == linalg.inertia(oriented_metric_raw(pair))
+        assert len(signatures) == 1
+    assert branches == {1, -1}
     m = [[Fraction(0)] * 6 for _ in range(6)]
     for i in range(6):
         m[i][i] = Fraction(-1 if i < 4 else 1)
@@ -204,7 +244,7 @@ def test_j_apply_oneform_model():
 
     # (J* alpha)(v) = alpha(K_rho v) / sqrt|lambda|: J e^1 pairs e_4 with 1 up to sign
     root = sqrt_scalar(scalar_abs(lambda_of(MODEL_RHO)))
-    row = j_matrix_values(MODEL_RHO, covector(1))
+    row = j_matrix_values(k_matrix(MODEL_RHO), covector(1))
     assert row[3] / root in (Fraction(1), Fraction(-1))
     assert row[0] == 0
     # a decomposable rho has lambda = 0 and no J
@@ -222,7 +262,7 @@ def test_j_values_define_involution_squares(rng):
         from halfflat.exterior import covector
 
         for i in (1, 4):
-            vals = j_matrix_values(rho, covector(i))
+            vals = j_matrix_values(K, covector(i))
             # vals[v-1] = sqrt|lam| (J* e^i)(e_v) = (e^i o K)(e_v) = K[i-1][v-1]
             assert vals == [K[i - 1][v] for v in range(6)]
 
@@ -236,9 +276,8 @@ def _check_j_values_against_wedges(rng, rho):
     alpha = random_form(rng, 1, span=4, density=0.6)
     v = tuple(random_fraction(rng, 3) for _ in range(6))
     ref = [_wedge_j_value(rho, alpha, basis(i)) for i in range(1, 7)]
-    row = j_matrix_values(rho, alpha)
+    row = j_matrix_values(k_matrix(rho), alpha)
     assert row == ref
-    assert j_matrix_values(rho, alpha, k_matrix(rho)) == ref
     # linear in v: alpha(K_rho v) is the row applied to v
     assert sum((x * c for x, c in zip(row, v)), Fraction(0)) == _wedge_j_value(rho, alpha, v)
 
@@ -276,7 +315,7 @@ def test_stable_pair_caches():
     assert p.norm_c4 == 1
     assert p.structure.kind == "SU(3)"
     assert p.compatible
-    assert linalg.mat_eq(p.oriented_metric_raw(), [[2 * x for x in row] for row in linalg.identity(6)])
+    assert linalg.mat_eq(oriented_metric_raw(p), [[2 * x for x in row] for row in linalg.identity(6)])
 
 
 def test_oneform_metric_identity_on_verified_structures(rng):
@@ -297,14 +336,14 @@ def _metric_identity_check(rng, pair, cases):
     lam = pair.lam
     root = sqrt_scalar(scalar_abs(lam))
     o = pair.norm_sign
-    ginv_raw = linalg.invert(pair.oriented_metric_raw())
+    ginv_raw = linalg.invert(oriented_metric_raw(pair))
     omega2 = wedge(pair.omega, pair.omega)
     omega3 = wedge(omega2, pair.omega)
     for _ in range(cases):
         alpha = random_form(rng, 1, span=4)
         beta = random_form(rng, 1, span=4)
         # J*beta with the orientation branch: components K^T beta / (o sqrt|lam|)
-        vals = j_matrix_values(pair.rho, beta)
+        vals = j_matrix_values(pair.K, beta)
         jbeta = KForm(1, {1 << v: vals[v] for v in range(6)})
         lhs = volume_ratio(wedge(wedge(alpha, jbeta), omega2)) / (o * root)
         # dual metric: g(alpha,beta) = sqrt|lam| * alpha^T Graw^{-1} beta (oriented)
@@ -335,7 +374,7 @@ def test_k_matrix_matches_dense_oracle_rational(rng):
         rho = random_form(rng, 3, span=5, density=rng.choice((0.3, 0.6, 1.0)))
         K = k_matrix(rho)
         assert K == dense_k_matrix(rho)
-        assert lambda_of(rho, K) == dense_lambda(K)
+        assert lambda_of(rho) == dense_lambda(K)
 
 
 def test_k_matrix_matches_dense_oracle_quadratic_extension(rng):
@@ -352,7 +391,7 @@ def test_k_matrix_matches_dense_oracle_quadratic_extension(rng):
         K = k_matrix(rho)
         oracle = dense_k_matrix(rho)
         assert all(K[u][v] == oracle[u][v] for u in range(6) for v in range(6))
-        assert lambda_of(rho, K) == dense_lambda(oracle)
+        assert lambda_of(rho) == dense_lambda(oracle)
 
 
 def test_k_table_size_and_integer_path(rng):
@@ -411,6 +450,9 @@ def test_wrong_degrees_not_stable():
             StablePair(omega, rho)
         with pytest.raises(NotStableError):
             induced_metric_raw(omega, rho)
+    # a three-form omega is refused before omega^2 is wedged
+    with pytest.raises(NotStableError, match="two-forms"):
+        StablePair(MODEL_RHO_PARA, MODEL_RHO)
 
 
 def test_asymmetric_metric_raises_not_compatible():
@@ -431,28 +473,20 @@ def test_sparse_metric_matches_dense_product(rng):
         omega = random_form(rng, 2, span=4, density=0.5)
         rho = random_form(rng, 3, span=4, density=0.5)
         pair = StablePair(omega, rho)
-        dense = linalg.mat_mul(stable.omega_matrix(omega), k_matrix(rho))
+        dense = linalg.mat_mul(omega_matrix(omega), k_matrix(rho))
         assert pair.G_raw == [[pair.eps * x for x in row] for row in dense]
 
 
 # -- StablePair on cleared denominators against the dense oracle -----------------
 
 
-def _dense_phi_omega(omega):
-    k, d = dense_from_sparse(omega)
-    k4, d4 = dense_wedge(k, d, k, d)
-    _, d6 = dense_wedge(k4, d4, k, d)
-    return d6.get((1, 2, 3, 4, 5, 6), Fraction(0)) / 6
-
-
 def _dense_pair(omega, rho):
     """Every StablePair field from the dense formulas; inertia reads the dense G."""
     K = dense_k_matrix(rho)
     lam = dense_lambda(K)
-    phi = _dense_phi_omega(omega)
+    phi = dense_phi_omega(omega)
     eps = stable.EPSILON_PARA if scalar_sign(lam) > 0 else stable.EPSILON
-    _, dw = dense_from_sparse(omega)
-    W = [[dw.get((u, v), Fraction(0)) for v in range(1, 7)] for u in range(1, 7)]
+    W = omega_matrix(omega)
     G = [[eps * sum(W[u][w] * K[w][v] for w in range(6)) for v in range(6)] for u in range(6)]
     symmetric = all(G[u][v] == G[v][u] for u in range(6) for v in range(6))
     ka, da = dense_from_sparse(omega)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from halfflat import corpus, linalg, obstruct, stable
+from halfflat import verify as verify_module
 from halfflat.classify3d import classify
 from halfflat.errors import DomainError
 from halfflat.exterior import KForm, contract, covector, form, volume_ratio, wedge
@@ -265,6 +266,24 @@ def test_verify_forms_k_once(monkeypatch):
     omega, rho = ortho_type_I(catalog("su2"), catalog("su2"), 1, 1)
     plane_checks(verify(L, omega, rho).pair, (covector(1), covector(4)))
     assert len(calls) == 1
+
+
+def test_verify_wedges_omega_squared_once(monkeypatch):
+    # omega^2 serves d omega^2, phi(omega) and the plane checks: one wedge (omega, omega) per pair
+    squares = []
+    for module in (stable, verify_module):
+        orig = module.wedge
+
+        def counting(a, b, orig=orig):
+            if a is b:
+                squares.append(a)
+            return orig(a, b)
+
+        monkeypatch.setattr(module, "wedge", counting)
+    inst = corpus.row_t4_e2()
+    rep = verify(inst.algebra, inst.omega, inst.rho)
+    plane_checks(rep.pair, (covector(1), covector(4)))
+    assert rep.half_flat and squares == [inst.omega]
 
 
 def test_verify_instance_forms_k_once(monkeypatch):
