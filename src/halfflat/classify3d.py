@@ -1,12 +1,12 @@
 """Exact Bianchi/Milnor classification of three-dimensional Lie algebras.
 
-Unimodular algebras are classified by the sign pattern of the self-adjoint
-endomorphism L with [u, v] = L(u x v), computed as an exact inertia, with
-the orientation flipped when needed so at most one eigenvalue is negative.
-Non-unimodular algebras are classified by the determinant D of the
-restriction of ad_X to the two-dimensional abelian unimodular kernel,
-where tr(ad_X) = 2, together with the special case where that restriction
-is the identity.
+Every invariant is read from the constants in ``LieAlgebra.diffs``.
+Unimodular algebras are classified by the sign pattern of Milnor's matrix L
+with [u, v] = L(u x v), computed as an exact inertia, with the orientation
+flipped when needed so at most one eigenvalue is negative.  Non-unimodular
+algebras are classified by the determinant D of ad_X on the unimodular
+kernel, where tr(ad_X) = 2, as D = (4 - tr(ad_X^2)) / 2, and r3,1 is the
+case ad_X^2 = ad_X.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ def milnor_L(L3: LieAlgebra) -> linalg.Matrix:
     """
     if L3.dim != 3:
         raise ValueError("Milnor endomorphism is defined for dimension three")
-    e1, e2, e3 = linalg.identity(3)
-    # columns L(e1) = [e2, e3], L(e2) = [e3, e1], L(e3) = [e1, e2]
-    return linalg.transpose([L3.bracket(e2, e3), L3.bracket(e3, e1), L3.bracket(e1, e2)])
+    # columns [e2, e3], [e3, e1] = -[e1, e3] and [e1, e2], with [e_a, e_b]^k = -c_ab^k read from d e^k
+    return [[-dk.coeff(0b110), dk.coeff(0b101), -dk.coeff(0b011)] for dk in L3.diffs]
 
 
 def classify(L3: LieAlgebra) -> BianchiClass:
@@ -81,32 +80,29 @@ def _classify_unimodular(L3: LieAlgebra) -> BianchiClass:
 
 
 def _classify_non_unimodular(L3: LieAlgebra) -> BianchiClass:
-    """The class read from D = det(ad_X) on the unimodular kernel, with tr(ad_X) = 2.
+    """The class read from D = det(ad_X) on the unimodular kernel u, with tr(ad_X) = 2.
 
-    The kernel of tr(ad) is a plane since tr(ad) != 0.  Every ``LieAlgebra``
-    satisfies d^2 = 0, and the unimodular kernel of a non-unimodular
-    three-dimensional Lie algebra is an abelian ideal (Milnor 1976, section
-    6), so ad_X maps the plane into itself and D is defined.
+    The kernel u of tr(ad) is a plane since tr(ad) != 0.  Every ``LieAlgebra``
+    satisfies d^2 = 0, and u is an abelian ideal containing [g, g] (Milnor
+    1976, section 6).  So ad_X kills X and maps g into u: in a basis
+    (X, u1, u2), ad_X = diag(0, A) with tr A = 2, hence
+    tr(ad_X^2) = tr A^2 = 4 - 2 det A, and A = I exactly when ad_X^2 = ad_X.
     """
     tau = L3.trace_ad()
     norm2 = sum((t * t for t in tau), Fraction(0))
     x = [2 * t / norm2 for t in tau]
-    ltilde = _restrict_ad(L3, x, linalg.nullspace([tau]))
-    d = linalg.det(ltilde)
+    ad = linalg.transpose([L3.bracket(x, e) for e in linalg.identity(3)])
+    ad2 = linalg.mat_mul(ad, ad)
+    d = (4 - sum(ad2[i][i] for i in range(3))) / 2
     if scalar_is_zero(d):
         name = "r2R"
     elif d == 1:
-        name = "r31" if linalg.mat_eq(ltilde, linalg.identity(2)) else "r3"
+        name = "r31" if linalg.mat_eq(ad2, ad) else "r3"
     elif d < 1:
         name = "r3mu"
     else:
         name = "r3pmu"
     return BianchiClass(name=name, det_d=d, mu=_recover_mu(name, d))
-
-
-def _restrict_ad(L3: LieAlgebra, x: list[Scalar], kernel_basis) -> linalg.Matrix:
-    basis_mat = linalg.transpose(kernel_basis)
-    return linalg.transpose([linalg.solve(basis_mat, L3.bracket(x, k)) for k in kernel_basis])
 
 
 def _recover_mu(name: str, d: Scalar) -> Fraction | None:

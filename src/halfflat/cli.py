@@ -248,6 +248,8 @@ def _cmd_search(args) -> int:
         raise HalfFlatError(f"--tol must be a finite nonnegative number, got {args.tol}")
     if args.max_den < 0:  # 0 skips the rationalization; a negative one would skip it silently
         raise HalfFlatError(f"--max-den must be at least 0, got {args.max_den}")
+    if args.seed < 0:  # numpy's generator refuses a negative seed with a traceback
+        raise HalfFlatError(f"--seed must be at least 0, got {args.seed}")
     L, _, _ = _load(args.file)
     if L.dim != 6:
         raise HalfFlatError("search needs a six-dimensional algebra")
@@ -309,7 +311,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise HalfFlatError(f"cannot read {path}: {exc}") from None
 
 

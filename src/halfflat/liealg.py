@@ -70,13 +70,6 @@ class LieAlgebra:
 
     # -- structure constants ------------------------------------------------
 
-    def c(self, i: int, j: int, k: int) -> Scalar:
-        """Structure constant c_ij^k for i < j."""
-        if not i < j:
-            raise ValueError("constants are stored for i < j")
-        mask = (1 << (i - 1)) | (1 << (j - 1))
-        return self.diffs[k - 1].coeff(mask)
-
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """[x, y] as its ``dim`` components, using d a (X, Y) = -a([X, Y]).
 
@@ -94,16 +87,13 @@ class LieAlgebra:
         return tuple(comps)
 
     def trace_ad(self) -> list[Scalar]:
-        """tr(ad_{e_m}) for each basis vector; zero vector iff unimodular."""
-        out = []
-        for m in range(1, self.dim + 1):
-            t: Scalar = Fraction(0)
-            for k in range(1, self.dim + 1):
-                if k < m:
-                    t = t + self.c(k, m, k)
-                elif k > m:
-                    t = t - self.c(m, k, k)
-            out.append(t)
+        """tr(ad_{e_m}) = sum_k c_km^k for each basis vector, read from d e^k; zero vector iff unimodular."""
+        out: list[Scalar] = [Fraction(0)] * self.dim
+        for k, dk in enumerate(self.diffs):
+            for mask, c in dk.terms.items():
+                if mask >> k & 1:
+                    m = (mask & ~(1 << k)).bit_length() - 1
+                    out[m] = out[m] + c if k < m else out[m] - c
         return out
 
     # -- differential --------------------------------------------------------

@@ -14,7 +14,10 @@ V = span(alpha1, alpha2) with alpha_i a nonzero element of
 
     A(g_i) = {alpha in g_i* : d alpha = 0 and d beta ^ alpha = 0 for all beta},
 
-the closed one-forms with im(d) in alpha ^ g_i*.  In every
+the closed one-forms with im(d) in alpha ^ g_i*.  It is read from the
+structure constants alone: the nullspace of d on g_i* stacked with
+Milnor's matrix L of g_i (``classify3d.milnor_L``), whose entry L[k][j]
+is minus the e^123 coefficient of d e^k ^ e^j.  In every
 three-dimensional class A(g) is 0 (su2, sl2), a line, span{e^1, e^2} (h3)
 or all of g* (R^3), and Aut(g) acts transitively on its lines.  So one
 splitting, from the first basis vector of each A(g_i), decides the
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import linalg, stable
-from .classify3d import classify
+from .classify3d import classify, milnor_L
 from .errors import HalfFlatError
 from .exterior import DIM, KForm, basis_masks, covector, wedge, wedge_all
 from .liealg import LieAlgebra, to_block
@@ -111,11 +114,13 @@ def annihilating_forms(L3: LieAlgebra) -> list[KForm]:
 
     The nonzero elements are the one-forms that can be a factor of a
     coherent splitting.  A(g) is the nullspace of d on one-forms stacked
-    with the e^123 coefficients of d e^k ^ e^j.
+    with Milnor's matrix L: the e^123 coefficient of d e^k ^ e^j is
+    -L[k][j], so the second block of rows spans the conditions
+    d e^k ^ alpha = 0.
     """
     if L3.dim != 3:
         raise ValueError("annihilating forms are for three-dimensional algebras")
-    rows = L3.d_matrix(1) + [[wedge(dk, covector(j)).coeff(0b111) for j in (1, 2, 3)] for dk in L3.diffs]
+    rows = L3.d_matrix(1) + milnor_L(L3)
     return [KForm(1, {1 << i: c for i, c in enumerate(v)}) for v in linalg.nullspace(rows)]
 
 

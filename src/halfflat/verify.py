@@ -167,12 +167,7 @@ def ortho_type_I(
 def type_I_closure_criterion(L1: LieAlgebra, L2: LieAlgebra, xi1, xi2) -> bool:
     """Slotwise criterion xi1 c_jk^i(g1) = xi2 c_jk^i(g2) for d psi = 0."""
     xi1, xi2 = Fraction(xi1), Fraction(xi2)
-    for k in range(1, 4):
-        for i in range(1, 4):
-            for j in range(i + 1, 4):
-                if xi1 * L1.c(i, j, k) != xi2 * L2.c(i, j, k):
-                    return False
-    return True
+    return [dk.scale(xi1) for dk in L1.diffs] == [dk.scale(xi2) for dk in L2.diffs]
 
 
 def _ortho_b(a: Fraction) -> Fraction:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from halfflat import cli, linalg
 from halfflat.classify3d import classify, milnor_L
-from halfflat.liealg import LieAlgebra, catalog, catalog_classes, change_basis
+from halfflat.liealg import LieAlgebra, catalog, catalog_classes, change_basis, direct_sum
 from halfflat.exterior import form
 
 from .conftest import random_fraction
@@ -36,6 +36,70 @@ def test_milnor_symmetry_iff_unimodular(rng):
         for L in spec.instances():
             for M in [L] + [change_basis(L, _random_change(rng)) for _ in range(3)]:
                 assert linalg.is_symmetric(milnor_L(M)) == M.is_unimodular() == L.is_unimodular()
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _random_gl3(rng: random.Random):
+    """A random invertible rational 3x3 matrix, entries in [-1, 1] with denominators up to 3."""
+    while True:
+        m = [[random_fraction(rng, 1, 3) for _ in range(3)] for _ in range(3)]
+        if linalg.det(m) != 0:
+            return m
+
+
+def test_milnor_matrix_defines_the_bracket(rng):
+    # L is read entry by entry from d; [u, v] = L(u x v) is its defining identity
+    for spec in catalog_classes():
+        for L in spec.instances():
+            for M in [L] + [change_basis(L, _random_gl3(rng)) for _ in range(3)]:
+                m = milnor_L(M)
+                pairs = [(u, v) for u in linalg.identity(3) for v in linalg.identity(3)]
+                vectors = [[random_fraction(rng) for _ in range(3)] for _ in range(8)]
+                pairs += list(zip(vectors[::2], vectors[1::2]))
+                for u, v in pairs:
+                    assert list(M.bracket(u, v)) == linalg.mat_vec(m, _cross(u, v)), (spec.key, u, v)
+                # tr(ad_{e_m}) = sum over k of [e_m, e_k]^k, also read from d
+                basis = linalg.identity(3)
+                assert M.trace_ad() == [sum(M.bracket(x, basis[k])[k] for k in range(3)) for x in basis]
+
+
+def test_trace_ad_of_sums_is_the_bracket_trace(rng):
+    specs = catalog_classes()
+    basis = linalg.identity(6)
+    for _ in range(12):
+        L1, L2 = (change_basis(rng.choice(rng.choice(specs).instances()), _random_gl3(rng)) for _ in range(2))
+        L = direct_sum(L1, L2)
+        assert L.trace_ad() == [sum(L.bracket(x, basis[k])[k] for k in range(6)) for x in basis]
+        assert L.trace_ad() == L1.trace_ad() + L2.trace_ad()
+
+
+def _restricted_ad(L3: LieAlgebra):
+    """ad_X on the unimodular kernel in a kernel basis, tr(ad_X) = 2: the nullspace of tau and two solves."""
+    tau = L3.trace_ad()
+    norm2 = sum((t * t for t in tau), Fraction(0))
+    x = [2 * t / norm2 for t in tau]
+    kernel = linalg.nullspace([tau])
+    basis_mat = linalg.transpose(kernel)
+    return linalg.transpose([linalg.solve(basis_mat, L3.bracket(x, k)) for k in kernel])
+
+
+def test_non_unimodular_invariant_matches_the_kernel_restriction(rng):
+    # D = (4 - tr(ad_X^2)) / 2 and ad_X^2 = ad_X against det and the identity test on the kernel
+    seen = set()
+    for spec in catalog_classes():
+        for L in spec.instances():
+            if L.is_unimodular():
+                continue
+            for M in [L] + [change_basis(L, _random_gl3(rng)) for _ in range(10)]:
+                ltilde = _restricted_ad(M)
+                c = classify(M)
+                assert c.det_d == linalg.det(ltilde), (spec.key, M.diffs)
+                assert (c.name == "r31") == (c.det_d == 1 and linalg.mat_eq(ltilde, linalg.identity(2)))
+                seen.add(c.name)
+    assert seen == {"r2R", "r3", "r31", "r3mu", "r3pmu"}
 
 
 def test_classify_abelian():

@@ -449,20 +449,35 @@ def test_cli_search_restarts_below_one_is_input_error(tmp_path, restarts):
     assert out == "" and err.startswith("error: ") and "--restarts" in err
 
 
+def _search_in_fresh_process(path, *options):
+    """``halfflat search path options`` in a new interpreter: its stdout is the exit code and whether scipy loaded."""
+    script = (
+        "import sys; from halfflat import cli; code = cli.main(['search'] + sys.argv[1:]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, str(path), *options], capture_output=True, text=True, env=env)
+
+
 def test_cli_search_negative_max_den_is_input_error(tmp_path):
     # --max-den 0 skips the rationalization; a negative value is refused before scipy is loaded
     _, text, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
     p = tmp_path / "s.alg"
     p.write_text(text)
-    script = (
-        "import sys; from halfflat import cli; code = cli.main(['search', sys.argv[1], '--max-den', '-5']); "
-        "print(code, 'scipy' in sys.modules)"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, str(p)], capture_output=True, text=True, env=env)
+    done = _search_in_fresh_process(p, "--max-den", "-5")
     assert done.stdout == f"{cli.EXIT_INPUT_ERROR} False\n", done.stderr
     assert done.stderr == "error: --max-den must be at least 0, got -5\n"
+
+
+def test_cli_search_negative_seed_is_input_error(tmp_path):
+    # numpy refuses a negative seed with a traceback, which would exit 1 ("nothing found")
+    _, text, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
+    p = tmp_path / "s.alg"
+    p.write_text(text)
+    done = _search_in_fresh_process(p, "--seed", "-1")
+    assert done.stdout == f"{cli.EXIT_INPUT_ERROR} False\n", done.stderr
+    assert done.stderr == "error: --seed must be at least 0, got -1\n"
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -541,15 +556,18 @@ def test_cli_errors_without_a_line_name_none(tmp_path, command, text, message):
     assert out == "" and err.startswith("error: " + message), err
 
 
+@pytest.mark.parametrize("command", ["verify", "classify3d", "obstruct", "search"])
+def test_cli_non_utf8_file_is_input_error(tmp_path, command):
+    # a decoding error is an unreadable file; exit 1 would read as a verdict
+    p = tmp_path / "bad.alg"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
+    assert out == "" and err.startswith(f"error: cannot read {p}: ") and "decode" in err, err
+
+
 def test_cli_search_checks_its_file_before_loading_scipy(tmp_path):
     p = tmp_path / "su2.alg"
     p.write_text(SU2_TEXT)
-    script = (
-        "import sys; from halfflat import cli; code = cli.main(['search', sys.argv[1]]); "
-        "print(code, 'scipy' in sys.modules)"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, str(p)], capture_output=True, text=True, env=env)
+    done = _search_in_fresh_process(p)
     assert done.stdout == f"{cli.EXIT_INPUT_ERROR} False\n", done.stderr
     assert done.stderr == "error: search needs a six-dimensional algebra\n"
