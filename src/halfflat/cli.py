@@ -127,22 +127,21 @@ def _shape_error(message: str, line_no: int, line: str, allowed: list) -> ParseE
 
 
 def _parse_terms(tokens: list[str], line: str, index_of, line_no: int, expect_degree: int):
-    """Terms, from tokens[3] on, are 'coeff name^name^...' joined by '+'/'-' tokens."""
+    """Terms, from tokens[3] on, are 'coeff name^name^...' joined by '+'/'-' tokens; the first may carry one."""
     out: list[tuple[Fraction, list[int]]] = []
-    sign = Fraction(1)
     i = 3
     if tokens[3:] == ["0"]:
         return out
     while i < len(tokens):
+        sign = Fraction(1)
+        if tokens[i] in ("+", "-"):
+            sign = Fraction(-1 if tokens[i] == "-" else 1)
+            i += 1
+            if i >= len(tokens):
+                raise ParseError("sign without a term", line_no, _column(line, i))
+        elif i > 3:
+            raise ParseError(f"expected '+' or '-' between terms, got {tokens[i]!r}", line_no, _column(line, i))
         tok = tokens[i]
-        if tok == "+":
-            sign = Fraction(1)
-            i += 1
-            continue
-        if tok == "-":
-            sign = Fraction(-1)
-            i += 1
-            continue
         if not _TOKEN_RAT.match(tok):
             raise ParseError(f"expected a coefficient, got {tok!r}", line_no, _column(line, i))
         coeff = sign * Fraction(tok)
@@ -156,7 +155,6 @@ def _parse_terms(tokens: list[str], line: str, index_of, line_no: int, expect_de
             raise ParseError(message, line_no, _column(line, i))
         out.append((coeff, idx))
         i += 1
-        sign = Fraction(1)
     return out
 
 
@@ -309,7 +307,7 @@ def _cmd_appendix(args) -> int:
 
 def _load(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the text
             return parse(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise HalfFlatError(f"cannot read {path}: {exc}") from None

@@ -24,15 +24,16 @@ splitting, from the first basis vector of each A(g_i), decides the
 obstruction for every basis of either factor.
 
 The ranks of d on Lambda^3 W and Lambda^4 W decide the component
-conditions on such a splitting.  W is completed from coframe elements of
-the two summands, and d beta lies in alpha_i ^ g_i* for beta in g_i*, so
-V is closed and d maps W into V ^ W.  Hence d(Lambda^k W) lies in
-V ^ Lambda^k W, while d(I(V)) lies in Lambda^2 V ^ Lambda, which meets
-V ^ Lambda^k W only in 0.  A closed sigma = sigma_V + sigma_W (sigma_V in
-I(V), sigma_W in Lambda^k W) thus has d sigma_W = 0, and every closed
-k-form has zero Lambda^k W component exactly when d is injective on
-Lambda^k W.  ``tests/test_obstruct.py`` checks the ranks against the
-components of a basis of Z^3 and Z^4 in the adapted coframe.
+conditions on such a splitting.  W is spanned by the e^i with i outside
+the rref pivots of V, and Lambda^k W by the k-monomials on those indices.
+As d beta lies in alpha_j ^ g_j* for beta in g_j*, V is closed and d maps
+W into V ^ W.  Hence d(Lambda^k W) lies in V ^ Lambda^k W, while d(I(V))
+lies in Lambda^2 V ^ Lambda, which meets V ^ Lambda^k W only in 0.  A
+closed sigma = sigma_V + sigma_W (sigma_V in I(V), sigma_W in Lambda^k W)
+thus has d sigma_W = 0, and every closed k-form has zero Lambda^k W
+component exactly when d is injective on Lambda^k W.
+``tests/test_obstruct.py`` checks the ranks against the components of a
+basis of Z^3 and Z^4 in the adapted coframe.
 
 Two class pairs resist the rank argument and get refined checks.  Both are
 stated without coordinates, through Z^1, [g, g] = ann(Z^1) and entries of
@@ -64,12 +65,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from . import linalg, stable
 from .classify3d import classify, milnor_L
 from .errors import HalfFlatError
-from .exterior import DIM, KForm, basis_masks, covector, wedge, wedge_all
+from .exterior import DIM, NU_MASK, KForm, basis_masks, wedge
 from .liealg import LieAlgebra, to_block
 from .scalars import scalar_is_zero
 
@@ -156,38 +157,36 @@ def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:
     return all(wedge(dk, vv).is_zero() for dk in L.diffs)
 
 
-def _complete_to_basis(v_pair: tuple[KForm, KForm]) -> list[KForm]:
-    """Standard coframe elements completing span(v_pair) to a basis."""
-    rows = [[a.coeff(1 << i) for i in range(DIM)] for a in v_pair]
-    _, pivots = linalg.rref(rows)
-    return [covector(i + 1) for i in range(DIM) if i not in pivots]
+def _w_indices(v_pair: tuple[KForm, KForm]) -> list[int]:
+    """The 0-based indices i outside the rref pivots of V; their e^i complete V to a basis."""
+    pivots = linalg.rref([[a.coeff(1 << i) for i in range(DIM)] for a in v_pair])[1]
+    return [i for i in range(DIM) if i not in pivots]
 
 
 def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> ObstructionReport:
     """The ranks of d on Lambda^3 W and Lambda^4 W for V = span(v_pair).
 
-    W is spanned by standard coframe elements completing V; h03 and h04
-    hold when the ranks are full (4 and 1).  The ranks decide only when d
-    maps W into V ^ W, as on every factor-wise splitting; a coherent V
-    where d W has a Lambda^2 V component raises HalfFlatError.
+    W is spanned by the e^i, i outside the rref pivots P of V, and
+    Lambda^k W by the k-monomials on those i.  h03 and h04 hold when the
+    ranks are full (4 and 1).  They decide only when d maps W into V ^ W, as
+    on every factor-wise splitting; an e^P term in d e^i for some i in W,
+    that is d e^i ^ e^W != 0, raises HalfFlatError.
     """
     if not is_coherent(L, v_pair):
         raise HalfFlatError("splitting is not coherent")
-    w_basis = _complete_to_basis(v_pair)
-    vol_w = wedge_all(w_basis)
-    if any(not wedge(L.d(w), vol_w).is_zero() for w in w_basis):
+    w = _w_indices(v_pair)
+    vol_w = sum(1 << i for i in w)
+    if any(NU_MASK ^ vol_w in L.diffs[i].terms for i in w):
         raise HalfFlatError("d W has a Lambda^2 V component: the ranks do not decide")
-    w3 = [wedge_all(list(t)) for t in combinations(w_basis, 3)]
     return ObstructionReport(
-        rank_d_lambda3_w=_rank_of_images(L, w3, 4),
-        rank_d_lambda4_w=_rank_of_images(L, [vol_w], 5),
+        rank_d_lambda3_w=_rank_of_d(L, [vol_w ^ (1 << i) for i in w], 3),
+        rank_d_lambda4_w=_rank_of_d(L, [vol_w], 4),
     )
 
 
-def _rank_of_images(L: LieAlgebra, forms_in: list[KForm], out_degree: int) -> int:
-    masks = basis_masks(out_degree)
-    rows = [L.d(f).coefficients(masks) for f in forms_in]
-    return linalg.rank(rows)
+def _rank_of_d(L: LieAlgebra, masks: list[int], k: int) -> int:
+    """Rank of d on the span of the k-monomials e^m, m in ``masks``."""
+    return linalg.rank([L.d(KForm(k, {m: 1})).coefficients(basis_masks(k + 1)) for m in masks])
 
 
 # -- refined arguments ----------------------------------------------------------

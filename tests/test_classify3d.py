@@ -134,6 +134,24 @@ def test_classify_r3pmu():
     assert c.mu == 2
 
 
+_IRRATIONAL_MU = "dim 3\nbasis e1 e2 e3\nd e2 = -1 e1^e2 - 1 e1^e3\nd e3 = {} e1^e2 - 1 e1^e3\n"
+
+
+def test_classify_irrational_mu(tmp_path):
+    # D = 1/2 on r3,mu and D = 3 on r3',mu invert to irrational mu: D is printed, mu is not
+    for c32, name, d, display in (("-1/2", "r3mu", Fraction(1, 2), "r3,mu"), ("2", "r3pmu", Fraction(3), "r3',mu")):
+        text = _IRRATIONAL_MU.format(c32)
+        c = classify(cli.parse(text)[0])
+        assert (c.name, c.det_d, c.mu) == (name, d, None)
+        p = tmp_path / f"{name}.alg"
+        p.write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(["classify3d", str(p)]) == cli.EXIT_POSITIVE
+        assert out.getvalue().startswith(f"class: {display}\n") and f"D: {d}\n" in out.getvalue()
+        assert "mu:" not in out.getvalue()
+
+
 def test_classify_round_trip_all_classes():
     for spec in catalog_classes():
         for L in spec.instances():

@@ -96,9 +96,21 @@ _BASIS3 = "dim 3\nbasis e1 e2 e3\n"
         ("dim 3\nbasis e1 e2 e1\n", 2, 13, "duplicate basis name"),
         ("dim 3\nbasis e1 e2\n", 2, 12, "basis needs exactly 3 names"),
         (_BASIS3 + "\n   nonsense\n", 4, 4, "unknown directive 'nonsense'"),
+        (_BASIS3 + "d e3 = 1 e1^e2 +\n", 3, 17, "sign without a term"),
+        (_BASIS3 + "d e1 = +\n", 3, 9, "sign without a term"),
+        (_BASIS3 + "d e3 = - - 1 e1^e2\n", 3, 10, "expected a coefficient, got '-'"),
+        (_BASIS3 + "d e1 = 1 e1^e2 1 e1^e3\n", 3, 16, "expected '+' or '-' between terms, got '1'"),
+        (_BASIS3 + "d e3 = - 1 e1^e2\n", 3, 0, None),
+        (_BASIS3 + "d e2 = 1 e1^e3 + -1 e1^e2\n", 3, 0, None),
+        (_BASIS3 + "d e1 = 0\n", 3, 0, None),
+        ("dim 3\nd e1 = 1 e2^e3\n", 2, 3, "basis line must precede this line"),
+        ("basis e1 e2 e3\n", 1, 1, "dim line must precede basis"),
+        (_BASIS3 + "form phi = 1 e1^e2", 3, 6, "expected 'form omega|rho = <terms>'"),
+        (_BASIS3 + "param mu 1/2", 3, 10, "expected 'param <name> = <rational>'"),
     ],
     ids=["coeff", "monomial", "target", "fine", "degree-tab", "degree", "no-monomial", "no-equals", "param", "dim",
-         "duplicate", "short-basis", "directive"],
+         "duplicate", "short-basis", "directive", "dangling-sign", "sign-only", "double-sign", "no-sign-between",
+         "leading-sign", "signed-coeff", "zero", "d-before-basis", "basis-before-dim", "form-name", "param-equals"],
 )
 def test_parse_error_column_is_the_token_character(tmp_path, text, line, column, message):
     # the column is the 1-based character position of the token at fault (past the end when one is missing)
@@ -563,6 +575,20 @@ def test_cli_non_utf8_file_is_input_error(tmp_path, command):
     p.write_bytes(b"\xff\xfe")
     code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
     assert out == "" and err.startswith(f"error: cannot read {p}: ") and "decode" in err, err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("classify3d", SU2_TEXT), ("obstruct", cli.emit(direct_sum(catalog("h3"), catalog("r2R"))))],
+    ids=["classify3d", "obstruct"],
+)
+def test_cli_byte_order_mark_is_not_text(tmp_path, command, text):
+    # a file saved with a UTF-8 byte-order mark reads as the same file without it
+    plain, marked = tmp_path / "plain.alg", tmp_path / "marked.alg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    got, want = run_cli([command, str(marked)]), run_cli([command, str(plain)])
+    assert got == want and got[2] == "", got
 
 
 def test_cli_search_checks_its_file_before_loading_scipy(tmp_path):

@@ -279,6 +279,23 @@ def _reference_pure_w_vanishes(forms_in, coframe):
     return True
 
 
+def _adapted_coframe(pair) -> list[KForm]:
+    """V's two forms, then the coframe elements e^i that complete them, i outside V's rref pivots."""
+    return list(pair) + [covector(i + 1) for i in obstruct._w_indices(pair)]
+
+
+def _reference_rank_of_d(L, forms_in) -> int:
+    """Rank of d on the span of forms of one degree."""
+    masks = basis_masks(forms_in[0].degree + 1)
+    return linalg.rank([L.d(f).coefficients(masks) for f in forms_in])
+
+
+def _reference_undecided(L, coframe) -> bool:
+    """d W has a Lambda^2 V component: some d w ^ vol_W is nonzero, w in W."""
+    vol_w = wedge_all(coframe[2:])
+    return any(not wedge(L.d(w), vol_w).is_zero() for w in coframe[2:])
+
+
 def _factor_wise(pair) -> bool:
     """V = span(pair) is spanned by one form of each summand: each block projection has rank 1."""
     return all(linalg.rank([[a.coeff(1 << i) for i in block] for a in pair]) == 1 for block in ((0, 1, 2), (3, 4, 5)))
@@ -289,8 +306,8 @@ def test_ranks_decide_pure_w_components(rng):
     # pure-W component of a basis of Z^3 and Z^4 in the adapted coframe: on the splitting
     # of each of the 400 ordered catalog sums and on random coherent V in A(g1) (+) A(g2).
     # Such a V that is not factor-wise needs an abelian summand, so sums with R3 get more
-    # draws.  Where d W has a Lambda^2 V component the ranks do not decide and
-    # check_obstruction refuses
+    # draws.  The ranks must equal those on the wedge-built Lambda^3 W and Lambda^4 W.  Where
+    # d W has a Lambda^2 V component the ranks do not decide and check_obstruction refuses
     insts = [L for spec in catalog_classes() for L in spec.instances()]
     seen = Counter()
     for L1, L2 in product(insts, insts):
@@ -303,14 +320,20 @@ def test_ranks_decide_pure_w_components(rng):
             if obstruct.is_coherent(L, pair):
                 pairs.append(pair)
         for pair in pairs:
-            coframe = list(pair) + obstruct._complete_to_basis(pair)
+            coframe = _adapted_coframe(pair)
             want = tuple(_reference_pure_w_vanishes(L.closed_forms(k), coframe) for k in (3, 4))
+            undecided = _reference_undecided(L, coframe)
             try:
                 rep = obstruct.check_obstruction(L, pair)
             except HalfFlatError:
+                assert undecided, (L.name, pair)
                 seen["refused"] += 1
                 continue
-            assert (rep.h03, rep.h04) == want, (L.name, pair)
+            assert not undecided and (rep.h03, rep.h04) == want, (L.name, pair)
+            # the monomial masks span the same Lambda^3 W and Lambda^4 W as wedges of the W coframe
+            w3, w4 = ([wedge_all(list(t)) for t in combinations(coframe[2:], k)] for k in (3, 4))
+            ranks = (_reference_rank_of_d(L, w3), _reference_rank_of_d(L, w4))
+            assert (rep.rank_d_lambda3_w, rep.rank_d_lambda4_w) == ranks, (L.name, pair)
             seen["factor-wise" if _factor_wise(pair) else "mixed"] += 1
     assert seen["factor-wise"] >= 900 and seen["mixed"] >= 30, seen
 
@@ -322,9 +345,10 @@ def test_check_obstruction_refuses_where_ranks_do_not_decide():
     L = direct_sum(catalog("h3"), catalog("R3"))
     pair = (covector(1) + covector(2), covector(2) + covector(4))
     assert obstruct.is_coherent(L, pair)
-    coframe = list(pair) + obstruct._complete_to_basis(pair)
+    coframe = _adapted_coframe(pair)
     assert not _reference_pure_w_vanishes(L.closed_forms(4), coframe)
-    assert obstruct._rank_of_images(L, [wedge_all(coframe[2:])], 5) == 1
+    assert _reference_undecided(L, coframe)
+    assert obstruct._rank_of_d(L, [sum(1 << i for i in obstruct._w_indices(pair))], 4) == 1
     with pytest.raises(HalfFlatError):
         obstruct.check_obstruction(L, pair)
 
