@@ -4,8 +4,8 @@ Basis covectors are e^1..e^6; on direct sums of three-dimensional algebras
 the aliases f^1 = e^4, f^2 = e^5, f^3 = e^6 are used throughout.  A k-form
 is stored as a map from index subsets (bitmasks, bit i-1 for index i) to
 exact scalar coefficients, subsets always read in increasing order.  Every
-sign is obtained by exact transposition counting, so results are
-bit-for-bit reproducible.
+ordering sign is read from ``_SIGN``, which ``_wedge_sign`` builds once by
+exact transposition counting, so results are bit-for-bit reproducible.
 
 The reference volume form is nu = e^123456; all Lambda^6-valued quantities
 are reported as rational (or quadratic-extension) multiples of nu.  A vector
@@ -33,13 +33,6 @@ def _popcount(m: int) -> int:
 def _mask_indices(mask: int) -> tuple[int, ...]:
     """Increasing 1-based indices of the set bits."""
     return tuple(i + 1 for i in range(DIM) if mask >> i & 1)
-
-
-def _indices_mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << (i - 1)
-    return m
 
 
 def _wedge_sign(a: int, b: int) -> int:
@@ -181,12 +174,12 @@ def mono(spec: str) -> tuple[int, int]:
 
 def sorted_monomial(indices: Sequence[int]) -> tuple[int, int]:
     """(mask, sign) with e^i1 ^ ... ^ e^ik = sign * e^mask, for distinct 1-based indices."""
-    sign = 1
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                sign = -sign
-    return _indices_mask(indices), sign
+    mask, sign = 0, 1
+    for i in indices:
+        bit = 1 << (i - 1)
+        sign *= _SIGN[(mask, bit)]
+        mask |= bit
+    return mask, sign
 
 
 def form(degree: int, terms: Iterable[tuple[str, Scalar]] = ()) -> KForm:
@@ -236,14 +229,11 @@ def contract(v: Sequence[Scalar], a: KForm) -> KForm:
         raise DegreeError("cannot contract a 0-form")
     terms: dict[int, Scalar] = {}
     for mask, coeff in a.terms.items():
-        sign = 1
         for i in range(DIM):
-            if mask >> i & 1:
-                vc = v[i]
-                if not scalar_is_zero(vc):
-                    m = mask & ~(1 << i)
-                    terms[m] = terms.get(m, 0) + sign * vc * coeff
-                sign = -sign
+            bit = 1 << i
+            if mask & bit and not scalar_is_zero(v[i]):
+                m = mask & ~bit
+                terms[m] = terms.get(m, 0) + _SIGN[(bit, m)] * v[i] * coeff
     return KForm(a.degree - 1, terms)
 
 
@@ -252,10 +242,10 @@ def kappa(xi: KForm) -> tuple[Scalar, ...]:
     if xi.degree != DIM - 1:
         raise DegreeError("kappa is defined on five-forms")
     comps = []
-    for u in range(1, DIM + 1):
-        m = NU_MASK & ~(1 << (u - 1))
+    for u in range(DIM):
+        m = NU_MASK & ~(1 << u)
         c = xi.coeff(m)
-        comps.append(-c if (u - 1) & 1 else c)
+        comps.append(c if _SIGN[(1 << u, m)] > 0 else -c)
     return tuple(comps)
 
 

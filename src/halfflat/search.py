@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import stable
-from .exterior import DIM, KForm, basis_masks
+from .exterior import _SIGN, DIM, KForm, basis_masks
 from .liealg import LieAlgebra
 from .verify import verify
 
@@ -136,8 +136,6 @@ class FloatKernels:
 
     @staticmethod
     def _wedge_tensor(ba, bb, out_masks) -> np.ndarray:
-        from .exterior import _SIGN
-
         out_index = {m: i for i, m in enumerate(out_masks)}
         out = np.zeros((len(ba), len(bb), len(out_index)))
         for i, ma in enumerate(ba):

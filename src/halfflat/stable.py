@@ -5,11 +5,11 @@ the quartic invariant lambda(rho) = tr(K_rho^2)/6 and, for stable rho
 (lambda != 0), the (para-)complex structure J_rho = K_rho / phi(rho) are
 computed exactly.  Here phi(rho) is represented as sqrt(|lambda|) times the
 reference volume with the positive root; for lambda < 0 the literal square
-root does not exist in Lambda^6 and this choice, together with calibrated
-sign constants and the orientation branch sign(phi(omega)), absorbs all
-orientation conventions.  The calibration constants (one per sign of
-lambda) are re-derived at import from the two model frames below, which
-must reproduce their standard metrics.
+root does not exist in Lambda^6 and this choice, together with the stated
+sign constants EPSILON = -1 (lambda < 0) and EPSILON_PARA = +1 (lambda > 0)
+and the orientation branch sign(phi(omega)), absorbs all orientation
+conventions.  The tests derive both constants from the two model frames
+below, which must induce their standard metrics.
 
 K_rho is quadratic in the coefficients of rho.  ``K_TABLE`` holds that
 quadratic map once, derived at import from the wedge sign table: for each
@@ -59,7 +59,6 @@ from .scalars import (
     scalar_abs,
     scalar_is_zero,
     scalar_sign,
-    sqrt_scalar,
 )
 
 KIND_SU3 = "SU(3)"
@@ -96,8 +95,8 @@ class StructureType:
 def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
     """Quadratic table of K_rho: mask i -> entries (v, j, u, sign).
 
-    e_v -| e^i = (-1)^(bits of i below v) e^(i - v); its wedge with a disjoint
-    e^j misses index u only, and kappa reads that coefficient with (-1)^u.
+    e_v -| e^i = s_v e^(i - v) and its wedge with a disjoint e^j misses index
+    u only; kappa reads that coefficient with s_u.  ``_SIGN`` gives both signs.
     """
     table = {}
     for i in basis_masks(3):
@@ -107,12 +106,12 @@ def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
             if not i & bit:
                 continue
             rest = i & ~bit
-            s_v = -1 if bin(i & (bit - 1)).count("1") & 1 else 1
+            s_v = _SIGN[(bit, rest)]
             for j in basis_masks(3):
                 if rest & j:
                     continue
                 u = (NU_MASK & ~(rest | j)).bit_length() - 1
-                s_u = -1 if u & 1 else 1
+                s_u = _SIGN[(1 << u, rest | j)]
                 entries.append((v, j, u, s_v * _SIGN[(rest, j)] * s_u))
         table[i] = tuple(entries)
     return table
@@ -254,34 +253,10 @@ MODEL_RHO = form(
 )
 #: para-complex counterpart: e^123 + f^123 with the same fundamental two-form
 MODEL_RHO_PARA = form(3, [("e123", Fraction(1)), ("f123", Fraction(1))])
-#: metric of the para model frame: g(e_i, f_i) = 1, all else zero
-_MODEL_PARA_METRIC = [
-    [Fraction(1) if abs(i - j) == 3 else Fraction(0) for j in range(DIM)]
-    for i in range(DIM)
-]
-
-
-def _calibrate_epsilon(rho: KForm, expected: linalg.Matrix) -> int:
-    """Sign constant in g = eps * omega(., J_rho .), pinned by a model frame.
-
-    The pseudo-orthonormal model frames must reproduce their standard
-    metrics; the signs are derived here rather than hard-coded so the
-    convention stays consistent with the kappa/volume choices above.
-    """
-    K = k_matrix(rho)
-    root = sqrt_scalar(scalar_abs(trace_of_square(K) / 6))
-    g_unsigned = _omega_times_k(MODEL_OMEGA.terms, K, 1)
-    for eps in (1, -1):
-        g = [[eps * x / root for x in row] for row in g_unsigned]
-        if linalg.mat_eq(g, expected):
-            return eps
-    raise AssertionError("model frame failed to calibrate the metric sign")
-
-
-#: metric sign for lambda < 0, from the pseudo-Hermitian model frame
-EPSILON: int = _calibrate_epsilon(MODEL_RHO, linalg.identity(DIM))
-#: metric sign for lambda > 0, from the para-Hermitian model frame
-EPSILON_PARA: int = _calibrate_epsilon(MODEL_RHO_PARA, _MODEL_PARA_METRIC)
+#: metric sign for lambda < 0: the pseudo-Hermitian model frame (MODEL_OMEGA, MODEL_RHO) induces the identity
+EPSILON = -1
+#: metric sign for lambda > 0: the para-Hermitian model frame (MODEL_OMEGA, MODEL_RHO_PARA) induces g(e_i, f_i) = 1
+EPSILON_PARA = 1
 
 
 def is_compatible(omega: KForm, rho: KForm) -> bool:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from halfflat import corpus, stable
+from halfflat.exterior import form
 from halfflat.scalars import QuadExt, scalar_abs, scalar_is_zero, scalar_sign
 
 from .oracles import oriented_metric_raw
@@ -137,6 +138,19 @@ def _metric_sign_reference(pair, inst):
     if len(signs) > 1 or signs == {-1} and inst.expected_kind == stable.KIND_SU3:
         return 0
     return signs.pop() if signs else 1
+
+
+def test_instance_report_residual_names_each_failure():
+    inst = corpus.row_t4_e2()
+    assert corpus.verify_instance(inst).residual == ""
+    assert corpus.verify_instance(dataclasses.replace(inst, t4=2)).residual == "c4=1 expected 2"
+    twice = [[2 * x for x in row] for row in inst.g0]
+    assert corpus.verify_instance(dataclasses.replace(inst, g0=twice)).residual == "metric mismatch against printed g"
+    rho = inst.rho.scale(2) + form(3, [("e123", 1)])
+    assert corpus.verify_instance(dataclasses.replace(inst, rho=rho)).residual == (
+        "c4=1/16 expected 1; metric mismatch against printed g; "
+        "half-flat system failed: drho=0 True, domega2=0 True, compatible False, type NotCompatible"
+    )
 
 
 def test_metric_sign_rejects_planted_metrics():

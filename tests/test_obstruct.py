@@ -105,6 +105,9 @@ def test_refined_h3_r2R():
     (a,) = obstruct.annihilating_forms(catalog("r2R"))
     assert obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")), to_block(a, 1))
     assert obstruct.refined_h3_r2R(direct_sum(catalog("r2R"), catalog("h3")), a)
+    # the h3-block form (e1 on h3 + r2R, f1 = e4 on r2R + h3) fails hypothesis (1), a ^ sigma ^ beta = 0
+    assert not obstruct.refined_h3_r2R(direct_sum(catalog("h3"), catalog("r2R")), covector(1))
+    assert not obstruct.refined_h3_r2R(direct_sum(catalog("r2R"), catalog("h3")), covector(4))
     control = direct_sum(catalog("su2"), catalog("su2"))
     assert not obstruct._k_entries_vanish(control, ((covector(4), basis(3)), (covector(4), basis(5))))
     # e2 + r2R admits SU(3) (row T4.1), so its A(r2R) form cannot be isotropic for every pair

@@ -279,6 +279,34 @@ def test_float_kernels_agree_with_exact(rng):
                     assert abs(g_float[i, j] - eps * float(g_exact[i][j])) / gs < 1e-10
 
 
+def test_gate_rejects_rows_under_other_targets():
+    # exact half-flat rows as float points, with no L-BFGS run: each passes the gate under its
+    # own target only, and zeroed rho coordinates or a moved omega are rejected
+    rows = {"su3": corpus.row_t4_e2(), "su12": corpus.example_su12(), "sl3r": corpus.example_sl3r()}
+    seen = {}
+    for own, inst in rows.items():
+        kern = search.FloatKernels(inst.algebra)
+        # omega on basis_masks(2), rho's coordinates in kern.z3
+        w = np.array([float(inst.omega.coeff(m)) for m in basis_masks(2)])
+        r = np.array([float(inst.rho.coeff(m)) for m in basis_masks(3)])
+        x = np.concatenate([w, np.linalg.lstsq(kern.z3, r, rcond=None)[0]])
+        for target in search.TARGET_KINDS:
+            gate = search._gate(kern, search._Penalty(kern, target), x, target, 1e-8)
+            assert (gate is not None) == (target == own), (inst.label, target)
+            if gate is not None:
+                seen[own] = gate[2]
+        pen = search._Penalty(kern, own)
+        zeroed = x.copy()
+        zeroed[15:] = 0.0
+        assert search._gate(kern, pen, zeroed, own, 1e-8) is None, inst.label
+        moved = x.copy()
+        moved[0] += 1e-3
+        assert search._gate(kern, pen, moved, own, 1e-8) is None, inst.label
+    assert seen["su3"]["lambda_float"] < 0 and seen["su3"]["min_eig_normalized"] > search.GATE_MARGIN
+    assert seen["su12"]["lambda_float"] < 0 and seen["su12"]["signature"] in ("(2,4)", "(4,2)")
+    assert seen["sl3r"]["lambda_float"] > 0 and seen["sl3r"]["signature"] == "(3,3)"
+
+
 def test_search_su3_on_su2_su2():
     L = direct_sum(catalog("su2"), catalog("su2"))
     res = search.find_halfflat(L, "su3", restarts=200, seed=3)

@@ -83,7 +83,7 @@ def test_k_squared_is_lambda_identity(rng):
 
 
 def test_epsilon_calibration_model_metric_identity():
-    # the model frame must induce the identity metric with the calibrated sign
+    # the model frame must induce the identity metric with the stated sign
     g_raw, eps = induced_metric_raw(MODEL_OMEGA, MODEL_RHO)
     lam = lambda_of(MODEL_RHO)
     root = sqrt_scalar(scalar_abs(lam))
@@ -92,6 +92,17 @@ def test_epsilon_calibration_model_metric_identity():
     assert eps == stable.EPSILON
     assert StablePair(MODEL_OMEGA, MODEL_RHO).phi_omega == 1
     assert lam == -4
+
+
+def test_epsilon_calibration_model_para_metric():
+    # the para model frame must induce g(e_i, f_i) = 1, all else zero, with the stated sign
+    g_raw, eps = induced_metric_raw(MODEL_OMEGA, MODEL_RHO_PARA)
+    lam = lambda_of(MODEL_RHO_PARA)
+    root = sqrt_scalar(scalar_abs(lam))
+    g = [[x / root for x in row] for row in g_raw]
+    assert g == [[Fraction(int(abs(i - j) == 3)) for j in range(6)] for i in range(6)]
+    assert eps == stable.EPSILON_PARA
+    assert lam == 1
 
 
 def test_structure_type_model_is_su3():
