@@ -57,7 +57,7 @@ def milnor_L(L3: LieAlgebra) -> linalg.Matrix:
     if L3.dim != 3:
         raise ValueError("Milnor endomorphism is defined for dimension three")
     # columns [e2, e3], [e3, e1] = -[e1, e3] and [e1, e2], with [e_a, e_b]^k = -c_ab^k read from d e^k
-    return [[-dk.coeff(0b110), dk.coeff(0b101), -dk.coeff(0b011)] for dk in L3.diffs]
+    return [[-dk.terms.get(0b110, 0), dk.terms.get(0b101, 0), -dk.terms.get(0b011, 0)] for dk in L3.diffs]
 
 
 def classify(L3: LieAlgebra) -> BianchiClass:

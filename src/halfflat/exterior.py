@@ -5,7 +5,8 @@ the aliases f^1 = e^4, f^2 = e^5, f^3 = e^6 are used throughout.  A k-form
 is stored as a map from index subsets (bitmasks, bit i-1 for index i) to
 exact scalar coefficients, subsets always read in increasing order.  Every
 ordering sign is read from ``_SIGN``, which ``_wedge_sign`` builds once by
-exact transposition counting, so results are bit-for-bit reproducible.
+exact transposition counting, so results are bit-for-bit reproducible;
+``_D_SPLIT`` splits each monomial into one index and the rest.
 
 The reference volume form is nu = e^123456; all Lambda^6-valued quantities
 are reported as rational (or quadratic-extension) multiples of nu.  A vector
@@ -52,6 +53,12 @@ for _a in range(1 << DIM):
     for _b in range(1 << DIM):
         if _a & _b == 0:
             _SIGN[(_a, _b)] = _wedge_sign(_a, _b)
+
+#: mask M -> ((i, M - i, (-1)^pos), ...) over the bits i of M, pos the place of i in M: e^M = (-1)^pos e^i ^ e^(M - i)
+#: and e_i -| e^M = (-1)^pos e^(M - i); d, ``contract``, ``kappa`` and ``stable.K_TABLE`` read it
+_D_SPLIT = tuple(
+    tuple((i, m ^ 1 << i, _SIGN[(1 << i, m ^ 1 << i)]) for i in range(DIM) if m >> i & 1) for m in range(1 << DIM)
+)
 
 
 class KForm:
@@ -229,11 +236,9 @@ def contract(v: Sequence[Scalar], a: KForm) -> KForm:
         raise DegreeError("cannot contract a 0-form")
     terms: dict[int, Scalar] = {}
     for mask, coeff in a.terms.items():
-        for i in range(DIM):
-            bit = 1 << i
-            if mask & bit and not scalar_is_zero(v[i]):
-                m = mask & ~bit
-                terms[m] = terms.get(m, 0) + _SIGN[(bit, m)] * v[i] * coeff
+        for i, rest, sign in _D_SPLIT[mask]:
+            if not scalar_is_zero(v[i]):
+                terms[rest] = terms.get(rest, 0) + sign * v[i] * coeff
     return KForm(a.degree - 1, terms)
 
 
@@ -241,12 +246,7 @@ def kappa(xi: KForm) -> tuple[Scalar, ...]:
     """Inverse of X |-> X -| nu on five-forms: the six components of X with X -| nu = xi."""
     if xi.degree != DIM - 1:
         raise DegreeError("kappa is defined on five-forms")
-    comps = []
-    for u in range(DIM):
-        m = NU_MASK & ~(1 << u)
-        c = xi.coeff(m)
-        comps.append(c if _SIGN[(1 << u, m)] > 0 else -c)
-    return tuple(comps)
+    return tuple(xi.coeff(m) if sign > 0 else -xi.coeff(m) for _, m, sign in _D_SPLIT[NU_MASK])
 
 
 def volume_ratio(top: KForm) -> Scalar:

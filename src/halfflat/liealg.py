@@ -16,11 +16,24 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import CatalogError, DegreeError, JacobiError
-from .exterior import _SIGN, DIM, KForm, basis_masks, form
-from .scalars import Scalar, scalar_is_zero
+from .exterior import _D_SPLIT, _SIGN, DIM, KForm, basis_masks, form
+from .scalars import Scalar, cleared, scalar_is_zero, unscaled
 
 #: the e-block e^1..e^3 of a six-dimensional coframe as a monomial mask; the f-block is its shift by 3
 E_BLOCK = 0b111
+
+
+def _d_terms(diffs: Sequence[Mapping[int, Scalar]], terms: Mapping[int, Scalar]) -> dict[int, Scalar]:
+    """The terms of d a, zeros kept, from those of a and d e^1, d e^2, ...: sign * d e^i ^ e^rest over ``_D_SPLIT``."""
+    out: dict[int, Scalar] = {}
+    for mask, coeff in terms.items():
+        for i, rest, sign in _D_SPLIT[mask]:
+            for t, c in diffs[i].items():
+                if not t & rest:
+                    v = c * coeff if sign * _SIGN[(t, rest)] > 0 else -(c * coeff)
+                    m = t | rest
+                    out[m] = out[m] + v if m in out else v
+    return out
 
 
 class LieAlgebra:
@@ -33,10 +46,10 @@ class LieAlgebra:
     e^1..e^3 and the f-block f^1..f^3 it holds the two three-dimensional block
     algebras, otherwise None.  An instance does not change after
     construction, so the closed-form spaces are computed once per degree and
-    cached.
+    cached, and the constants are cleared to integers once, on first use.
     """
 
-    __slots__ = ("dim", "diffs", "name", "params", "summands", "_closed")
+    __slots__ = ("dim", "diffs", "name", "params", "summands", "_closed", "_cleared")
 
     def __init__(
         self,
@@ -60,6 +73,7 @@ class LieAlgebra:
         self.name = name
         self.params = dict(params or {})
         self._closed: dict[int, tuple[KForm, ...]] = {}
+        self._cleared: tuple[int, list[dict[int, Scalar]]] | None = None
         if not self.check_jacobi():
             raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
         self.summands: tuple[LieAlgebra, LieAlgebra] | None = None
@@ -99,27 +113,24 @@ class LieAlgebra:
     # -- differential --------------------------------------------------------
 
     def d(self, a: KForm) -> KForm:
-        """Exterior differential, the antiderivation extending d on one-forms."""
-        if a.degree == DIM:
-            return KForm(DIM)  # Lambda^7 = 0, reported as the zero top form
-        # d e^I = sum over i in I of (-1)^(position of i in I) d e^i ^ e^(I - i)
-        terms: dict[int, Scalar] = {}
-        for mask, coeff in a.terms.items():
-            sign = 1
-            for i in range(self.dim):
-                if mask >> i & 1:
-                    rest = mask & ~(1 << i)
-                    for t, c in self.diffs[i].terms.items():
-                        if not t & rest:
-                            v = c * coeff if sign * _SIGN[(t, rest)] > 0 else -(c * coeff)
-                            m = t | rest
-                            terms[m] = terms[m] + v if m in terms else v
-                    sign = -sign
-        return KForm(a.degree + 1, terms)
+        """Exterior differential, the antiderivation extending d on one-forms; d e^i = 0 for i beyond dim."""
+        terms = _d_terms([dk.terms for dk in self.diffs] + [{}] * (DIM - self.dim), a.terms)
+        return KForm(min(a.degree + 1, DIM), terms)  # Lambda^7 = 0, reported as the zero top form
+
+    def scaled_d(self, terms: Mapping[int, Scalar]) -> dict[int, Scalar]:
+        """The terms of den * d a, zeros kept, for the form a with these terms; den is the constants' lcm denominator.
+
+        The constants are cleared by den (``scalars.cleared``) on the first call.
+        """
+        if self._cleared is None:
+            den, values = cleared([c for dk in self.diffs for c in dk.terms.values()])
+            it = iter(values)
+            self._cleared = den, [{m: next(it) for m in dk.terms} for dk in self.diffs] + [{}] * (DIM - self.dim)
+        return _d_terms(self._cleared[1], terms)
 
     def check_jacobi(self) -> bool:
         """d^2 = 0 on all basis one-forms."""
-        return all(self.d(dk).is_zero() for dk in self.diffs)
+        return not any(any(_d_terms([dk.terms for dk in self.diffs], dk.terms).values()) for dk in self.diffs)
 
     # -- predicates ----------------------------------------------------------
 
@@ -141,23 +152,24 @@ class LieAlgebra:
         return self._closed[k]
 
     def d_matrix(self, k: int) -> linalg.Matrix:
-        """Exact matrix of d from Lambda^k to Lambda^(k+1), not cached.
+        """Exact matrix of d from Lambda^k to Lambda^(k+1), not cached: the images of ``scaled_d`` divided by den.
 
         Column j is d of the j-th k-monomial and row i the coefficient on the
         i-th (k+1)-monomial, both over the sorted monomials within ``dim``.
         """
-        masks = [m for m in basis_masks(k) if not m >> self.dim]
-        out_masks = [m for m in basis_masks(k + 1) if not m >> self.dim]
-        images = [self.d(KForm(k, {m: Fraction(1)})).terms for m in masks]
-        zero = Fraction(0)
-        return [[img.get(om, zero) for img in images] for om in out_masks]
+        den, rows = self._scaled_d_matrix(k)
+        return [[unscaled(x, den) if x else Fraction(0) for x in row] for row in rows]
+
+    def _scaled_d_matrix(self, k: int) -> tuple[int, linalg.Matrix]:
+        """den and den times ``d_matrix(k)``, read from ``scaled_d``."""
+        images = [self.scaled_d({m: 1}) for m in basis_masks(k) if not m >> self.dim]
+        rows = [[img.get(om, 0) for img in images] for om in basis_masks(k + 1) if not om >> self.dim]
+        return self._cleared[0] if images else 1, rows
 
     def _kernel_of_d(self, k: int) -> tuple[KForm, ...]:
         masks = [m for m in basis_masks(k) if not m >> self.dim]
-        rows = self.d_matrix(k)
-        if not rows:
-            return tuple(KForm(k, {m: Fraction(1)}) for m in masks)
-        return tuple(KForm(k, dict(zip(masks, vec))) for vec in linalg.nullspace(rows))
+        rows = self._scaled_d_matrix(k)[1] or [[0] * len(masks)]  # Lambda^(k+1) = 0: every k-form is closed
+        return tuple(KForm(k, {m: c for m, c in zip(masks, vec) if c}) for vec in linalg.nullspace(rows))
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

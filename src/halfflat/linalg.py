@@ -1,9 +1,9 @@
 """Exact linear algebra over Q or a quadratic extension.
 
-Matrices are lists of row lists holding exact scalars.  Elimination is
-division-based, so entries stay in the field of the input; ``rref`` keeps
-its rows sparse, as ``{column: value}`` maps without zeros, and touches
-only the nonzeros of each pivot row.
+Matrices are lists of row lists holding exact scalars.  ``rref``, ``rank`` and
+``nullspace`` eliminate fraction-free on sparse ``{column: value}`` rows of
+integral entries without a common factor; ``rref`` and ``nullspace`` divide by
+the pivots once at the end, so entries stay in the field of the input.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import Scalar, scalar_is_zero, scalar_sign
+from .scalars import Scalar, primitive, scalar_is_zero, scalar_sign, unscaled
 
 Matrix = list[list[Scalar]]
 
@@ -57,19 +57,14 @@ def is_symmetric(m: Sequence[Sequence[Scalar]]) -> bool:
     )
 
 
-def _field(pivot: Scalar) -> Scalar:
-    """A pivot to divide by: an int becomes a Fraction, so int input stays exact."""
-    return Fraction(pivot) if isinstance(pivot, int) else pivot
+def _eliminate(mat: Sequence[Sequence[Scalar]]) -> tuple[list[dict[int, Scalar]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on primitive rows: p * row - f * pivot row, then ``primitive``.
 
-
-def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices.
-
-    The reduced form is unique, so any pivot row gives the same result; the
-    sparsest candidate is taken, which keeps fill-in down.
+    Row i of the result has its pivot at column pivots[i] and zeros in the
+    other pivot columns; the sparsest candidate pivot row keeps fill-in down.
     """
     cols = len(mat[0]) if mat else 0
-    live = [{j: x for j, x in enumerate(row) if not scalar_is_zero(x)} for row in mat]
+    live = [dict(zip(r, primitive(list(r.values())))) for r in ({j: x for j, x in enumerate(row) if x} for row in mat)]
     done: list[dict[int, Scalar]] = []
     pivots: list[int] = []
     for c in range(cols):
@@ -77,47 +72,48 @@ def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         if not with_c:
             continue
         piv = live.pop(min(with_c, key=lambda i: len(live[i])))
-        inv = _field(piv.pop(c))
-        piv = {j: x / inv for j, x in piv.items()}
+        p = piv[c]
         for row in done + live:
-            f = row.pop(c, None)
+            f = row.get(c)
             if f is None:
                 continue
+            for j in row:
+                row[j] *= p
             for j, y in piv.items():
                 x = row.get(j, 0) - f * y
-                if scalar_is_zero(x):
-                    del row[j]
-                else:
+                if x:
                     row[j] = x
-        piv[c] = Fraction(1)
+                else:
+                    del row[j]
+            row.update(zip(list(row), primitive(list(row.values()))))
         done.append(piv)
         pivots.append(c)
-    zero = Fraction(0)
-    red = [[row.get(j, zero) for j in range(cols)] for row in done]
-    return red + zeros(len(mat) - len(done), cols), pivots
+    return done, pivots
+
+
+def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot column indices: the rows of ``_eliminate``, each divided by its pivot."""
+    cols = len(mat[0]) if mat else 0
+    rows, pivots = _eliminate(mat)
+    red = [[unscaled(row[j], row[c]) if j in row else Fraction(0) for j in range(cols)] for row, c in zip(rows, pivots)]
+    return red + zeros(len(mat) - len(rows), cols), pivots
 
 
 def rank(mat: Sequence[Sequence[Scalar]]) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
+    return len(_eliminate(mat)[1])
 
 
 def nullspace(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Basis of the kernel, one vector per free column."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    red, pivots = rref(mat)
-    pivot_set = set(pivots)
+    """Basis of the kernel, one vector per free column, from the rows of ``_eliminate``."""
+    cols = len(mat[0]) if mat else 0
+    rows, pivots = _eliminate(mat)
     basis: list[list[Scalar]] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(cols)) - set(pivots)):
         v: list[Scalar] = [Fraction(0)] * cols
         v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+        for row, pc in zip(rows, pivots):
+            if free in row:
+                v[pc] = -unscaled(row[free], row[pc])
         basis.append(v)
     return basis
 
@@ -159,10 +155,9 @@ def det(mat: Sequence[Sequence[Scalar]]) -> Scalar:
             m[c], m[p] = m[p], m[c]
             out = -out
         out = out * m[c][c]
-        inv = _field(m[c][c])
         for i in range(c + 1, n):
             if not scalar_is_zero(m[i][c]):
-                f = m[i][c] / inv
+                f = unscaled(m[i][c], m[c][c])
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
 
@@ -199,7 +194,7 @@ def inertia(mat: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
             for k in range(n):
                 m[k][i] = m[k][i] + m[k][j]
             piv = i
-        d = _field(m[piv][piv])
+        d = m[piv][piv]
         if scalar_sign(d) > 0:
             pos += 1
         else:
@@ -208,7 +203,7 @@ def inertia(mat: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
         for i in live:
             if scalar_is_zero(m[i][piv]):
                 continue
-            f = m[i][piv] / d
+            f = unscaled(m[i][piv], d)
             for k in live:
                 m[i][k] = m[i][k] - f * m[piv][k]
             m[i][piv] = Fraction(0)

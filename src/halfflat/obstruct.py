@@ -33,7 +33,9 @@ closed sigma = sigma_V + sigma_W (sigma_V in I(V), sigma_W in Lambda^k W)
 thus has d sigma_W = 0, and every closed k-form has zero Lambda^k W
 component exactly when d is injective on Lambda^k W.
 ``tests/test_obstruct.py`` checks the ranks against the components of a
-basis of Z^3 and Z^4 in the adapted coframe.
+basis of Z^3 and Z^4 in the adapted coframe.  Coherence, these ranks and
+every kernel read d as ``LieAlgebra.scaled_d``: the split table
+``exterior._D_SPLIT`` on the structure constants cleared to integers.
 
 Two class pairs resist the rank argument and get refined checks.  Both are
 stated without coordinates, through Z^1, [g, g] = ann(Z^1) and entries of
@@ -70,9 +72,9 @@ from itertools import product
 from . import linalg, stable
 from .classify3d import classify, milnor_L
 from .errors import HalfFlatError
-from .exterior import DIM, NU_MASK, KForm, basis_masks, wedge
+from .exterior import _SIGN, DIM, NU_MASK, KForm, basis_masks, wedge
 from .liealg import LieAlgebra, to_block
-from .scalars import scalar_is_zero
+from .scalars import Scalar, scalar_is_zero
 
 VERDICT_OBSTRUCTED = "NoHalfFlatSU3"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -146,15 +148,16 @@ def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:
 
     dV in Lambda^2 V and dW in Lambda^2 V (+) V ^ W, checked on an adapted
     basis; for V = span(alpha1, alpha2) this is closedness of the alphas
-    plus d e^k ^ alpha1 ^ alpha2 = 0 for every generator.
+    plus d e^k ^ alpha1 ^ alpha2 = d(e^k ^ alpha1 ^ alpha2) = 0 for every
+    generator, read from ``LieAlgebra.scaled_d`` and the 2x2 minors of V.
     """
-    a1, a2 = v_pair
-    if not (L.d(a1).is_zero() and L.d(a2).is_zero()):
-        return False
-    vv = wedge(a1, a2)
-    if vv.is_zero():
-        return False
-    return all(wedge(dk, vv).is_zero() for dk in L.diffs)
+    closed = not any(any(L.scaled_d(a.terms).values()) for a in v_pair)
+    minors: dict[int, Scalar] = {}
+    for (m1, c1), (m2, c2) in product(v_pair[0].terms.items(), v_pair[1].terms.items()):
+        if m1 != m2:
+            minors[m1 | m2] = minors.get(m1 | m2, 0) + _SIGN[(m1, m2)] * c1 * c2
+    forms = ({m | 1 << k: _SIGN[(1 << k, m)] * c for m, c in minors.items() if not m >> k & 1} for k in range(DIM))
+    return closed and any(minors.values()) and not any(any(L.scaled_d(terms).values()) for terms in forms)
 
 
 def _w_indices(v_pair: tuple[KForm, KForm]) -> list[int]:
@@ -185,8 +188,8 @@ def check_obstruction(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> Obstruction
 
 
 def _rank_of_d(L: LieAlgebra, masks: list[int], k: int) -> int:
-    """Rank of d on the span of the k-monomials e^m, m in ``masks``."""
-    return linalg.rank([L.d(KForm(k, {m: 1})).coefficients(basis_masks(k + 1)) for m in masks])
+    """Rank of d on the span of the k-monomials e^m, m in ``masks``, read from ``LieAlgebra.scaled_d``."""
+    return linalg.rank([[img.get(m, 0) for m in basis_masks(k + 1)] for img in (L.scaled_d({m: 1}) for m in masks)])
 
 
 # -- refined arguments ----------------------------------------------------------
@@ -305,25 +308,35 @@ def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:
     """Draw seeded random rational closed three-forms and test lambda >= 0.
 
     Coefficients are drawn from [-10, 10] rational with denominator 4, one
-    per basis element z_a of Z^3, as n_a = randint(-40, 40).  With D the
+    per basis element z_a of Z^3, as n_a = randint(-40, 40), read from the
+    same stream by the local rejection loop of ``_draws``.  With D the
     positive lcm of the denominators of the basis, 6 lambda of
     sum n_a * D * z_a (that is 4 * D times the drawn rational form) is one
     integer quartic in n, expanded once per call from ``stable.k_on_basis``
     and evaluated on each sample.  lambda scales by the fourth power of a
     factor, so the sign of the quartic is that of lambda of the drawn form.
+    A negative n_samples raises ValueError.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     rng = random.Random(seed)
     basis = L.closed_forms(3)
     quartic = list(stable.trace_of_square_quartic(stable.k_on_basis(basis)).items())
     first_neg = None
     for sample in range(n_samples):
-        n = [rng.randint(-10 * 4, 10 * 4) for _ in range(len(basis))]
+        n = _draws(rng, len(basis))
         if sum(c * n[a] * n[b] * n[e] * n[f] for (a, b, e, f), c in quartic) < 0:
             first_neg = sample
             break
-    return ScanReport(
-        algebra=L.name or "direct sum",
-        n_samples=n_samples,
-        seed=seed,
-        first_negative=first_neg,
-    )
+    return ScanReport(algebra=L.name or "direct sum", n_samples=n_samples, seed=seed, first_negative=first_neg)
+
+
+def _draws(rng: random.Random, count: int) -> list[int]:
+    """``count`` values of rng.randint(-40, 40) from its stream: getrandbits(7), drawn again from 81 up, minus 40."""
+    bits, out = rng.getrandbits, []
+    for _ in range(count):
+        r = bits(7)
+        while r >= 81:
+            r = bits(7)
+        out.append(r - 40)
+    return out

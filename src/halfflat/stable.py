@@ -52,14 +52,8 @@ from typing import Sequence
 
 from . import linalg
 from .errors import NotCompatibleError, NotStableError
-from .exterior import _SIGN, DIM, NU_MASK, KForm, basis_masks, form, volume_ratio, wedge
-from .scalars import (
-    QuadExt,
-    Scalar,
-    scalar_abs,
-    scalar_is_zero,
-    scalar_sign,
-)
+from .exterior import _D_SPLIT, _SIGN, DIM, NU_MASK, KForm, basis_masks, form, volume_ratio, wedge
+from .scalars import Scalar, cleared, scalar_abs, scalar_is_zero, scalar_sign, unscaled
 
 KIND_SU3 = "SU(3)"
 KIND_SU21 = "SU(2,1)"
@@ -96,17 +90,12 @@ def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
     """Quadratic table of K_rho: mask i -> entries (v, j, u, sign).
 
     e_v -| e^i = s_v e^(i - v) and its wedge with a disjoint e^j misses index
-    u only; kappa reads that coefficient with s_u.  ``_SIGN`` gives both signs.
+    u only; kappa reads that coefficient with s_u.  ``_D_SPLIT`` and ``_SIGN`` give the signs.
     """
     table = {}
     for i in basis_masks(3):
         entries = []
-        for v in range(DIM):
-            bit = 1 << v
-            if not i & bit:
-                continue
-            rest = i & ~bit
-            s_v = _SIGN[(bit, rest)]
+        for v, rest, s_v in _D_SPLIT[i]:
             for j in basis_masks(3):
                 if rest & j:
                     continue
@@ -121,32 +110,12 @@ def _k_table() -> dict[int, tuple[tuple[int, int, int, int], ...]]:
 K_TABLE = _k_table()
 
 
-def _cleared(values: Sequence[Scalar]) -> tuple[int, list[Scalar]]:
-    """(den, den * values) for the positive lcm den of their denominators: ints, or QuadExt."""
-    # a list, not a generator: a tuple unpacked from a generator is grown and shrunk, and the
-    # freed tuples pile up in the interpreter's free lists (0.4 MB more RSS over 100 corpus rounds)
-    den = math.lcm(
-        *[math.lcm(x.a.denominator, x.b.denominator) if isinstance(x, QuadExt) else x.denominator for x in values]
-    )
-    return den, [x * den if isinstance(x, QuadExt) else x.numerator * (den // x.denominator) for x in values]
-
-
-def _cleared_terms(f: KForm) -> tuple[int, dict[int, Scalar]]:
-    """``_cleared`` on the coefficients of a form: den and the terms of den * f."""
-    den, values = _cleared(list(f.terms.values()))
-    return den, dict(zip(f.terms, values))
-
-
-def _unscaled(x: Scalar, den: int) -> Scalar:
-    """x / den for a cleared value x, of the type of the uncleared value."""
-    return x / den if isinstance(x, QuadExt) else Fraction(x, den)
-
-
 def k_matrix(rho: KForm) -> linalg.Matrix:
     """K_rho relative to the reference volume; column j is K_rho(e_j)."""
     if rho.degree != 3:
         raise NotStableError("K is defined for three-forms")
-    den, terms = _cleared_terms(rho)
+    den, values = cleared(list(rho.terms.values()))
+    terms = dict(zip(rho.terms, values))
     K: linalg.Matrix = [[0] * DIM for _ in range(DIM)]
     get = terms.get
     for i, ci in terms.items():
@@ -157,7 +126,7 @@ def k_matrix(rho: KForm) -> linalg.Matrix:
                     K[u][v] += ci * cj
                 else:
                     K[u][v] -= ci * cj
-    return [[_unscaled(x, den * den) for x in row] for row in K]
+    return [[unscaled(x, den * den) for x in row] for row in K]
 
 
 def trace_of_square(K: linalg.Matrix) -> Scalar:
@@ -332,10 +301,10 @@ class StablePair:
         self.omega = omega
         self.rho = rho
         self.K = k_matrix(rho)
-        den_k, flat = _cleared([x for row in self.K for x in row])
+        den_k, flat = cleared([x for row in self.K for x in row])
         K = [flat[i : i + DIM] for i in range(0, DIM * DIM, DIM)]
-        den_w, w = _cleared_terms(omega)
-        self.lam = _unscaled(trace_of_square(K), 6 * den_k * den_k)
+        den_w, w = cleared(list(omega.terms.values()))
+        self.lam = unscaled(trace_of_square(K), 6 * den_k * den_k)
         self.omega2 = wedge(omega, omega)
         self.phi_omega = volume_ratio(wedge(self.omega2, omega)) / 6
         self.eps = EPSILON_PARA if scalar_sign(self.lam) > 0 else EPSILON
@@ -346,12 +315,15 @@ class StablePair:
         else:
             self.norm_c4 = None
             self.norm_sign = 0
-        G = _omega_times_k(w, K, self.eps)
-        self.G_raw = [[_unscaled(x, den_w * den_k) for x in row] for row in G]
+        G = _omega_times_k(dict(zip(omega.terms, w)), K, self.eps)
+        self.G_raw = [[unscaled(x, den_w * den_k) for x in row] for row in G]
         self.symmetric = linalg.is_symmetric(G)
         wedge_zero = is_compatible(omega, rho)
         self.compatible = self.symmetric and wedge_zero
         self.structure = self._verdict(stable, wedge_zero)
+
+    def __repr__(self) -> str:
+        return "StablePair(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     def _verdict(self, stable: bool, wedge_zero: bool) -> StructureType:
         if not stable:

@@ -198,6 +198,25 @@ def dense_rref(mat):
     return m, pivots
 
 
+def dense_nullspace(mat):
+    """Kernel basis read from ``dense_rref``, one vector per free column: the
+    division-based reference for the fraction-free ``linalg.nullspace``."""
+    if not mat:
+        return []
+    cols = len(mat[0])
+    red, pivots = dense_rref(mat)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
 def antiderivation_d(L, a):
     """d a as a sum of wedge products, one ``KForm`` per term.
 

@@ -27,6 +27,14 @@ def test_all_table_instances_verify_exactly():
     assert time.time() - t0 < 10.0
 
 
+def test_verify_instance_repr_is_reproducible():
+    # repr of a report names the StablePair's slots, not an object address
+    for inst in corpus.iter_instances()[:6] + corpus.iter_instances(table=0):
+        first, second = repr(corpus.verify_instance(inst)), repr(corpus.verify_instance(inst))
+        assert first == second and "object at" not in first, inst.label
+        assert "StablePair(omega=" in first
+
+
 def test_worked_examples_verify():
     for inst in corpus.iter_instances(table=0):
         rep = corpus.verify_instance(inst)

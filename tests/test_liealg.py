@@ -10,7 +10,7 @@ from halfflat import liealg, linalg
 from halfflat.errors import CatalogError, JacobiError
 from halfflat.exterior import DIM, KForm, basis_masks, covector, evaluate, form, wedge
 from halfflat.liealg import LieAlgebra, catalog, catalog_classes, direct_sum
-from halfflat.scalars import QuadExt
+from halfflat.scalars import QuadExt, cleared, unscaled
 
 from .conftest import basis, random_fraction, random_form
 from . import oracles
@@ -290,6 +290,34 @@ def test_d_matrix_matches_d_on_basis_monomials(rng):
             for j, m in enumerate(masks):
                 image = oracles.antiderivation_d(L, KForm(k, {m: Fraction(1)}))
                 assert [row[j] for row in M] == image.coefficients(out_masks)
+
+
+def test_scaled_d_and_d_matrix_match_d_on_every_monomial(rng):
+    # the integer images read from the split table on cleared constants, divided by
+    # den, and the columns of d_matrix equal the KForm d on every k-monomial, k = 0..5:
+    # on the 400 ordered catalog sums, on sums of GL(3,Q)-conjugated factors and on
+    # the Q(sqrt 3) algebras; the conjugated and Q(sqrt 3) ones against the oracle too
+    insts = all_class_instances()
+    sums = [direct_sum(L1, L2) for L1, L2 in itertools.product(insts, insts)]
+    assert len(sums) == 400
+    conjugated = [
+        direct_sum(*(liealg.change_basis(L, _random_unimodular_triangular(rng, 3)) for L in pair))
+        for pair in itertools.product(insts[::3], insts[1::3])
+    ]
+    quad = [_quad_algebra(rng, 3), _quad_algebra(rng, 6), _quad_algebra(rng, 6)]
+    for n, L in enumerate(sums + conjugated + quad):
+        den = cleared([c for dk in L.diffs for c in dk.terms.values()])[0]
+        for k in range(min(L.dim, 5) + 1):
+            masks = [m for m in basis_masks(k) if not m >> L.dim]
+            out_masks = [m for m in basis_masks(k + 1) if not m >> L.dim]
+            M = L.d_matrix(k)
+            for j, m in enumerate(masks):
+                want = L.d(KForm(k, {m: Fraction(1)}))
+                if n % 7 == 0 or n >= len(sums):
+                    assert want == oracles.antiderivation_d(L, KForm(k, {m: Fraction(1)})), (L.name, k, m)
+                scaled = L.scaled_d({m: 1})
+                assert KForm(k + 1, {t: unscaled(c, den) for t, c in scaled.items()}) == want, (L.name, k, m)
+                assert [row[j] for row in M] == want.coefficients(out_masks), (L.name, k, m)
 
 
 def test_direct_sum_blocks_are_its_checked_factors():

@@ -270,6 +270,53 @@ def test_lambda_scan_matches_reference_scan(g1, g2, mu):
         assert (rep.n_samples, rep.all_nonnegative, rep.first_negative) == (0, True, None)
 
 
+def test_lambda_scan_refuses_negative_samples():
+    L = direct_sum(catalog("h3"), catalog("r2R"))
+    with pytest.raises(ValueError, match="n_samples"):
+        obstruct.lambda_nonneg_scan(L, -5, seed=1)
+
+
+def test_scan_draws_are_randint_stream():
+    # the local getrandbits(7) rejection loop reads the stream of randint(-40, 40),
+    # value for value, and leaves the generator where randint would
+    for seed in range(60):
+        rng, ref = random.Random(seed), random.Random(seed)
+        count = seed % 13 + 1
+        assert obstruct._draws(rng, count) == [ref.randint(-40, 40) for _ in range(count)]
+        assert rng.random() == ref.random()
+
+
+def _reference_is_coherent(L, v_pair):
+    """Coherence through KForm wedges: closed alphas, alpha1 ^ alpha2 != 0, d e^k ^ alpha1 ^ alpha2 = 0."""
+    a1, a2 = v_pair
+    if not (L.d(a1).is_zero() and L.d(a2).is_zero()):
+        return False
+    vv = wedge(a1, a2)
+    return not vv.is_zero() and all(wedge(dk, vv).is_zero() for dk in L.diffs)
+
+
+def test_is_coherent_matches_wedge_reference(rng):
+    # the minors-and-scaled-d test against the wedge route: on the splitting of each
+    # ordered catalog sum, on random pairs in A(g1) (+) A(g2), on random one-forms and
+    # on sums of factors in random GL(3,Q) bases
+    insts = [L for spec in catalog_classes() for L in spec.instances()]
+    sums = [direct_sum(L1, L2) for L1, L2 in product(insts, insts)]
+    sums += [_conjugated_sum(rng, g1, g2) for g1, g2 in (("h3", "r2R"), ("R3", "r3"), ("r2R", "R3"), ("su2", "h3"))]
+    seen = Counter()
+    for L in sums:
+        a = obstruct.annihilating_forms(L.summands[0]) + [to_block(b, 1) for b in obstruct.annihilating_forms(L.summands[1])]
+        splitting = obstruct.coherent_splittings(L)
+        pairs = [] if splitting is None else [splitting]
+        for _ in range(3):
+            pairs.append(tuple(sum((b.scale(Fraction(rng.randint(-2, 2))) for b in a), KForm(1)) for _ in range(2)))
+            pairs.append((random_form(rng, 1, density=0.3), random_form(rng, 1, density=0.3)))
+        for pair in pairs:
+            want = _reference_is_coherent(L, pair)
+            assert obstruct.is_coherent(L, pair) == want, (L.name, pair)
+            seen[want] += 1
+    assert seen[True] > 100 and seen[False] > 100, seen
+
+
 def _reference_pure_w_vanishes(forms_in, coframe):
     """All C(6, k) coefficients in the adapted wedge basis, then the pure-W ones."""
     c_mat = [[c.coeff(1 << i) for i in range(6)] for c in coframe]
