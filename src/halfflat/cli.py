@@ -78,6 +78,9 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
             if len(tokens) != dim + 1:
                 raise _shape_error(f"basis needs exactly {dim} names", line_no, line, [None] * (dim + 1))
             basis = tokens[1:]
+            if any("^" in name for name in basis):  # no monomial could name it
+                k = next(k for k in range(1, dim + 1) if "^" in tokens[k])
+                raise ParseError(f"basis name {tokens[k]!r} contains '^'", line_no, _column(line, k))
             if len(set(basis)) != dim:
                 k = next(k for k in range(2, dim + 1) if tokens[k] in tokens[1:k])
                 raise ParseError("duplicate basis name", line_no, _column(line, k))

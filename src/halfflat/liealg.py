@@ -3,9 +3,11 @@
 A Lie algebra of dimension three or six is stored through the differentials
 d e^k of its basis covectors; the constants c_ij^k (i < j) are the e^ij
 coefficients of d e^k, so antisymmetry is built in and the Jacobi identity
-is d^2 = 0.  The module provides the catalog of standard three-dimensional
-brackets, direct sums, unimodularity tests, closed-form spaces and basis
-changes.
+is d^2 = 0.  Construction clears the constants once, by their positive lcm
+denominator ``den`` (``scalars.cleared``); every d reads that table through
+``exterior._D_SPLIT``, and only ``LieAlgebra.d`` divides by den.  The module
+provides the catalog of standard three-dimensional brackets, direct sums,
+unimodularity tests, closed-form spaces and basis changes.
 """
 
 from __future__ import annotations
@@ -23,19 +25,6 @@ from .scalars import Scalar, cleared, scalar_is_zero, unscaled
 E_BLOCK = 0b111
 
 
-def _d_terms(diffs: Sequence[Mapping[int, Scalar]], terms: Mapping[int, Scalar]) -> dict[int, Scalar]:
-    """The terms of d a, zeros kept, from those of a and d e^1, d e^2, ...: sign * d e^i ^ e^rest over ``_D_SPLIT``."""
-    out: dict[int, Scalar] = {}
-    for mask, coeff in terms.items():
-        for i, rest, sign in _D_SPLIT[mask]:
-            for t, c in diffs[i].items():
-                if not t & rest:
-                    v = c * coeff if sign * _SIGN[(t, rest)] > 0 else -(c * coeff)
-                    m = t | rest
-                    out[m] = out[m] + v if m in out else v
-    return out
-
-
 class LieAlgebra:
     """Lie algebra given by the differentials of its basis covectors.
 
@@ -44,12 +33,13 @@ class LieAlgebra:
     raises ``JacobiError`` on constants that violate d^2 = 0.  ``summands``
     is read from d: in dimension six with no cross terms between the e-block
     e^1..e^3 and the f-block f^1..f^3 it holds the two three-dimensional block
-    algebras, otherwise None.  An instance does not change after
-    construction, so the closed-form spaces are computed once per degree and
-    cached, and the constants are cleared to integers once, on first use.
+    algebras, otherwise None.  ``den`` is the positive lcm of the constants'
+    denominators; construction clears the constants by it once, and every d
+    reads that table.  An instance does not change after construction, so
+    the closed-form spaces are computed once per degree and cached.
     """
 
-    __slots__ = ("dim", "diffs", "name", "params", "summands", "_closed", "_cleared")
+    __slots__ = ("dim", "diffs", "name", "params", "summands", "den", "_closed", "_table")
 
     def __init__(
         self,
@@ -73,7 +63,9 @@ class LieAlgebra:
         self.name = name
         self.params = dict(params or {})
         self._closed: dict[int, tuple[KForm, ...]] = {}
-        self._cleared: tuple[int, list[dict[int, Scalar]]] | None = None
+        self.den, values = cleared([c for dk in self.diffs for c in dk.terms.values()])
+        it = iter(values)
+        self._table = [{m: next(it) for m in dk.terms} for dk in self.diffs] + [{}] * (DIM - dim)
         if not self.check_jacobi():
             raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
         self.summands: tuple[LieAlgebra, LieAlgebra] | None = None
@@ -113,24 +105,30 @@ class LieAlgebra:
     # -- differential --------------------------------------------------------
 
     def d(self, a: KForm) -> KForm:
-        """Exterior differential, the antiderivation extending d on one-forms; d e^i = 0 for i beyond dim."""
-        terms = _d_terms([dk.terms for dk in self.diffs] + [{}] * (DIM - self.dim), a.terms)
+        """Exterior differential, the antiderivation extending d on one-forms: ``scaled_d`` divided by den."""
+        terms = {m: unscaled(c, self.den) for m, c in self.scaled_d(a.terms).items()}
         return KForm(min(a.degree + 1, DIM), terms)  # Lambda^7 = 0, reported as the zero top form
 
     def scaled_d(self, terms: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """The terms of den * d a, zeros kept, for the form a with these terms; den is the constants' lcm denominator.
+        """The terms of den * d a, zeros kept, for the form a with these terms.
 
-        The constants are cleared by den (``scalars.cleared``) on the first call.
+        e^M = sign e^i ^ e^rest for each (i, rest, sign) in ``_D_SPLIT[M]``, so
+        den * d e^M sums sign * (den * d e^i) ^ e^rest over the cleared table.
         """
-        if self._cleared is None:
-            den, values = cleared([c for dk in self.diffs for c in dk.terms.values()])
-            it = iter(values)
-            self._cleared = den, [{m: next(it) for m in dk.terms} for dk in self.diffs] + [{}] * (DIM - self.dim)
-        return _d_terms(self._cleared[1], terms)
+        table = self._table
+        out: dict[int, Scalar] = {}
+        for mask, coeff in terms.items():
+            for i, rest, sign in _D_SPLIT[mask]:
+                for t, c in table[i].items():
+                    if not t & rest:
+                        v = c * coeff if sign * _SIGN[(t, rest)] > 0 else -(c * coeff)
+                        m = t | rest
+                        out[m] = out[m] + v if m in out else v
+        return out
 
     def check_jacobi(self) -> bool:
         """d^2 = 0 on all basis one-forms."""
-        return not any(any(_d_terms([dk.terms for dk in self.diffs], dk.terms).values()) for dk in self.diffs)
+        return not any(any(self.scaled_d(dk).values()) for dk in self._table)
 
     # -- predicates ----------------------------------------------------------
 
@@ -141,35 +139,27 @@ class LieAlgebra:
     # -- constructions -------------------------------------------------------
 
     def closed_forms(self, k: int) -> tuple[KForm, ...]:
-        """Basis of the kernel of d on Lambda^k, by exact elimination.
+        """Basis of the kernel of d on Lambda^k, by exact elimination of ``d_matrix(k)``.
 
         One form per free column of the elimination, so the basis is
         independent by construction.  Computed once per degree and shared
         between callers.
         """
         if k not in self._closed:
-            self._closed[k] = self._kernel_of_d(k)
+            masks = [m for m in basis_masks(k) if not m >> self.dim]
+            rows = self.d_matrix(k) or [[0] * len(masks)]  # Lambda^(k+1) = 0: every k-form is closed
+            self._closed[k] = tuple(KForm(k, {m: c for m, c in zip(masks, vec) if c}) for vec in linalg.nullspace(rows))
         return self._closed[k]
 
     def d_matrix(self, k: int) -> linalg.Matrix:
-        """Exact matrix of d from Lambda^k to Lambda^(k+1), not cached: the images of ``scaled_d`` divided by den.
+        """Matrix of den * d from Lambda^k to Lambda^(k+1), not cached: the images of ``scaled_d``.
 
-        Column j is d of the j-th k-monomial and row i the coefficient on the
-        i-th (k+1)-monomial, both over the sorted monomials within ``dim``.
+        Column j is den * d of the j-th k-monomial and row i the coefficient
+        on the i-th (k+1)-monomial, both over the sorted monomials within
+        ``dim``: ints for rational constants, integral parts in Q(sqrt D).
         """
-        den, rows = self._scaled_d_matrix(k)
-        return [[unscaled(x, den) if x else Fraction(0) for x in row] for row in rows]
-
-    def _scaled_d_matrix(self, k: int) -> tuple[int, linalg.Matrix]:
-        """den and den times ``d_matrix(k)``, read from ``scaled_d``."""
         images = [self.scaled_d({m: 1}) for m in basis_masks(k) if not m >> self.dim]
-        rows = [[img.get(om, 0) for img in images] for om in basis_masks(k + 1) if not om >> self.dim]
-        return self._cleared[0] if images else 1, rows
-
-    def _kernel_of_d(self, k: int) -> tuple[KForm, ...]:
-        masks = [m for m in basis_masks(k) if not m >> self.dim]
-        rows = self._scaled_d_matrix(k)[1] or [[0] * len(masks)]  # Lambda^(k+1) = 0: every k-form is closed
-        return tuple(KForm(k, {m: c for m, c in zip(masks, vec) if c}) for vec in linalg.nullspace(rows))
+        return [[img.get(om, 0) for img in images] for om in basis_masks(k + 1) if not om >> self.dim]
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

@@ -33,9 +33,9 @@ closed sigma = sigma_V + sigma_W (sigma_V in I(V), sigma_W in Lambda^k W)
 thus has d sigma_W = 0, and every closed k-form has zero Lambda^k W
 component exactly when d is injective on Lambda^k W.
 ``tests/test_obstruct.py`` checks the ranks against the components of a
-basis of Z^3 and Z^4 in the adapted coframe.  Coherence, these ranks and
-every kernel read d as ``LieAlgebra.scaled_d``: the split table
-``exterior._D_SPLIT`` on the structure constants cleared to integers.
+basis of Z^3 and Z^4 in the adapted coframe.  Coherence, these ranks, A(g)
+and every kernel read den * d (``LieAlgebra.scaled_d`` and ``d_matrix``) on
+the constants cleared once, at construction, by their lcm denominator den.
 
 Two class pairs resist the rank argument and get refined checks.  Both are
 stated without coordinates, through Z^1, [g, g] = ann(Z^1) and entries of
@@ -116,10 +116,10 @@ def annihilating_forms(L3: LieAlgebra) -> list[KForm]:
     """Basis of A(g) = {alpha : d alpha = 0 and d beta ^ alpha = 0 for every beta}.
 
     The nonzero elements are the one-forms that can be a factor of a
-    coherent splitting.  A(g) is the nullspace of d on one-forms stacked
-    with Milnor's matrix L: the e^123 coefficient of d e^k ^ e^j is
-    -L[k][j], so the second block of rows spans the conditions
-    d e^k ^ alpha = 0.
+    coherent splitting.  A(g) is the nullspace of den * d on one-forms
+    (``d_matrix(1)``) stacked with Milnor's matrix L: the e^123 coefficient
+    of d e^k ^ e^j is -L[k][j], so the second block of rows spans the
+    conditions d e^k ^ alpha = 0.
     """
     if L3.dim != 3:
         raise ValueError("annihilating forms are for three-dimensional algebras")

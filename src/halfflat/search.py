@@ -112,13 +112,15 @@ class FloatKernels:
 
     The dense tensors ``w22``, ``w23`` and ``kt`` define the contractions;
     every evaluation runs over their nonzero terms (:class:`_Terms`).
+    ``d3`` and ``d4`` are ``L.d_matrix(k)``, den * d, divided by den once as
+    floats: each entry is the correctly rounded quotient, as a Fraction's float is.
     """
 
     def __init__(self, L: LieAlgebra):
         self.b2 = basis_masks(2)
         self.b3 = basis_masks(3)
-        self.d3 = np.array(L.d_matrix(3), dtype=float)
-        self.d4 = np.array(L.d_matrix(4), dtype=float)
+        self.d3 = np.array(L.d_matrix(3), dtype=float) / L.den
+        self.d4 = np.array(L.d_matrix(4), dtype=float) / L.den
         self.w22 = self._wedge_tensor(self.b2, self.b2, basis_masks(4))
         self.w23 = self._wedge_tensor(self.b2, self.b3, basis_masks(5))
         self.kt = self._k_tensor()

@@ -45,7 +45,6 @@ sign, zero test or symmetry test read from the scaled values changes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -153,11 +152,11 @@ def k_on_basis(basis: Sequence[KForm]) -> KQuadratic:
     Entry (u, v) maps (a, b) with a <= b to the coefficient of n_a n_b;
     zero coefficients and zero entries are left out.
     """
-    den = math.lcm(*(c.denominator for z in basis for c in z.terms.values()))
+    values = iter(cleared([c for z in basis for c in z.terms.values()])[1])
     columns: dict[int, list[tuple[int, int]]] = {}
     for a, z in enumerate(basis):
-        for m, c in z.terms.items():
-            columns.setdefault(m, []).append((a, int(c * den)))
+        for m in z.terms:
+            columns.setdefault(m, []).append((a, next(values)))
     forms: KQuadratic = {}
     for i, col_i in columns.items():
         for v, j, u, sign in K_TABLE[i]:

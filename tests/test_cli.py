@@ -94,6 +94,7 @@ _BASIS3 = "dim 3\nbasis e1 e2 e3\n"
         (_BASIS3 + "param mu = 1/0\n", 3, 12, "bad rational '1/0'"),
         ("dim 5\n", 1, 5, "expected 'dim 3' or 'dim 6'"),
         ("dim 3\nbasis e1 e2 e1\n", 2, 13, "duplicate basis name"),
+        ("dim 3\nbasis a^b c d\nd c = 1 a^b^d\n", 2, 7, "basis name 'a^b' contains '^'"),
         ("dim 3\nbasis e1 e2\n", 2, 12, "basis needs exactly 3 names"),
         (_BASIS3 + "\n   nonsense\n", 4, 4, "unknown directive 'nonsense'"),
         (_BASIS3 + "d e3 = 1 e1^e2 +\n", 3, 17, "sign without a term"),
@@ -109,8 +110,9 @@ _BASIS3 = "dim 3\nbasis e1 e2 e3\n"
         (_BASIS3 + "param mu 1/2", 3, 10, "expected 'param <name> = <rational>'"),
     ],
     ids=["coeff", "monomial", "target", "fine", "degree-tab", "degree", "no-monomial", "no-equals", "param", "dim",
-         "duplicate", "short-basis", "directive", "dangling-sign", "sign-only", "double-sign", "no-sign-between",
-         "leading-sign", "signed-coeff", "zero", "d-before-basis", "basis-before-dim", "form-name", "param-equals"],
+         "duplicate", "caret-name", "short-basis", "directive", "dangling-sign", "sign-only", "double-sign",
+         "no-sign-between", "leading-sign", "signed-coeff", "zero", "d-before-basis", "basis-before-dim", "form-name",
+         "param-equals"],
 )
 def test_parse_error_column_is_the_token_character(tmp_path, text, line, column, message):
     # the column is the 1-based character position of the token at fault (past the end when one is missing)
@@ -242,14 +244,16 @@ def test_cli_obstruct_refined_either_factor_order(tmp_path, g1, g2, detail):
 def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatch):
     # R3 + R3 is decided by the ranks of d alone and computes no closed-form space;
     # h3 + r2R goes on to its refined check, which reads Z^1, Z^3 and Z^4 once each
+    # each closed-form space eliminates one d_matrix of the sum; the summands' d_matrix(1) feeds A(g)
     calls = []
-    kernel_of_d = LieAlgebra._kernel_of_d
+    d_matrix = LieAlgebra.d_matrix
 
     def counted(self, k):
-        calls.append(k)
-        return kernel_of_d(self, k)
+        if self.dim == 6:
+            calls.append(k)
+        return d_matrix(self, k)
 
-    monkeypatch.setattr(LieAlgebra, "_kernel_of_d", counted)
+    monkeypatch.setattr(LieAlgebra, "d_matrix", counted)
     p = tmp_path / "g.alg"
     for g1, g2, code, last, want in (
         ("R3", "R3", cli.EXIT_POSITIVE, "coherent_splittings: 1", []),

@@ -289,12 +289,14 @@ def test_d_matrix_matches_d_on_basis_monomials(rng):
             assert len(M) == len(out_masks)
             for j, m in enumerate(masks):
                 image = oracles.antiderivation_d(L, KForm(k, {m: Fraction(1)}))
-                assert [row[j] for row in M] == image.coefficients(out_masks)
+                assert L.d(KForm(k, {m: Fraction(1)})) == image
+                # d_matrix is den * d, on the constants cleared at construction
+                assert [row[j] for row in M] == [L.den * c for c in image.coefficients(out_masks)]
 
 
 def test_scaled_d_and_d_matrix_match_d_on_every_monomial(rng):
     # the integer images read from the split table on cleared constants, divided by
-    # den, and the columns of d_matrix equal the KForm d on every k-monomial, k = 0..5:
+    # den, and the columns of d_matrix, divided by den, equal the KForm d on every k-monomial, k = 0..5:
     # on the 400 ordered catalog sums, on sums of GL(3,Q)-conjugated factors and on
     # the Q(sqrt 3) algebras; the conjugated and Q(sqrt 3) ones against the oracle too
     insts = all_class_instances()
@@ -307,6 +309,7 @@ def test_scaled_d_and_d_matrix_match_d_on_every_monomial(rng):
     quad = [_quad_algebra(rng, 3), _quad_algebra(rng, 6), _quad_algebra(rng, 6)]
     for n, L in enumerate(sums + conjugated + quad):
         den = cleared([c for dk in L.diffs for c in dk.terms.values()])[0]
+        assert L.den == den
         for k in range(min(L.dim, 5) + 1):
             masks = [m for m in basis_masks(k) if not m >> L.dim]
             out_masks = [m for m in basis_masks(k + 1) if not m >> L.dim]
@@ -317,7 +320,7 @@ def test_scaled_d_and_d_matrix_match_d_on_every_monomial(rng):
                     assert want == oracles.antiderivation_d(L, KForm(k, {m: Fraction(1)})), (L.name, k, m)
                 scaled = L.scaled_d({m: 1})
                 assert KForm(k + 1, {t: unscaled(c, den) for t, c in scaled.items()}) == want, (L.name, k, m)
-                assert [row[j] for row in M] == want.coefficients(out_masks), (L.name, k, m)
+                assert [row[j] for row in M] == [den * c for c in want.coefficients(out_masks)], (L.name, k, m)
 
 
 def test_direct_sum_blocks_are_its_checked_factors():
