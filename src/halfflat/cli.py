@@ -43,19 +43,11 @@ _TOKEN_RAT = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?$")
 def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
     """Parse the structure-file format into an algebra and optional forms."""
     dim: int | None = None
-    basis: list[str] | None = None
-    diffs: dict[int, list[tuple[Fraction, list[int]]]] = {}
-    forms: dict[str, list[tuple[Fraction, list[int]]]] = {}
+    index: dict[str, int] = {}  # basis name -> 1-based index, from the basis line
+    diffs: dict[int, KForm] = {}
+    forms: dict[str, KForm] = {}
     params: dict[str, Fraction] = {}
     seen: set[tuple[str, str]] = set()
-
-    def index_of(name: str, line_no: int, line: str, k: int) -> int:
-        if basis is None:
-            raise ParseError("basis line must precede this line", line_no, _column(line, k))
-        try:
-            return basis.index(name) + 1
-        except ValueError:
-            raise ParseError(f"unknown basis name {name!r}", line_no, _column(line, k))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -77,43 +69,35 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
                 raise ParseError("dim line must precede basis", line_no, _column(line, 0))
             if len(tokens) != dim + 1:
                 raise _shape_error(f"basis needs exactly {dim} names", line_no, line, [None] * (dim + 1))
-            basis = tokens[1:]
-            if any("^" in name for name in basis):  # no monomial could name it
+            if any("^" in name for name in tokens[1:]):  # no monomial could name it
                 k = next(k for k in range(1, dim + 1) if "^" in tokens[k])
                 raise ParseError(f"basis name {tokens[k]!r} contains '^'", line_no, _column(line, k))
-            if len(set(basis)) != dim:
+            index = {name: k for k, name in enumerate(tokens[1:], start=1)}
+            if len(index) != dim:
                 k = next(k for k in range(2, dim + 1) if tokens[k] in tokens[1:k])
                 raise ParseError("duplicate basis name", line_no, _column(line, k))
         elif head == "d":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise _shape_error("expected 'd <name> = <terms>'", line_no, line, [None, None, ("=",), None])
-            target = index_of(tokens[1], line_no, line, 1)
-            diffs[target] = _parse_terms(tokens, line, index_of, line_no, expect_degree=2)
+            target = _index_of(index, tokens[1], line_no, line, 1)
+            diffs[target] = _parse_terms(tokens, line, index, line_no, 2)
         elif head == "form":
             if len(tokens) < 4 or tokens[1] not in ("omega", "rho") or tokens[2] != "=":
                 allowed = [None, ("omega", "rho"), ("=",), None]
                 raise _shape_error("expected 'form omega|rho = <terms>'", line_no, line, allowed)
-            degree = 2 if tokens[1] == "omega" else 3
-            forms[tokens[1]] = _parse_terms(tokens, line, index_of, line_no, expect_degree=degree)
+            forms[tokens[1]] = _parse_terms(tokens, line, index, line_no, 2 if tokens[1] == "omega" else 3)
         elif head == "param":
             if len(tokens) != 4 or tokens[2] != "=":
                 allowed = [None, None, ("=",), None]
                 raise _shape_error("expected 'param <name> = <rational>'", line_no, line, allowed)
-            if not _TOKEN_RAT.match(tokens[3]):
-                raise ParseError(f"bad rational {tokens[3]!r}", line_no, _column(line, 3))
-            params[tokens[1]] = Fraction(tokens[3])
+            params[tokens[1]] = _rational(tokens, 3, line_no, line, "bad rational ")
         else:
             raise ParseError(f"unknown directive {head!r}", line_no, _column(line, 0))
 
-    if dim is None or basis is None:
+    if dim is None or not index:
         raise HalfFlatError("file must declare dim and basis")
-    diff_forms = []
-    for k in range(1, dim + 1):
-        diff_forms.append(_terms_to_form(diffs.get(k, []), 2))
-    L = LieAlgebra(dim, diff_forms, name="file", params=params)
-    omega = _terms_to_form(forms["omega"], 2) if "omega" in forms else None
-    rho = _terms_to_form(forms["rho"], 3) if "rho" in forms else None
-    return L, omega, rho
+    L = LieAlgebra(dim, [diffs.get(k, KForm(2)) for k in range(1, dim + 1)], name="file", params=params)
+    return L, forms.get("omega"), forms.get("rho")
 
 
 def _column(line: str, k: int) -> int:
@@ -129,45 +113,51 @@ def _shape_error(message: str, line_no: int, line: str, allowed: list) -> ParseE
     return ParseError(message, line_no, _column(line, next(bad, len(allowed))))
 
 
-def _parse_terms(tokens: list[str], line: str, index_of, line_no: int, expect_degree: int):
-    """Terms, from tokens[3] on, are 'coeff name^name^...' joined by '+'/'-' tokens; the first may carry one."""
-    out: list[tuple[Fraction, list[int]]] = []
+def _index_of(index: dict[str, int], name: str, line_no: int, line: str, k: int) -> int:
+    """1-based index of a basis name, read in token k; a ParseError at that token's column without one."""
+    if name not in index:  # an empty index: no basis line yet
+        message = f"unknown basis name {name!r}" if index else "basis line must precede this line"
+        raise ParseError(message, line_no, _column(line, k))
+    return index[name]
+
+
+def _rational(tokens: list[str], k: int, line_no: int, line: str, refusal: str) -> Fraction:
+    """The rational token k spells, an integer or p/q, signed; else a ParseError '<refusal><token>' at its column."""
+    try:
+        if _TOKEN_RAT.match(tokens[k]):
+            return Fraction(tokens[k])
+        message = f"{refusal}{tokens[k]!r}"
+    except ValueError:  # an integer past the interpreter's digit limit, which Fraction reads with int()
+        message = f"rational with more than {sys.get_int_max_str_digits()} digits in a numerator or denominator"
+    raise ParseError(message, line_no, _column(line, k))
+
+
+def _parse_terms(tokens: list[str], line: str, index: dict[str, int], line_no: int, degree: int) -> KForm:
+    """The form that tokens[3:] spell: terms 'coeff name^name^...' joined by '+'/'-' tokens; the first may carry one."""
+    acc: dict[int, Fraction] = {}
     i = 3
     if tokens[3:] == ["0"]:
-        return out
+        return KForm(degree)
     while i < len(tokens):
-        sign = Fraction(1)
+        sign = -1 if tokens[i] == "-" else 1
         if tokens[i] in ("+", "-"):
-            sign = Fraction(-1 if tokens[i] == "-" else 1)
             i += 1
             if i >= len(tokens):
                 raise ParseError("sign without a term", line_no, _column(line, i))
         elif i > 3:
             raise ParseError(f"expected '+' or '-' between terms, got {tokens[i]!r}", line_no, _column(line, i))
-        tok = tokens[i]
-        if not _TOKEN_RAT.match(tok):
-            raise ParseError(f"expected a coefficient, got {tok!r}", line_no, _column(line, i))
-        coeff = sign * Fraction(tok)
+        coeff = sign * _rational(tokens, i, line_no, line, "expected a coefficient, got ")
         i += 1
         if i >= len(tokens):
             raise ParseError("coefficient without a monomial", line_no, _column(line, i))
-        names = tokens[i].split("^")
-        idx = [index_of(n, line_no, line, i) for n in names]
-        if len(idx) != expect_degree:
-            message = f"degree mismatch: monomial of degree {len(idx)}, expected {expect_degree}"
+        idx = [_index_of(index, name, line_no, line, i) for name in tokens[i].split("^")]
+        if len(idx) != degree:
+            message = f"degree mismatch: monomial of degree {len(idx)}, expected {degree}"
             raise ParseError(message, line_no, _column(line, i))
-        out.append((coeff, idx))
+        if len(set(idx)) == degree:  # a repeated factor wedges to zero
+            mask, mono_sign = sorted_monomial(idx)
+            acc[mask] = acc.get(mask, 0) + mono_sign * coeff
         i += 1
-    return out
-
-
-def _terms_to_form(terms, degree: int) -> KForm:
-    acc: dict[int, Fraction] = {}
-    for coeff, idx in terms:
-        if len(set(idx)) != len(idx):
-            continue  # repeated factor wedges to zero
-        mask, sign = sorted_monomial(idx)
-        acc[mask] = acc.get(mask, Fraction(0)) + sign * coeff
     return KForm(degree, acc)
 
 
@@ -207,9 +197,7 @@ def _emit_terms(form: KForm, names: list[str]) -> str:
 
 
 def _cmd_verify(args) -> int:
-    L, omega, rho = _load(args.file)
-    if L.dim != 6:
-        raise HalfFlatError("verify needs a six-dimensional algebra")
+    L, omega, rho = _load(args, 6)
     if omega is None or rho is None:
         raise HalfFlatError("verify needs both omega and rho forms")
     report = verify(L, omega, rho)
@@ -218,9 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify3d(args) -> int:
-    L, _, _ = _load(args.file)
-    if L.dim != 3:
-        raise HalfFlatError("classify3d needs a three-dimensional algebra")
+    L, _, _ = _load(args, 3)
     c = classify(L)
     print(f"class: {c.display}")
     print(f"bianchi: {c.bianchi}")
@@ -234,9 +220,7 @@ def _cmd_classify3d(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    L, _, _ = _load(args.file)
-    if L.dim != 6:
-        raise HalfFlatError("obstruct needs a six-dimensional algebra")
+    L, _, _ = _load(args, 6)
     verdict, text = obstruct.decide(L)
     print(text)
     return EXIT_NEGATIVE if verdict == obstruct.VERDICT_OBSTRUCTED else EXIT_POSITIVE
@@ -251,9 +235,7 @@ def _cmd_search(args) -> int:
         raise HalfFlatError(f"--max-den must be at least 0, got {args.max_den}")
     if args.seed < 0:  # numpy's generator refuses a negative seed with a traceback
         raise HalfFlatError(f"--seed must be at least 0, got {args.seed}")
-    L, _, _ = _load(args.file)
-    if L.dim != 6:
-        raise HalfFlatError("search needs a six-dimensional algebra")
+    L, _, _ = _load(args, 6)
     from . import search  # scipy is loaded only for this command, once its input is checked
 
     result = search.find_halfflat(
@@ -280,18 +262,18 @@ def _cmd_catalog(args) -> int:
         for tag, (display, bianchi, unimod) in CATALOG_INFO.items():
             print(f"{tag}: {display} (Bianchi {bianchi}, {'unimodular' if unimod else 'non-unimodular'})")
         return EXIT_POSITIVE
-    L1 = catalog(args.name, args.mu)
+    L1 = catalog(args.name, _printable("--mu", args.mu))
     if args.sum is None:
         print(emit(L1), end="")
         return EXIT_POSITIVE
-    L2 = catalog(args.sum, args.mu2)
+    L2 = catalog(args.sum, _printable("--mu2", args.mu2))
     print(emit(direct_sum(L1, L2)), end="")
     return EXIT_POSITIVE
 
 
 def _cmd_appendix(args) -> int:
     try:
-        mu = Fraction(args.mu) if args.mu is not None else None
+        mu = Fraction(_printable("--mu", args.mu)) if args.mu is not None else None
     except (ValueError, ZeroDivisionError):
         raise HalfFlatError(f"--mu must be a rational number, got {args.mu!r}") from None
     instances = corpus.iter_instances(table=args.table, mu=mu)
@@ -308,12 +290,29 @@ def _cmd_appendix(args) -> int:
     return EXIT_POSITIVE if failures == 0 else EXIT_NEGATIVE
 
 
-def _load(path: str):
+def _printable(flag: str, value: str | None) -> str | None:
+    """A --mu flag's value, refused if it reads as a rational that ``str`` cannot print; others pass as given."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the text
-            return parse(fh.read())
+        mu = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):  # None or not a rational: the command names it
+        return value
+    try:
+        str(mu)
+    except ValueError:  # past the interpreter's integer-digit limit
+        raise HalfFlatError(f"{flag} {value} needs more than {sys.get_int_max_str_digits()} digits to print") from None
+    return value
+
+
+def _load(args, dim: int):
+    """Parse ``args.file``, which ``args.command`` needs to hold an algebra of dimension ``dim``."""
+    try:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the text
+            L, omega, rho = parse(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
-        raise HalfFlatError(f"cannot read {path}: {exc}") from None
+        raise HalfFlatError(f"cannot read {args.file}: {exc}") from None
+    if L.dim != dim:
+        raise HalfFlatError(f"{args.command} needs a {'three' if dim == 3 else 'six'}-dimensional algebra")
+    return L, omega, rho
 
 
 @functools.cache

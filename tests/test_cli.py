@@ -105,14 +105,15 @@ _BASIS3 = "dim 3\nbasis e1 e2 e3\n"
         (_BASIS3 + "d e2 = 1 e1^e3 + -1 e1^e2\n", 3, 0, None),
         (_BASIS3 + "d e1 = 0\n", 3, 0, None),
         ("dim 3\nd e1 = 1 e2^e3\n", 2, 3, "basis line must precede this line"),
+        ("dim 6\nform omega = 1 e1^f1\n", 2, 16, "basis line must precede this line"),
         ("basis e1 e2 e3\n", 1, 1, "dim line must precede basis"),
         (_BASIS3 + "form phi = 1 e1^e2", 3, 6, "expected 'form omega|rho = <terms>'"),
         (_BASIS3 + "param mu 1/2", 3, 10, "expected 'param <name> = <rational>'"),
     ],
     ids=["coeff", "monomial", "target", "fine", "degree-tab", "degree", "no-monomial", "no-equals", "param", "dim",
          "duplicate", "caret-name", "short-basis", "directive", "dangling-sign", "sign-only", "double-sign",
-         "no-sign-between", "leading-sign", "signed-coeff", "zero", "d-before-basis", "basis-before-dim", "form-name",
-         "param-equals"],
+         "no-sign-between", "leading-sign", "signed-coeff", "zero", "d-before-basis", "form-before-basis",
+         "basis-before-dim", "form-name", "param-equals"],
 )
 def test_parse_error_column_is_the_token_character(tmp_path, text, line, column, message):
     # the column is the 1-based character position of the token at fault (past the end when one is missing)
@@ -137,6 +138,11 @@ def test_parse_rejects_jacobi_violation(tmp_path):
     assert "structure constants" in err or "parse error" in err
 
 
+#: the interpreter's integer-digit limit (0: none); a literal one digit past it does not read
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_past_digits = pytest.mark.skipif(_DIGITS == 0, reason="no integer-digit limit")
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -148,8 +154,14 @@ def test_parse_rejects_jacobi_violation(tmp_path):
         (["appendix", "--mu", "1/0"], None),
         (["classify3d"], "dim 3\nbasis e1 e2 e3\nd e3 = 1/0 e1^e2\n"),
         (["classify3d"], "dim 3\nbasis e1 e2 e3\nd e3 = 1 e1^e2\nparam mu = 1/0\n"),
+        pytest.param(["classify3d"], f"dim 3\nbasis e1 e2 e3\nd e3 = 1{'0' * _DIGITS} e1^e2\n", marks=_past_digits),
+        pytest.param(["classify3d"], f"dim 3\nbasis e1 e2 e3\nparam mu = {'1' * (_DIGITS + 1)}\n", marks=_past_digits),
+        pytest.param(["catalog", "r3mu", "--mu", f"1e-{_DIGITS}"], None, marks=_past_digits),
+        pytest.param(["catalog", "su2", "--sum", "r3pmu", "--mu2", f"1e{_DIGITS}"], None, marks=_past_digits),
+        pytest.param(["appendix", "--mu", f"1e-{_DIGITS}"], None, marks=_past_digits),
     ],
-    ids=["mu-abc", "mu-1/0", "mu2-x", "mu2-2/0", "appendix-mu-x", "appendix-mu-1/0", "file-coeff-1/0", "file-param-1/0"],
+    ids=["mu-abc", "mu-1/0", "mu2-x", "mu2-2/0", "appendix-mu-x", "appendix-mu-1/0", "file-coeff-1/0", "file-param-1/0",
+         "file-coeff-digits", "file-param-digits", "mu-digits", "mu2-digits", "appendix-mu-digits"],
 )
 def test_cli_bad_rationals_are_input_errors(tmp_path, argv, text):
     if text is not None:
