@@ -201,21 +201,17 @@ def _cmd_verify(args) -> int:
     if omega is None or rho is None:
         raise HalfFlatError("verify needs both omega and rho forms")
     report = verify(L, omega, rho)
-    print(report.to_text())
+    print(_printed("a value of the verify report", report.to_text))
     return EXIT_POSITIVE if report.half_flat else EXIT_NEGATIVE
 
 
 def _cmd_classify3d(args) -> int:
     L, _, _ = _load(args, 3)
     c = classify(L)
-    print(f"class: {c.display}")
-    print(f"bianchi: {c.bianchi}")
-    if c.eigen_signs is not None:
-        print("eigen_signs: " + "".join("+0-"[1 - s] for s in c.eigen_signs))
-    if c.det_d is not None:
-        print(f"D: {c.det_d}")
-    if c.mu is not None:
-        print(f"mu: {c.mu}")
+    signs = None if c.eigen_signs is None else "".join("+0-"[1 - s] for s in c.eigen_signs)
+    rows = [("class", c.display), ("bianchi", c.bianchi), ("eigen_signs", signs), ("D", c.det_d), ("mu", c.mu)]
+    print(_printed("a value of the classify3d report",
+                   lambda: "\n".join(f"{k}: {v}" for k, v in rows if v is not None)))
     return EXIT_POSITIVE
 
 
@@ -296,11 +292,20 @@ def _printable(flag: str, value: str | None) -> str | None:
         mu = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):  # None or not a rational: the command names it
         return value
-    try:
-        str(mu)
-    except ValueError:  # past the interpreter's integer-digit limit
-        raise HalfFlatError(f"{flag} {value} needs more than {sys.get_int_max_str_digits()} digits to print") from None
+    _printed(f"{flag} {value}", lambda: str(mu))
     return value
+
+
+def _printed(what: str, render) -> str:
+    """The text render() formats, or an input error naming ``what`` if it holds a rational ``str`` cannot print.
+
+    Only formatting runs inside: an integer past the interpreter's digit limit
+    (``sys.get_int_max_str_digits()``) raises ValueError in ``int.__str__``.
+    """
+    try:
+        return render()
+    except ValueError:
+        raise HalfFlatError(f"{what} needs more than {sys.get_int_max_str_digits()} digits to print") from None
 
 
 def _load(args, dim: int):

@@ -58,9 +58,11 @@ and each checks the hypotheses of its proof only:
 refined check of the class pair, with each summand classified once, else
 Inconclusive.
 
-A seeded random scan certifies lambda >= 0 on sampled closed three-forms
-for the nine class pairs where that argument applies; the scan falsifies,
-it does not prove.
+``lambda_nonneg_scan`` tests lambda >= 0 on seeded random samples of the
+closed three-forms.  Acceptance criterion 4 runs it on 15 class pairs:
+R^3, h3 and r2R, each with r3, r3,1, r3,mu for mu < 0 and for mu > 0, and
+r3',mu, in 39 sums over the sampled mu.  It samples rather than certifies:
+the scan falsifies, it does not prove.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ The constructors cover the orthogonal ansatz on direct sums and the
 para-complex construction with rho = e123 + f123 whose eigenspaces are the
 two summands.  The ansatz has one frame, written once in ``_frame``:
 omega = a e12 + b e1f1 + b e2f2 + e3f3 - a f12 with b = sqrt(1-a^2) and two
-three-forms psi0, phi0.  The three type II solution cases read it at their
-a; type I is its a = 0 frame, omega = e1f1 + e2f2 + e3f3, which is Hitchin's
-model pair of ``stable``.  The corpus rows T3.1 and T3.2 are built by
-``ortho_type_I``.
+three-forms psi0, phi0.  Type I is its a = 0 frame, Hitchin's model pair of
+``stable``, and builds the corpus rows T3.1 and T3.2.  The type II cases read
+the frame at their a with rho = psi0 - xi2 phi0 (IIb: xi2 = 0) on summands
+with d e1, d e2 in span(e13, e23) and d e3 in span(e12) (``_type_II``).
 """
 
 from __future__ import annotations
@@ -188,14 +188,36 @@ def ortho_type_II(case: str, **params) -> tuple[LieAlgebra, KForm, KForm]:
     Case IIb (0 < |a| < 1, xi2 = 0): free parameters p, q, r.
     Case IIc (a = 1): free parameters p, q, r (= c_13^1), xi2 and s; the
     Jacobi identity demands one of the two derived constants to vanish.
+    In every case both summands have d e1, d e2 in span(e13, e23) and d e3
+    in span(e12), and rho = psi0 - xi2 phi0 on the frame at a (``_type_II``).
     """
-    if case == "IIa":
-        return _ortho_iia(**params)
-    if case == "IIb":
-        return _ortho_iib(**params)
-    if case == "IIc":
-        return _ortho_iic(**params)
-    raise DomainError(f"unknown case {case!r}")
+    if case not in _TYPE_II_CASES:
+        raise DomainError(f"unknown case {case!r}")
+    return _TYPE_II_CASES[case](**params)
+
+
+def _type_II(case: str, a: Fraction, b: Fraction, xi2: Fraction, c1, c2) -> tuple[LieAlgebra, KForm, KForm]:
+    """(g1 + g2, omega, psi0 - xi2 phi0) on the frame at (a, b); names iia-g1 and so on.
+
+    Each factor is given by its constants (c_13^1, c_23^1, c_13^2, c_23^2, c_12^3):
+    d e1 = c_13^1 e13 + c_23^1 e23, d e2 = c_13^2 e13 + c_23^2 e23 and
+    d e3 = c_12^3 e12.  Then d^2 e1 = d^2 e2 = 0 and
+    d^2 e3 = -c_12^3 (c_13^1 + c_23^2) e123, which IIa (c_12^3 = 0) and IIb
+    (c_13^1 + c_23^2 = r - r on g1, c_12^3 = 0 on g2) meet for every parameter.
+    """
+    try:
+        g1, g2 = (
+            LieAlgebra(
+                3,
+                [form(2, [("e13", x1), ("e23", y1)]), form(2, [("e13", x2), ("e23", y2)]), form(2, [("e12", z)])],
+                name=f"{case.lower()}-g{k}",
+            )
+            for k, (x1, y1, x2, y2, z) in ((1, c1), (2, c2))
+        )
+    except JacobiError as exc:
+        raise DomainError(f"case {case} parameters violate the Jacobi identity") from exc
+    omega, psi0, phi0 = _frame(a, b)
+    return direct_sum(g1, g2), omega, psi0 + phi0.scale(-xi2)
 
 
 def _ortho_iia(a, xi2, p, q) -> tuple[LieAlgebra, KForm, KForm]:
@@ -205,26 +227,7 @@ def _ortho_iia(a, xi2, p, q) -> tuple[LieAlgebra, KForm, KForm]:
         raise DomainError("case IIa needs xi2 != 0 and 0 < |a| < 1")
     s = (a * (xi2 * xi2 - 1) * q - (a * a + xi2 * xi2) * p) / (xi2 * (a * a + 1))
     t = -((xi2 * xi2 * a * a + 1) * q + a * (1 - xi2 * xi2) * p) / (xi2 * (a * a + 1))
-    g1 = LieAlgebra(
-        3,
-        [
-            form(2, [("e13", p), ("e23", t)]),
-            form(2, [("e13", t), ("e23", -p)]),
-            form(2),
-        ],
-        name="iia-g1",
-    )
-    g2 = LieAlgebra(
-        3,
-        [
-            form(2, [("e13", s), ("e23", q)]),
-            form(2, [("e13", q), ("e23", -s)]),
-            form(2),
-        ],
-        name="iia-g2",
-    )
-    omega, psi0, phi0 = _frame(a, b)
-    return direct_sum(g1, g2), omega, psi0 + phi0.scale(-xi2)
+    return _type_II("IIa", a, b, xi2, (p, t, t, -p, 0), (s, q, q, -s, 0))
 
 
 def _ortho_iib(a, p, q, r) -> tuple[LieAlgebra, KForm, KForm]:
@@ -232,26 +235,7 @@ def _ortho_iib(a, p, q, r) -> tuple[LieAlgebra, KForm, KForm]:
     b = _ortho_b(a)
     if not 0 < abs(a) < 1:
         raise DomainError("case IIb needs 0 < |a| < 1")
-    g1 = LieAlgebra(
-        3,
-        [
-            form(2, [("e13", r), ("e23", q)]),
-            form(2, [("e13", p), ("e23", -r)]),
-            form(2, [("e12", q - p)]),
-        ],
-        name="iib-g1",
-    )
-    g2 = LieAlgebra(
-        3,
-        [
-            form(2, [("e13", a * q), ("e23", -a * r)]),
-            form(2, [("e13", -a * r), ("e23", -a * p)]),
-            form(2),
-        ],
-        name="iib-g2",
-    )
-    omega, psi0, _ = _frame(a, b)
-    return direct_sum(g1, g2), omega, psi0
+    return _type_II("IIb", a, b, Fraction(0), (r, q, p, -r, q - p), (a * q, -a * r, -a * r, -a * p, 0))
 
 
 def _ortho_iic(xi2, p, q, r, s) -> tuple[LieAlgebra, KForm, KForm]:
@@ -261,31 +245,11 @@ def _ortho_iic(xi2, p, q, r, s) -> tuple[LieAlgebra, KForm, KForm]:
     c123 = xi2 * r + s - xi2 * q - p
     c465 = -xi2 * p - xi2 * s - r
     c456 = xi2 * s + xi2 * p + q + r
-    # d^2 vanishes except d^2 e^3 = -c123 c456 e^123 on g1 and the same on g2
-    try:
-        g1 = LieAlgebra(
-            3,
-            [
-                form(2, [("e13", r), ("e23", c231)]),
-                form(2, [("e13", p), ("e23", c456 - r)]),
-                form(2, [("e12", c123)]),
-            ],
-            name="iic-g1",
-        )
-        # c_23^2 = a c_45^6 - c_13^1 with a = 1
-        g2 = LieAlgebra(
-            3,
-            [
-                form(2, [("e13", s), ("e23", q)]),
-                form(2, [("e13", c465), ("e23", c123 - s)]),
-                form(2, [("e12", c456)]),
-            ],
-            name="iic-g2",
-        )
-    except JacobiError as exc:
-        raise DomainError("case IIc parameters violate the Jacobi identity") from exc
-    omega, psi0, phi0 = _frame(Fraction(1), Fraction(0))
-    return direct_sum(g1, g2), omega, psi0 + phi0.scale(-xi2)
+    # d^2 e^3 = -c123 c456 e^123 on g1 and the same on g2; c_23^2 = a c_45^6 - c_13^1 with a = 1
+    return _type_II("IIc", Fraction(1), Fraction(0), xi2, (r, c231, p, c456 - r, c123), (s, q, c465, c123 - s, c456))
+
+
+_TYPE_II_CASES = {"IIa": _ortho_iia, "IIb": _ortho_iib, "IIc": _ortho_iic}
 
 
 # -- para-complex construction -------------------------------------------------

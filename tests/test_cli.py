@@ -141,6 +141,14 @@ def test_parse_rejects_jacobi_violation(tmp_path):
 #: the interpreter's integer-digit limit (0: none); a literal one digit past it does not read
 _DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _past_digits = pytest.mark.skipif(_DIGITS == 0, reason="no integer-digit limit")
+#: literals inside the limit whose printed values are not: D = 4 mu / (1 + mu)^2 has twice the digits of mu,
+#: and lambda is quartic in the coefficients of rho
+_D_PAST_DIGITS = f"dim 3\nbasis e1 e2 e3\nd e2 = -1 e1^e2\nd e3 = -1/1{'0' * (_DIGITS * 2 // 3)} e1^e3\n"
+_BIG = 10 ** (_DIGITS // 3)
+_LAMBDA_PAST_DIGITS = (
+    "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1^f1 + 1 e2^f2 + 1 e3^f3\n"
+    f"form rho = {_BIG} e1^e2^e3 - {_BIG} e1^f2^f3 - {_BIG} f1^e2^f3 - {_BIG} f1^f2^e3\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -159,9 +167,12 @@ _past_digits = pytest.mark.skipif(_DIGITS == 0, reason="no integer-digit limit")
         pytest.param(["catalog", "r3mu", "--mu", f"1e-{_DIGITS}"], None, marks=_past_digits),
         pytest.param(["catalog", "su2", "--sum", "r3pmu", "--mu2", f"1e{_DIGITS}"], None, marks=_past_digits),
         pytest.param(["appendix", "--mu", f"1e-{_DIGITS}"], None, marks=_past_digits),
+        pytest.param(["classify3d"], _D_PAST_DIGITS, marks=_past_digits),
+        pytest.param(["verify"], _LAMBDA_PAST_DIGITS, marks=_past_digits),
     ],
     ids=["mu-abc", "mu-1/0", "mu2-x", "mu2-2/0", "appendix-mu-x", "appendix-mu-1/0", "file-coeff-1/0", "file-param-1/0",
-         "file-coeff-digits", "file-param-digits", "mu-digits", "mu2-digits", "appendix-mu-digits"],
+         "file-coeff-digits", "file-param-digits", "mu-digits", "mu2-digits", "appendix-mu-digits",
+         "classify3d-D-digits", "verify-lambda-digits"],
 )
 def test_cli_bad_rationals_are_input_errors(tmp_path, argv, text):
     if text is not None:
@@ -170,7 +181,7 @@ def test_cli_bad_rationals_are_input_errors(tmp_path, argv, text):
         argv = argv + [str(p)]
     code, out, err = run_cli(argv)
     assert code == cli.EXIT_INPUT_ERROR and out == ""
-    assert err.startswith(("error: ", "parse error: ")), err
+    assert err.startswith(("error: ", "parse error: ")) and err.count("\n") == 1, err
 
 
 def test_degree_mismatch_distinct_error(tmp_path):

@@ -189,6 +189,73 @@ def test_ortho_iic_rejects_non_jacobi_parameters():
         ortho_type_II("IIc", xi2=1, p=1, q=2, r=3, s=4)
 
 
+_NAMES = ("e1", "e2", "e3", "f1", "f2", "f3")
+
+
+def _named_terms(f: KForm) -> list[tuple[str, str]]:
+    """The terms of a form in their stored order, as (monomial, coefficient) strings."""
+    return [("^".join(_NAMES[i] for i in range(6) if m >> i & 1), str(c)) for m, c in f.terms.items()]
+
+
+@pytest.mark.parametrize(
+    "case, params, name, diffs, omega, rho",
+    [
+        (
+            "IIa", dict(a=Fraction(3, 5), xi2=2, p=2, q=-1), "iia-g1+iia-g2",
+            [[("e1^e3", "2"), ("e2^e3", "151/68")], [("e1^e3", "151/68"), ("e2^e3", "-2")], [],
+             [("f1^f3", "-263/68"), ("f2^f3", "-1")], [("f1^f3", "-1"), ("f2^f3", "263/68")], []],
+            [("e1^e2", "3/5"), ("e1^f1", "4/5"), ("e2^f2", "4/5"), ("e3^f3", "1"), ("f1^f2", "-3/5")],
+            [("f1^f2^f3", "4/5"), ("e1^e2^f3", "-4/5"), ("e1^e3^f2", "1"), ("e2^e3^f1", "-1"),
+             ("e1^f1^f3", "3/5"), ("e2^f2^f3", "3/5"), ("e1^e2^e3", "8/5"), ("e3^f1^f2", "-8/5"),
+             ("e2^f1^f3", "2"), ("e1^f2^f3", "-2"), ("e1^e3^f1", "6/5"), ("e2^e3^f2", "6/5")],
+        ),
+        (
+            "IIb", dict(a=Fraction(3, 5), p=2, q=1, r=1), "iib-g1+iib-g2",
+            [[("e1^e3", "1"), ("e2^e3", "1")], [("e1^e3", "2"), ("e2^e3", "-1")], [("e1^e2", "-1")],
+             [("f1^f3", "3/5"), ("f2^f3", "-3/5")], [("f1^f3", "-3/5"), ("f2^f3", "-6/5")], []],
+            [("e1^e2", "3/5"), ("e1^f1", "4/5"), ("e2^f2", "4/5"), ("e3^f3", "1"), ("f1^f2", "-3/5")],
+            [("f1^f2^f3", "4/5"), ("e1^e2^f3", "-4/5"), ("e1^e3^f2", "1"), ("e2^e3^f1", "-1"),
+             ("e1^f1^f3", "3/5"), ("e2^f2^f3", "3/5")],
+        ),
+        (
+            "IIc", dict(xi2=1, p=1, q=-4, r=1, s=2), "iic-g1+iic-g2",
+            [[("e1^e3", "1"), ("e2^e3", "7")], [("e1^e3", "1"), ("e2^e3", "-1")], [("e1^e2", "6")],
+             [("f1^f3", "2"), ("f2^f3", "-4")], [("f1^f3", "-4"), ("f2^f3", "4")], []],
+            [("e1^e2", "1"), ("e3^f3", "1"), ("f1^f2", "-1")],
+            [("e1^e3^f2", "1"), ("e2^e3^f1", "-1"), ("e1^f1^f3", "1"), ("e2^f2^f3", "1"),
+             ("e2^f1^f3", "1"), ("e1^f2^f3", "-1"), ("e1^e3^f1", "1"), ("e2^e3^f2", "1")],
+        ),
+    ],
+    ids=["IIa", "IIb", "IIc"],
+)
+def test_ortho_type_II_terms_golden(case, params, name, diffs, omega, rho):
+    L, om, rh = ortho_type_II(case, **params)
+    assert L.name == name
+    assert [_named_terms(dk) for dk in L.diffs] == diffs
+    assert _named_terms(om) == omega
+    assert _named_terms(rh) == rho
+
+
+@pytest.mark.parametrize(
+    "case, params, message",
+    [
+        ("IIa", dict(a=2, xi2=1, p=1, q=0), "a must satisfy -1 < a <= 1"),
+        ("IIb", dict(a=2, p=1, q=0, r=1), "a must satisfy -1 < a <= 1"),
+        ("IIa", dict(a=Fraction(1, 3), xi2=1, p=1, q=0), "1 - a^2 must be a rational square"),
+        ("IIb", dict(a=Fraction(1, 3), p=1, q=0, r=1), "1 - a^2 must be a rational square"),
+        ("IIa", dict(a=1, xi2=1, p=1, q=0), "case IIa needs xi2 != 0 and 0 < |a| < 1"),
+        ("IIa", dict(a=2, xi2=0, p=1, q=0), "a must satisfy -1 < a <= 1"),  # _ortho_b is checked first
+        ("IIb", dict(a=0, p=1, q=0, r=1), "case IIb needs 0 < |a| < 1"),
+        ("IId", dict(a=Fraction(3, 5)), "unknown case 'IId'"),
+        ("IIc", dict(xi2=1, p=1, q=2, r=3, s=4), "case IIc parameters violate the Jacobi identity"),
+    ],
+)
+def test_ortho_type_II_domain_messages(case, params, message):
+    with pytest.raises(DomainError) as exc:
+        ortho_type_II(case, **params)
+    assert str(exc.value) == message
+
+
 def test_para_eigenspace_pair_unimodular():
     omega = form(2, [("e1f1", 1), ("e2f2", 1), ("e3f3", 1)])
     _, rho, rep = para_eigenspace_pair(catalog("su2"), catalog("e11"), omega)
