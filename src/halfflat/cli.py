@@ -287,12 +287,16 @@ def _cmd_appendix(args) -> int:
 
 
 def _printable(flag: str, value: str | None) -> str | None:
-    """A --mu flag's value, refused if it reads as a rational that ``str`` cannot print; others pass as given."""
+    """A --mu flag's value, refused (echoing 20 characters) if it is a rational ``str`` cannot read or print.
+
+    Others pass as given.  Fraction raises one ValueError for a malformed value and a digit run past the interpreter's
+    limit, so the shape is read with each run of digits cut to its first significant digit (0 if none).
+    """
     try:
-        mu = Fraction(value)
+        Fraction(re.sub(r"0*(\d)\d*", r"\1", value))
     except (TypeError, ValueError, ZeroDivisionError):  # None or not a rational: the command names it
         return value
-    _printed(f"{flag} {value}", lambda: str(mu))
+    _printed(f"{flag} {value if len(value) <= 20 else value[:20] + '...'}", lambda: str(Fraction(value)))
     return value
 
 

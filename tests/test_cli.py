@@ -14,9 +14,12 @@ from itertools import combinations_with_replacement
 import pytest
 
 from halfflat import cli, corpus, linalg
-from halfflat.errors import ParseError
+from halfflat.errors import JacobiError, ParseError
 from halfflat.exterior import form
 from halfflat.liealg import LieAlgebra, catalog, catalog_classes, change_basis, direct_sum
+
+from . import cli_cases
+from .cli_cases import SU2_TEXT
 
 
 def run_cli(argv, expect=None):
@@ -26,15 +29,6 @@ def run_cli(argv, expect=None):
     if expect is not None:
         assert code == expect, (code, out.getvalue(), err.getvalue())
     return code, out.getvalue(), err.getvalue()
-
-
-SU2_TEXT = """# su(2) standard basis
-dim 3
-basis e1 e2 e3
-d e1 = 1 e2^e3
-d e2 = -1 e1^e3
-d e3 = 1 e1^e2
-"""
 
 
 def test_parse_su2_round_trip():
@@ -77,120 +71,53 @@ def test_parse_errors_carry_position():
         assert exc.line == 3
 
 
-_BASIS3 = "dim 3\nbasis e1 e2 e3\n"
+def test_parse_rejects_jacobi_violation():
+    with pytest.raises(JacobiError):
+        cli.parse("dim 3\nbasis e1 e2 e3\nd e1 = 1 e2^e3\nd e2 = 1 e1^e2\n")
 
 
-@pytest.mark.parametrize(
-    "text, line, column, message",
-    [
-        (_BASIS3 + "d e2 = 1 e1^e3 + x e1^e2\n", 3, 18, "expected a coefficient, got 'x'"),
-        (_BASIS3 + "d e2 = 1 e1^e9\n", 3, 10, "unknown basis name 'e9'"),
-        (_BASIS3 + "d e9 = 1 e1^e2\n", 3, 3, "unknown basis name 'e9'"),
-        (_BASIS3 + "  d e2 = 1 e1^e3   # comment\n", 3, 3, None),
-        (_BASIS3 + "\td e2 = 1 e1^e3 -\t2 e2^e1^e3\n", 3, 21, "degree mismatch"),
-        ("dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1\n", 3, 16, "degree mismatch"),
-        (_BASIS3 + "d e2 = 1\n", 3, 9, "coefficient without a monomial"),
-        (_BASIS3 + "d e2 1 e1^e3\n", 3, 6, "expected 'd <name> = <terms>'"),
-        (_BASIS3 + "param mu = 1/0\n", 3, 12, "bad rational '1/0'"),
-        ("dim 5\n", 1, 5, "expected 'dim 3' or 'dim 6'"),
-        ("dim 3\nbasis e1 e2 e1\n", 2, 13, "duplicate basis name"),
-        ("dim 3\nbasis a^b c d\nd c = 1 a^b^d\n", 2, 7, "basis name 'a^b' contains '^'"),
-        ("dim 3\nbasis e1 e2\n", 2, 12, "basis needs exactly 3 names"),
-        (_BASIS3 + "\n   nonsense\n", 4, 4, "unknown directive 'nonsense'"),
-        (_BASIS3 + "d e3 = 1 e1^e2 +\n", 3, 17, "sign without a term"),
-        (_BASIS3 + "d e1 = +\n", 3, 9, "sign without a term"),
-        (_BASIS3 + "d e3 = - - 1 e1^e2\n", 3, 10, "expected a coefficient, got '-'"),
-        (_BASIS3 + "d e1 = 1 e1^e2 1 e1^e3\n", 3, 16, "expected '+' or '-' between terms, got '1'"),
-        (_BASIS3 + "d e3 = - 1 e1^e2\n", 3, 0, None),
-        (_BASIS3 + "d e2 = 1 e1^e3 + -1 e1^e2\n", 3, 0, None),
-        (_BASIS3 + "d e1 = 0\n", 3, 0, None),
-        ("dim 3\nd e1 = 1 e2^e3\n", 2, 3, "basis line must precede this line"),
-        ("dim 6\nform omega = 1 e1^f1\n", 2, 16, "basis line must precede this line"),
-        ("basis e1 e2 e3\n", 1, 1, "dim line must precede basis"),
-        (_BASIS3 + "form phi = 1 e1^e2", 3, 6, "expected 'form omega|rho = <terms>'"),
-        (_BASIS3 + "param mu 1/2", 3, 10, "expected 'param <name> = <rational>'"),
-    ],
-    ids=["coeff", "monomial", "target", "fine", "degree-tab", "degree", "no-monomial", "no-equals", "param", "dim",
-         "duplicate", "caret-name", "short-basis", "directive", "dangling-sign", "sign-only", "double-sign",
-         "no-sign-between", "leading-sign", "signed-coeff", "zero", "d-before-basis", "form-before-basis",
-         "basis-before-dim", "form-name", "param-equals"],
-)
-def test_parse_error_column_is_the_token_character(tmp_path, text, line, column, message):
-    # the column is the 1-based character position of the token at fault (past the end when one is missing)
-    p = tmp_path / "f.alg"
-    p.write_text(text)
-    code, out, err = run_cli(["classify3d" if text.startswith("dim 3") else "verify", str(p)])
-    if message is None:
-        assert code == cli.EXIT_POSITIVE, err
-        return
-    assert code == cli.EXIT_INPUT_ERROR and out == ""
-    assert err.startswith(f"parse error: line {line}, column {column}: {message}"), err
+def _section(name):
+    """The rows of one section of ``cli_cases.CASES`` as one test, each row under its id without the section."""
+    rows = [case for case in cli_cases.CASES if case.id.startswith(name + "/")]
+
+    @pytest.mark.parametrize("case", rows, ids=[case.id[len(name) + 1:] for case in rows])
+    def test(tmp_path, case):
+        assert cli_cases.check(case, tmp_path) == []
+
+    return test
 
 
-def test_parse_rejects_jacobi_violation(tmp_path):
-    bad = "dim 3\nbasis e1 e2 e3\nd e1 = 1 e2^e3\nd e2 = 1 e1^e2\n"
-    with pytest.raises(Exception):
-        cli.parse(bad)
-    p = tmp_path / "bad.alg"
-    p.write_text(bad)
-    code, _, err = run_cli(["verify", str(p)])
-    assert code == cli.EXIT_INPUT_ERROR
-    assert "structure constants" in err or "parse error" in err
+# one test per section, so each row is collected under the test name and id it has always had
+test_parse_error_column_is_the_token_character = _section("column")
+test_cli_bad_rationals_are_input_errors = _section("rational")
+test_cli_repeated_directive_is_parse_error = _section("repeated")
+test_cli_errors_without_a_line_name_none = _section("no-line")
+test_cli_non_utf8_file_is_input_error = _section("utf8")
+test_cli_catalog_option_without_name_is_input_error = _section("no-name")
+test_cli_search_restarts_below_one_is_input_error = _section("restarts")
+test_cli_search_tol_not_finite_nonnegative_is_input_error = _section("tol")
+test_cli_exit_codes = _section("exit")
 
 
-#: the interpreter's integer-digit limit (0: none); a literal one digit past it does not read
-_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_past_digits = pytest.mark.skipif(_DIGITS == 0, reason="no integer-digit limit")
-#: literals inside the limit whose printed values are not: D = 4 mu / (1 + mu)^2 has twice the digits of mu,
-#: and lambda is quartic in the coefficients of rho
-_D_PAST_DIGITS = f"dim 3\nbasis e1 e2 e3\nd e2 = -1 e1^e2\nd e3 = -1/1{'0' * (_DIGITS * 2 // 3)} e1^e3\n"
-_BIG = 10 ** (_DIGITS // 3)
-_LAMBDA_PAST_DIGITS = (
-    "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1^f1 + 1 e2^f2 + 1 e3^f3\n"
-    f"form rho = {_BIG} e1^e2^e3 - {_BIG} e1^f2^f3 - {_BIG} f1^e2^f3 - {_BIG} f1^f2^e3\n"
-)
+def test_cli_cases_run_once_each():
+    ids = [case.id for case in cli_cases.CASES]
+    assert len(set(ids)) == len(ids)
+    sections = {"column", "rational", "repeated", "no-line", "utf8", "no-name", "restarts", "tol", "exit"}
+    assert {row_id.partition("/")[0] for row_id in ids} == sections
 
 
-@pytest.mark.parametrize(
-    "argv, text",
-    [
-        (["catalog", "r3mu", "--mu", "abc"], None),
-        (["catalog", "r3mu", "--mu", "1/0"], None),
-        (["catalog", "su2", "--sum", "r3pmu", "--mu2", "x"], None),
-        (["catalog", "su2", "--sum", "r3pmu", "--mu2", "2/0"], None),
-        (["appendix", "--mu", "x"], None),
-        (["appendix", "--mu", "1/0"], None),
-        (["classify3d"], "dim 3\nbasis e1 e2 e3\nd e3 = 1/0 e1^e2\n"),
-        (["classify3d"], "dim 3\nbasis e1 e2 e3\nd e3 = 1 e1^e2\nparam mu = 1/0\n"),
-        pytest.param(["classify3d"], f"dim 3\nbasis e1 e2 e3\nd e3 = 1{'0' * _DIGITS} e1^e2\n", marks=_past_digits),
-        pytest.param(["classify3d"], f"dim 3\nbasis e1 e2 e3\nparam mu = {'1' * (_DIGITS + 1)}\n", marks=_past_digits),
-        pytest.param(["catalog", "r3mu", "--mu", f"1e-{_DIGITS}"], None, marks=_past_digits),
-        pytest.param(["catalog", "su2", "--sum", "r3pmu", "--mu2", f"1e{_DIGITS}"], None, marks=_past_digits),
-        pytest.param(["appendix", "--mu", f"1e-{_DIGITS}"], None, marks=_past_digits),
-        pytest.param(["classify3d"], _D_PAST_DIGITS, marks=_past_digits),
-        pytest.param(["verify"], _LAMBDA_PAST_DIGITS, marks=_past_digits),
-    ],
-    ids=["mu-abc", "mu-1/0", "mu2-x", "mu2-2/0", "appendix-mu-x", "appendix-mu-1/0", "file-coeff-1/0", "file-param-1/0",
-         "file-coeff-digits", "file-param-digits", "mu-digits", "mu2-digits", "appendix-mu-digits",
-         "classify3d-D-digits", "verify-lambda-digits"],
-)
-def test_cli_bad_rationals_are_input_errors(tmp_path, argv, text):
-    if text is not None:
-        p = tmp_path / "bad.alg"
-        p.write_text(text)
-        argv = argv + [str(p)]
-    code, out, err = run_cli(argv)
-    assert code == cli.EXIT_INPUT_ERROR and out == ""
-    assert err.startswith(("error: ", "parse error: ")) and err.count("\n") == 1, err
-
-
-def test_degree_mismatch_distinct_error(tmp_path):
-    text = "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1\n"
-    p = tmp_path / "deg.alg"
-    p.write_text(text)
-    code, _, err = run_cli(["verify", str(p)])
-    assert code == cli.EXIT_INPUT_ERROR
-    assert "degree mismatch" in err
+def test_cli_cases_check_reads_every_field(tmp_path, monkeypatch):
+    # one passing row with one field changed at a time: a check that ignored the field would still pass it
+    case = next(case for case in cli_cases.CASES if case.id == "exit/obstruct-refined")
+    assert cli_cases.check(case, tmp_path) == []
+    assert cli_cases.check(case._replace(code=0), tmp_path) == ["exit 1, expected 0"]
+    assert cli_cases.check(case._replace(stderr="error: .*\n"), tmp_path) == [r"stderr '' does not match 'error: .*\n'"]
+    assert [p.endswith(" is not empty") for p in cli_cases.check(case._replace(quiet=True), tmp_path)] == [True]
+    # argparse's SystemExit is an exit code; any other exception is a problem
+    usage = case._replace(argv="obstruct", code=2, stderr=r"(?s)usage: .*", quiet=False)
+    assert cli_cases.check(usage, tmp_path) == []
+    monkeypatch.setattr(cli, "main", lambda argv: {}["main"])
+    assert cli_cases.check(case, tmp_path) == ["raised KeyError('main')"]
 
 
 def test_cli_verify_positive(tmp_path):
@@ -287,14 +214,6 @@ def test_cli_obstruct_computes_closed_forms_once_per_degree(tmp_path, monkeypatc
         _, out, _ = run_cli(["obstruct", str(p)], expect=code)
         assert out.splitlines()[-1] == last
         assert sorted(calls) == want, (g1, g2)
-
-
-def test_cli_obstruct_mixed_blocks_is_input_error(tmp_path):
-    # f2 has an e1^f2 term: the algebra is not split over e1-e3 / f1-f3
-    p = tmp_path / "mixed.alg"
-    p.write_text("dim 6\nbasis e1 e2 e3 f1 f2 f3\nd e3 = 1 e1^e2\nd f2 = -1 e1^f2 - 1 f1^f2\n")
-    code, out, err = run_cli(["obstruct", str(p)], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and "not split over the e/f blocks" in err
 
 
 #: sha256 of json.dumps([[exit code, stdout], ...]) of ``halfflat obstruct`` on the 400
@@ -479,15 +398,6 @@ def test_cli_search_exit_codes(tmp_path):
     assert "found: false" in out2
 
 
-@pytest.mark.parametrize("restarts", ["-1", "0"])
-def test_cli_search_restarts_below_one_is_input_error(tmp_path, restarts):
-    _, out, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
-    p = tmp_path / "s.alg"
-    p.write_text(out)
-    code, out, err = run_cli(["search", str(p), "--restarts", restarts], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err.startswith("error: ") and "--restarts" in err
-
-
 def _search_in_fresh_process(path, *options):
     """``halfflat search path options`` in a new interpreter: its stdout is the exit code and whether scipy loaded."""
     script = (
@@ -517,91 +427,6 @@ def test_cli_search_negative_seed_is_input_error(tmp_path):
     done = _search_in_fresh_process(p, "--seed", "-1")
     assert done.stdout == f"{cli.EXIT_INPUT_ERROR} False\n", done.stderr
     assert done.stderr == "error: --seed must be at least 0, got -1\n"
-
-
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_cli_search_tol_not_finite_nonnegative_is_input_error(tmp_path, tol):
-    # -1 rejects every point, nan and inf would switch the residual gate off
-    _, out, _ = run_cli(["catalog", "su2", "--sum", "su2"], expect=0)
-    p = tmp_path / "s.alg"
-    p.write_text(out)
-    code, out, err = run_cli(["search", str(p), "--tol", tol], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err.startswith("error: ") and "--tol" in err
-
-
-@pytest.mark.parametrize(
-    "argv", [["catalog", "su2", "--mu2", "1/2"], ["catalog", "r3mu", "--mu", "1/2", "--mu2", "1/3"]]
-)
-def test_cli_catalog_mu2_without_sum_is_input_error(argv):
-    code, out, err = run_cli(argv, expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err == "error: --mu2 needs --sum\n"
-
-
-@pytest.mark.parametrize("flag, value", [("--mu", "1/2"), ("--sum", "su2")])
-def test_cli_catalog_option_without_name_is_input_error(flag, value):
-    code, out, err = run_cli(["catalog", flag, value], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err == f"error: {flag} needs a class name\n"
-
-
-_BASIS6 = "dim 6\nbasis e1 e2 e3 f1 f2 f3\n"
-
-
-@pytest.mark.parametrize(
-    "command, text, line, what",
-    [
-        ("classify3d", _BASIS6 + "dim 3\nd e3 = 1 e1^f1\n", 3, "dim"),
-        ("classify3d", _BASIS6 + "dim 3\n", 3, "dim"),
-        ("obstruct", _BASIS6 + "basis e1 e2 e3 f1 f2 f3\n", 3, "basis"),
-        ("obstruct", _BASIS6 + "d e3 = 1 e1^e2\nd e3 = 2 e1^e2\n", 4, "d e3"),
-        ("verify", _BASIS6 + "form rho = 1 e1^e2^e3\n# comment\nform rho = 1 f1^f2^f3\n", 5, "form rho"),
-        ("obstruct", _BASIS6 + "param mu = 1/2\nparam mu = 1/3\n", 4, "param mu"),
-    ],
-    ids=["dim-after-basis", "dim-after-basis-no-d", "basis", "d", "form", "param"],
-)
-def test_cli_repeated_directive_is_parse_error(tmp_path, command, text, line, what):
-    p = tmp_path / "rep.alg"
-    p.write_text(text)
-    code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err == f"parse error: line {line}, column 1: repeated {what} line\n"
-
-
-def test_cli_missing_file():
-    code, _, err = run_cli(["verify", "/nonexistent/file.alg"])
-    assert code == cli.EXIT_INPUT_ERROR
-
-
-_SU2_SU2 = "dim 6\nbasis e1 e2 e3 f1 f2 f3\nd e1 = 1 e2^e3\nd e2 = 1 e3^e1\nd e3 = 1 e1^e2\n"
-
-
-@pytest.mark.parametrize(
-    "command, text, message",
-    [
-        ("verify", SU2_TEXT, "verify needs a six-dimensional algebra"),
-        ("verify", _SU2_SU2, "verify needs both omega and rho forms"),
-        ("classify3d", _SU2_SU2, "classify3d needs a three-dimensional algebra"),
-        ("obstruct", SU2_TEXT, "obstruct needs a six-dimensional algebra"),
-        ("search", SU2_TEXT, "search needs a six-dimensional algebra"),
-        ("obstruct", "# no declarations\n", "file must declare dim and basis"),
-        ("classify3d", "dim 3\n", "file must declare dim and basis"),
-        ("verify", None, "cannot read "),
-    ],
-    ids=["verify-dim", "verify-forms", "classify3d-dim", "obstruct-dim", "search-dim", "no-dim", "no-basis", "unreadable"],
-)
-def test_cli_errors_without_a_line_name_none(tmp_path, command, text, message):
-    p = tmp_path / "f.alg"
-    if text is not None:
-        p.write_text(text)
-    code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err.startswith("error: " + message), err
-
-
-@pytest.mark.parametrize("command", ["verify", "classify3d", "obstruct", "search"])
-def test_cli_non_utf8_file_is_input_error(tmp_path, command):
-    # a decoding error is an unreadable file; exit 1 would read as a verdict
-    p = tmp_path / "bad.alg"
-    p.write_bytes(b"\xff\xfe")
-    code, out, err = run_cli([command, str(p)], expect=cli.EXIT_INPUT_ERROR)
-    assert out == "" and err.startswith(f"error: cannot read {p}: ") and "decode" in err, err
 
 
 @pytest.mark.parametrize(
