@@ -76,6 +76,15 @@ def test_parse_rejects_jacobi_violation():
         cli.parse("dim 3\nbasis e1 e2 e3\nd e1 = 1 e2^e3\nd e2 = 1 e1^e2\n")
 
 
+def test_degree_mismatch_distinct_error(tmp_path):
+    text = "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform omega = 1 e1\n"
+    p = tmp_path / "deg.alg"
+    p.write_text(text)
+    code, _, err = run_cli(["verify", str(p)])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "degree mismatch" in err
+
+
 def _section(name):
     """The rows of one section of ``cli_cases.CASES`` as one test, each row under its id without the section."""
     rows = [case for case in cli_cases.CASES if case.id.startswith(name + "/")]
