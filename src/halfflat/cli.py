@@ -24,9 +24,10 @@ from fractions import Fraction
 
 from . import corpus, obstruct
 from .classify3d import classify
-from .errors import HalfFlatError, JacobiError, ParseError
+from .errors import HalfFlatError, JacobiError, ParseError, _clipped
 from .exterior import DIM, KForm, sorted_monomial
 from .liealg import CATALOG_INFO, LieAlgebra, catalog, direct_sum
+from .stable import TARGET_KINDS
 from .verify import verify
 
 EXIT_POSITIVE = 0
@@ -271,7 +272,7 @@ def _cmd_appendix(args) -> int:
     try:
         mu = Fraction(_printable("--mu", args.mu)) if args.mu is not None else None
     except (ValueError, ZeroDivisionError):
-        raise HalfFlatError(f"--mu must be a rational number, got {args.mu!r}") from None
+        raise HalfFlatError(f"--mu must be a rational number, got {_clipped(args.mu)!r}") from None
     instances = corpus.iter_instances(table=args.table, mu=mu)
     failures = 0
     for inst in instances:
@@ -296,7 +297,7 @@ def _printable(flag: str, value: str | None) -> str | None:
         Fraction(re.sub(r"0*(\d)\d*", r"\1", value))
     except (TypeError, ValueError, ZeroDivisionError):  # None or not a rational: the command names it
         return value
-    _printed(f"{flag} {value if len(value) <= 20 else value[:20] + '...'}", lambda: str(Fraction(value)))
+    _printed(f"{flag} {_clipped(value)}", lambda: str(Fraction(value)))
     return value
 
 
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="float search for a half-flat structure")
     s.add_argument("file")
-    s.add_argument("--target", choices=("su3", "su12", "sl3r"), default="su3")
+    s.add_argument("--target", choices=tuple(TARGET_KINDS), default="su3")
     s.add_argument("--restarts", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--tol", type=float, default=1e-8)

@@ -100,15 +100,10 @@ class InstanceReport:
 
     @property
     def ok(self) -> bool:
-        kind_ok = self.report.structure.kind == self.instance.expected_kind
-        if self.instance.expected_kind in (stable.KIND_SU12, stable.KIND_SU21):
-            kind_ok = self.report.structure.kind in (stable.KIND_SU12, stable.KIND_SU21)
-        return (
-            self.report.half_flat
-            and kind_ok
-            and self.normalization_ok
-            and self.metric_ok
-        )
+        """Half-flat, normalized, the printed metric, and the expected kind or another of its search target."""
+        kinds = {self.report.structure.kind, self.instance.expected_kind}
+        kind_ok = len(kinds) == 1 or any(kinds <= set(target) for target in stable.TARGET_KINDS.values())
+        return self.report.half_flat and kind_ok and self.normalization_ok and self.metric_ok
 
     @property
     def residual(self) -> str:

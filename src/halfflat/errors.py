@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the cut an error message applies to an echoed value."""
 
 from __future__ import annotations
+
+
+def _clipped(value):
+    """A value as an error message echoes it: a text past 20 characters is cut to its first 20 plus '...'."""
+    return value[:20] + "..." if isinstance(value, str) and len(value) > 20 else value
 
 
 class HalfFlatError(Exception):

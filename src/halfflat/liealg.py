@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import CatalogError, DegreeError, JacobiError
+from .errors import CatalogError, DegreeError, JacobiError, _clipped
 from .exterior import _D_SPLIT, _SIGN, DIM, KForm, basis_masks, form
 from .scalars import Scalar, cleared, scalar_is_zero, unscaled
 
@@ -271,7 +271,7 @@ def catalog(name: str, mu: Fraction | int | str | None = None) -> LieAlgebra:
             form(2, [("e21", 1), ("e31", m)]),
         ]
         return LieAlgebra(3, diffs, name=name, params={"mu": m})
-    raise CatalogError(f"unknown catalog name {name!r}")
+    raise CatalogError(f"unknown catalog name {_clipped(name)!r}")
 
 
 def _check_mu(name: str, mu) -> Fraction:
@@ -280,7 +280,7 @@ def _check_mu(name: str, mu) -> Fraction:
     try:
         return Fraction(mu)
     except (ValueError, ZeroDivisionError):
-        raise CatalogError(f"{name} requires a rational parameter mu, got {mu!r}") from None
+        raise CatalogError(f"{name} requires a rational parameter mu, got {_clipped(mu)!r}") from None
 
 
 #: default rational sample set for parameterized families

@@ -15,7 +15,7 @@ omega ^ rho and their gradients are exact-order sparse sums: each output
 adds the nonzero terms of its dense +-1 tensor in the order ``np.einsum``
 adds them, so the values, and hence the L-BFGS paths, are those of the
 dense contractions bit for bit.  A success is gated on the float residuals
-and on the eigenvalue margin of the trace-normalized metric matrix, then
+and on the target's signs of lambda and the metric (``stable.TARGET_KINDS``), then
 optionally rationalized by continued-fraction rounding and re-verified by
 the exact pipeline; the float path never asserts existence on its own.
 """
@@ -30,6 +30,7 @@ from scipy.optimize import minimize
 from . import stable
 from .exterior import _SIGN, DIM, KForm, basis_masks
 from .liealg import LieAlgebra
+from .stable import TARGET_KINDS
 from .verify import verify
 
 #: eigenvalue margin, relative to |S|_F, that the penalty pushes the metric past
@@ -38,12 +39,6 @@ MARGIN_OPT = 1e-2
 GATE_MARGIN = 1e-4
 #: distance from zero that the lambda-sign hinge asks of lambda
 LAM_GAP = 1e-2
-
-TARGET_KINDS = {
-    "su3": (stable.KIND_SU3,),
-    "su12": (stable.KIND_SU12, stable.KIND_SU21),
-    "sl3r": (stable.KIND_SL3R,),
-}
 
 
 @dataclass
@@ -193,12 +188,21 @@ def _hinge(x: float) -> float:
 
 
 class _Penalty:
-    """Smooth penalty and analytic gradient for one target kind."""
+    """Smooth penalty and analytic gradient for one target of ``TARGET_KINDS``.
+
+    The ``KIND_SIGNS`` of its kinds, in order, give lambda's sign, the (positive, negative) eigenvalue
+    counts the gate accepts and the negative counts the hinges choose from.  A definite target's sign
+    follows the trace instead, as the float metric has no orientation.
+    """
 
     def __init__(self, kern: FloatKernels, target: str):
         self.k = kern
         self.target = target
         self.nz = kern.z3.shape[1]
+        signs = [stable.KIND_SIGNS[kind] for kind in TARGET_KINDS[target]]
+        self.lam_sign = signs[0][0]
+        self.signatures = {(p, q) for _, p, q in signs}
+        self.negatives = tuple(q for _, _, q in signs)
 
     def split(self, x: np.ndarray):
         return x[:15], x[15:]
@@ -235,19 +239,13 @@ class _Penalty:
         grad_w += 2.0 * kern.t23.contract(0, r, r2)
         grad_r = 2.0 * kern.t23.contract(1, w, r2)
 
-        # lambda sign hinge
+        # lambda sign hinge: lam_sign * lambda at least LAM_GAP
         kmat, lam, eps, om, g = kern.pair(w, r)
         dlam_dr = kern.k_grad(kmat.T, r) / 3.0
-        if self.target in ("su3", "su12"):
-            h = _hinge(lam + LAM_GAP)
-            p3 = h * h
-            if h > 0:
-                grad_r += 2.0 * h * dlam_dr
-        else:
-            h = _hinge(LAM_GAP - lam)
-            p3 = h * h
-            if h > 0:
-                grad_r -= 2.0 * h * dlam_dr
+        h = _hinge(LAM_GAP - self.lam_sign * lam)
+        p3 = h * h
+        if h > 0:
+            grad_r -= 2.0 * h * self.lam_sign * dlam_dr
 
         # eigenvalue hinges on the symmetrized metric matrix
         s = 0.5 * (g + g.T)
@@ -280,25 +278,14 @@ class _Penalty:
         return total, np.concatenate([grad_w, grad_z])
 
     def _wanted_signs(self, evals: np.ndarray) -> np.ndarray:
-        if self.target == "su3":
-            sgn = 1.0 if float(np.sum(evals)) >= 0 else -1.0
-            return np.full(DIM, sgn)
+        if self.negatives == (0,):
+            return np.full(DIM, 1.0 if float(np.sum(evals)) >= 0 else -1.0)
         order = np.argsort(evals)
-        wants = np.empty(DIM)
-        if self.target == "sl3r":
-            neg = order[:3]
-        else:  # su12: four of one sign, two of the other, cheapest branch
-            neg_a, neg_b = order[:4], order[:2]
-            cost_a = sum(max(0.0, evals[i]) for i in neg_a) + sum(
-                max(0.0, -evals[i]) for i in order[4:]
-            )
-            cost_b = sum(max(0.0, evals[i]) for i in neg_b) + sum(
-                max(0.0, -evals[i]) for i in order[2:]
-            )
-            neg = neg_a if cost_a <= cost_b else neg_b
-        wants[:] = 1.0
-        for i in neg:
-            wants[i] = -1.0
+        # the hinge mass of pushing the n lowest negative and the rest positive; a tie takes the first count
+        cost = lambda n: sum(max(0.0, evals[i]) for i in order[:n]) + sum(max(0.0, -evals[i]) for i in order[n:])
+        n = min(self.negatives, key=cost) if len(self.negatives) > 1 else self.negatives[0]
+        wants = np.ones(DIM)
+        wants[order[:n]] = -1.0
         return wants
 
 
@@ -351,7 +338,7 @@ def find_halfflat(
 
 
 def _gate(kern, pen, x, target, tol):
-    """Float acceptance gate: residuals, lambda sign and metric margin."""
+    """Float acceptance gate by the rule of ``pen`` (``target`` is ``pen.target``): residuals, lambda sign, metric."""
     w, z = pen.split(x)
     rho_raw = kern.z3 @ z
     n = np.linalg.norm(rho_raw)
@@ -364,11 +351,9 @@ def _gate(kern, pen, x, target, tol):
     _, lam, _, _, g = kern.pair(w, r)
     s = 0.5 * (g + g.T)
     evals = np.linalg.eigvalsh(s)
-    if target in ("su3", "su12") and lam >= 0:
+    if pen.lam_sign * lam <= 0:
         return None
-    if target == "sl3r" and lam <= 0:
-        return None
-    if target == "su3":
+    if pen.negatives == (0,):
         tr = float(np.trace(s))
         if abs(tr) < 1e-12:
             return None
@@ -381,8 +366,7 @@ def _gate(kern, pen, x, target, tol):
         pos = int(np.sum(evals > 1e-6 * scale))
         neg = int(np.sum(evals < -1e-6 * scale))
         residuals["signature"] = f"({pos},{neg})"
-        want = {(3, 3)} if target == "sl3r" else {(2, 4), (4, 2)}
-        if (pos, neg) not in want:
+        if (pos, neg) not in pen.signatures:
             return None
     return w, r, residuals
 

@@ -33,7 +33,8 @@ place where K, lambda, omega^2, phi(omega) = omega^2 ^ omega / 6, G_raw and
 the structure verdict of a pair are formed, each once; ``structure_type``,
 ``induced_metric_raw`` and the checks of ``verify`` read them from it.  The
 orientation branch is a sign: for norm_sign < 0 the oriented metric is
--G_raw, whose inertia is that of G_raw with p and q swapped.
+-G_raw, whose inertia is that of G_raw with p and q swapped.  ``KIND_SIGNS``
+gives each kind's (sign of lambda, p, q); ``TARGET_KINDS`` each search target's.
 
 The products of a pair run on integers.  A form f is cleared once by the
 positive lcm den of its coefficient denominators (a Q(sqrt D) coefficient
@@ -63,14 +64,19 @@ KIND_NOT_STABLE = "NotStable"
 KIND_NOT_COMPATIBLE = "NotCompatible"
 KIND_NOT_NORMALIZABLE = "NotNormalizable"
 
-STABILIZER_KINDS = (KIND_SU3, KIND_SU21, KIND_SU12, KIND_SU03, KIND_SL3R)
-
-_SU_KIND_BY_SIGNATURE = {
-    (6, 0): KIND_SU3,
-    (4, 2): KIND_SU21,
-    (2, 4): KIND_SU12,
-    (0, 6): KIND_SU03,
+#: stabilizer kind -> (sign of lambda, p, q), the inertia (p, q, 0) of the oriented metric
+KIND_SIGNS = {
+    KIND_SU3: (-1, 6, 0),
+    KIND_SU21: (-1, 4, 2),
+    KIND_SU12: (-1, 2, 4),
+    KIND_SU03: (-1, 0, 6),
+    KIND_SL3R: (1, 3, 3),
 }
+STABILIZER_KINDS = tuple(KIND_SIGNS)
+_KIND_BY_SIGNS = {signs: kind for kind, signs in KIND_SIGNS.items()}
+
+#: search target -> the kinds it accepts; the float metric has no orientation, so su12 takes SU(1,2) either way
+TARGET_KINDS = {"su3": (KIND_SU3,), "su12": (KIND_SU12, KIND_SU21), "sl3r": (KIND_SL3R,)}
 
 
 @dataclass(frozen=True)
@@ -334,8 +340,5 @@ class StablePair:
         p, q, z = linalg.inertia(self.G_raw)
         if self.norm_sign < 0:
             p, q = q, p
-        if z == 0 and scalar_sign(self.lam) < 0 and (p, q) in _SU_KIND_BY_SIGNATURE:
-            return StructureType(_SU_KIND_BY_SIGNATURE[(p, q)], (p, q, z))
-        if z == 0 and scalar_sign(self.lam) > 0 and (p, q) == (3, 3):
-            return StructureType(KIND_SL3R, (p, q, z))
-        return StructureType(KIND_NOT_NORMALIZABLE, (p, q, z))
+        # z > 0 leaves p + q < 6, which no kind has
+        return StructureType(_KIND_BY_SIGNS.get((scalar_sign(self.lam), p, q), KIND_NOT_NORMALIZABLE), (p, q, z))

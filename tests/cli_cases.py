@@ -123,6 +123,11 @@ CASES = [
     Case("rational/mu2-2/0", "catalog su2 --sum r3pmu --mu2 2/0", None, 2,
          r"error: r3pmu requires a rational parameter mu, got '2/0'\n"),
     Case("rational/appendix-mu-x", "appendix --mu x", None, 2, r"error: --mu must be a rational number, got 'x'\n"),
+    # an echoed value is cut to its first 20 characters
+    Case("rational/mu-long-1/0", f"catalog r3mu --mu 1/{'0' * 30}", None, 2,
+         rf"error: r3mu requires a rational parameter mu, got '1/{'0' * 18}\.\.\.'\n"),
+    Case("rational/appendix-mu-long-x", f"appendix --mu {'x' * 30}", None, 2,
+         rf"error: --mu must be a rational number, got '{'x' * 20}\.\.\.'\n"),
     Case("rational/appendix-mu-1/0", "appendix --mu 1/0", None, 2,
          r"error: --mu must be a rational number, got '1/0'\n"),
     Case("rational/file-coeff-1/0", "classify3d {file}", _BASIS3 + "d e3 = 1/0 e1^e2\n", 2,
@@ -179,6 +184,7 @@ CASES = [
          r"error: table 4 has no mu rows; mu goes with table 5\n"),
     Case("exit/catalog-negative-mu", "catalog r3mu --mu -1/2", None, 0, "", quiet=False),
     Case("exit/catalog-sum", "catalog h3 --sum r2R", None, 0, "", quiet=False),
+    Case("exit/catalog-long-name", f"catalog {'x' * 30}", None, 2, rf"error: unknown catalog name '{'x' * 20}\.\.\.'\n"),
     Case("exit/mu2-without-sum", "catalog su2 --mu2 1/2", None, 2, r"error: --mu2 needs --sum\n"),
     Case("exit/mu2-without-sum-with-mu", "catalog r3mu --mu 1/2 --mu2 1/3", None, 2, r"error: --mu2 needs --sum\n"),
     Case("exit/obstruct-refined", "obstruct {file}", _H3_R2R, 1, "", quiet=False),

@@ -436,17 +436,6 @@ def test_j_invariance_of_v_on_obstructed_algebras(rng):
         assert found_stable > 0
 
 
-def _coherent_reference(L, v_pair):
-    """Coherence with d e^k taken through the antiderivation ``L.d``."""
-    a1, a2 = v_pair
-    if not (L.d(a1).is_zero() and L.d(a2).is_zero()):
-        return False
-    vv = wedge(a1, a2)
-    return not vv.is_zero() and all(
-        wedge(L.d(covector(k)), vv).is_zero() for k in range(1, 7)
-    )
-
-
 def test_is_coherent_matches_antiderivation_reference():
     rng = random.Random(3)
     candidates = [covector(k) for k in range(1, 7)] + [
@@ -457,13 +446,13 @@ def test_is_coherent_matches_antiderivation_reference():
         L = direct_sum(catalog(g1), catalog(g2, Fraction(1, 2)) if g2 == "r3mu" else catalog(g2))
         for a1, a2 in combinations(candidates, 2):
             got = obstruct.is_coherent(L, (a1, a2))
-            assert got == _coherent_reference(L, (a1, a2))
+            assert got == _reference_is_coherent(L, (a1, a2))
             hits += got
         for _ in range(20):
             pair = tuple(
                 KForm(1, {1 << i: Fraction(rng.randint(-1, 1)) for i in range(6)}) for _ in range(2)
             )
-            assert obstruct.is_coherent(L, pair) == _coherent_reference(L, pair)
+            assert obstruct.is_coherent(L, pair) == _reference_is_coherent(L, pair)
     assert hits > 0
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,49 @@ def test_sparse_contractions_equal_einsum_bitwise():
             assert kern.residuals(w, r) == _reference_residuals(kern, w, r)
             assert np.array_equal(om, _reference_omega_matrix(kern, w))
         assert hinge_on and hinge_off, (n1, n2, target)
+
+
+def _reference_negatives(target, values):
+    """How many eigenvalues of the metric the penalty pushes negative, written out.
+
+    su3: none, or all six when the trace is negative or NaN.  Otherwise, with the eigenvalues ranked
+    from the lowest and NaN last, sl3r takes the 3 lowest negative and su12 the 4 lowest unless
+    taking 2 is strictly cheaper: a choice costs the positive parts of the eigenvalues it takes
+    negative plus the negative parts of those it takes positive (NaN costs 0).
+    """
+    if target == "su3":
+        return 0 if sum(values) >= 0 else 6
+    if target == "sl3r":
+        return 3
+    ranked = sorted(values, key=lambda x: (math.isnan(x), 0.0 if math.isnan(x) else x))
+    cost = lambda n: sum(x for x in ranked[:n] if x > 0) + sum(-x for x in ranked[n:] if x < 0)
+    return 2 if cost(2) < cost(4) else 4
+
+
+def test_wanted_signs_match_written_rule():
+    # seeded eigenvalues: normal draws, small integers (ties, exactly zero traces) and NaN entries.
+    # Which of tied eigenvalues np.argsort ranks first is not part of the rule, so the values taken
+    # negative are compared as a multiset with the lowest ones
+    kern = search.FloatKernels(direct_sum(catalog("su2"), catalog("su2")))
+    rng = np.random.default_rng(2028)
+    draws = [rng.standard_normal(6) for _ in range(400)] + [rng.integers(-2, 3, 6).astype(float) for _ in range(400)]
+    for evals in draws[::40]:
+        evals = evals.copy()
+        evals[rng.integers(6)] = np.nan
+        draws.append(evals)
+    seen = set()
+    for target in search.TARGET_KINDS:
+        pen = search._Penalty(kern, target)
+        for evals in draws:
+            wants = pen._wanted_signs(evals.copy())
+            values = [float(x) for x in evals]
+            n = _reference_negatives(target, values)
+            assert set(wants) <= {1.0, -1.0} and int(np.sum(wants < 0)) == n, (target, evals)
+            taken = [x for x, sgn in zip(values, wants) if sgn < 0]
+            if target != "su3":
+                assert np.array_equal(np.sort(taken), np.sort(evals)[:n], equal_nan=True), (target, evals)
+            seen.add((target, n))
+    assert {("su3", 0), ("su3", 6), ("su12", 2), ("su12", 4), ("sl3r", 3)} == seen, seen
 
 
 def test_search_su12_on_r2R_r2R_panel_seed():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from halfflat import corpus, linalg, stable
-from halfflat.errors import NotCompatibleError, NotStableError
+from halfflat.errors import HalfFlatError, NotCompatibleError, NotStableError
 from halfflat.exterior import KForm, basis_masks, contract, evaluate, form, volume_ratio, wedge
+from halfflat.liealg import catalog
 from halfflat.scalars import QuadExt, scalar_abs, scalar_sign, sqrt_scalar
 from halfflat.stable import (
     MODEL_OMEGA,
@@ -20,6 +24,7 @@ from halfflat.stable import (
     lambda_of,
     structure_type,
 )
+from halfflat.verify import ortho_type_I, ortho_type_II
 
 from .conftest import basis, random_fraction, random_form
 from .oracles import (
@@ -592,3 +597,68 @@ def test_stable_pair_equals_dense_oracle_quadratic_extension(rng):
         pair = _assert_pair_matches_oracle(omega, rho)
         seen_quad |= any(isinstance(x, QuadExt) for row in pair.G_raw for x in row)
     assert seen_quad
+
+
+# -- the kind verdict, pinned ------------------------------------------------------
+
+
+def _kind_record(omega, rho):
+    """(kind, signature) of StablePair(omega, rho), or (exception type, message) where construction raises."""
+    try:
+        structure = StablePair(omega, rho).structure
+    except HalfFlatError as exc:
+        return type(exc).__name__, str(exc)
+    return structure.kind, structure.signature
+
+
+def _random_kind_pairs(rng, count):
+    """Seeded (omega, rho) pairs over every reachable verdict.
+
+    A third are random forms; every 60th rho is a two-form, which K refuses, and every 60th omega a
+    three-form, which phi(omega) refuses.  The rest are omega = sum s_i e^i f^i with
+    rho = a MODEL_RHO + b MODEL_RHO_PARA, compatible for all s, a and b, with f^1 and f^2 flipped in
+    rho independently (one flip turns SU(3) into SU(1,2)).  Half of those are pulled back by a sparse
+    GL(6, Q) matrix, and every tenth of these gets a term added to rho.
+    """
+    planes = [form(2, [(f"e{i}f{i}", 1)]) for i in (1, 2, 3)]
+    small = lambda: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+    pairs = []
+    for n in range(count):
+        if n % 3 == 0:
+            omega = random_form(rng, 3 if n % 60 == 30 else 2, span=3, density=rng.choice((0.2, 0.5, 0.8)))
+            rho = random_form(rng, 2 if n % 60 == 0 else 3, span=3, density=rng.choice((0.2, 0.5, 0.8)))
+            pairs.append((omega, rho))
+            continue
+        omega = sum((e.scale(small() if rng.random() < 0.9 else 0) for e in planes), KForm(2))
+        a, b = rng.choice(((small(), 0), (0, small()), (small(), small())))
+        flipped = [i for i in (3, 4) if rng.random() < 0.5]
+        D = [[Fraction(0 if i != j else -1 if i in flipped else 1) for j in range(6)] for i in range(6)]
+        rho = _pullback(MODEL_RHO.scale(a) + MODEL_RHO_PARA.scale(b), D)
+        if n % 3 == 2:
+            A = _sparse_gl6(rng, lambda: Fraction(rng.randint(-2, 2)))
+            omega, rho = _pullback(omega, A), _pullback(rho, A)
+            if n % 10 == 2:
+                rho = rho + random_form(rng, 3, span=2, density=0.1)
+        pairs.append((omega, rho))
+    return pairs
+
+
+def test_kind_verdicts_golden():
+    # (kind, signature) on the 54 corpus rows, type I on the 36 ordered unimodular pairs at six
+    # (xi1, xi2), a grid of IIa pairs and 1200 seeded random pairs, as one sha256
+    records = [_kind_record(inst.omega, inst.rho) for inst in corpus.iter_instances() + corpus.iter_instances(table=0)]
+    assert len(records) == 54
+    xis = ((1, 0), (0, 1), (1, 1), (1, -1), (2, Fraction(-1, 3)), (-3, 2))
+    for h1, h2 in product(corpus.UNIMODULAR, repeat=2):
+        records += [_kind_record(*ortho_type_I(catalog(h1), catalog(h2), *xi)) for xi in xis]
+    for a, xi2, p, q in product((Fraction(3, 5), Fraction(-3, 5), Fraction(4, 5), Fraction(5, 13)),
+                                (1, -1, 2, Fraction(-1, 3)), (-1, 0, 2), (-1, 0, 2)):
+        records.append(_kind_record(*ortho_type_II("IIa", a=a, xi2=xi2, p=p, q=q)[1:]))
+    records += [_kind_record(omega, rho) for omega, rho in _random_kind_pairs(random.Random(2028), 1200)]
+    assert len(records) == 54 + 216 + 144 + 1200
+    seen = {r[0] for r in records}
+    # on the normalized orientation a definite metric is SU(3) and an indefinite one (2, 4): SU(2,1) and
+    # SU(0,3) do not occur
+    assert seen == {"SU(3)", "SU(1,2)", "SL(3,R)", "NotStable", "NotCompatible", "NotStableError"}, seen
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+    assert digest == "e9c22d0f8adad2f3e06e3d7f2bfff4c782555064d17417f54b0f80b3b9310cb8", digest
