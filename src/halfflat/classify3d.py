@@ -3,10 +3,11 @@
 Every invariant is read from the constants in ``LieAlgebra.diffs``.
 Unimodular algebras are classified by the sign pattern of Milnor's matrix L
 with [u, v] = L(u x v), computed as an exact inertia, with the orientation
-flipped when needed so at most one eigenvalue is negative.  Non-unimodular
-algebras are classified by the determinant D of ad_X on the unimodular
-kernel, where tr(ad_X) = 2, as D = (4 - tr(ad_X^2)) / 2, and r3,1 is the
-case ad_X^2 = ad_X.
+flipped when needed so at most one eigenvalue is negative, and looked up in
+the sign column of ``liealg.CATALOG_ROWS``.  Non-unimodular algebras are
+classified by the determinant D of ad_X on the unimodular kernel, where
+tr(ad_X) = 2, as D = (4 - tr(ad_X^2)) / 2, and r3,1 is the case
+ad_X^2 = ad_X.
 """
 
 from __future__ import annotations
@@ -15,18 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .liealg import CATALOG_INFO, LieAlgebra
+from .liealg import CATALOG_ROWS, LieAlgebra
 from .scalars import Scalar, is_square, rational_sqrt, scalar_is_zero
-
-#: sign pattern (n_pos, n_neg) of L -> unimodular class tag
-_UNIMODULAR_BY_SIGNS = {
-    (3, 0): "su2",
-    (2, 1): "sl2",
-    (2, 0): "e2",
-    (1, 1): "e11",
-    (1, 0): "h3",
-    (0, 0): "R3",
-}
 
 
 @dataclass(frozen=True)
@@ -40,11 +31,11 @@ class BianchiClass:
 
     @property
     def display(self) -> str:
-        return CATALOG_INFO[self.name][0]
+        return CATALOG_ROWS[self.name].display
 
     @property
     def bianchi(self) -> str:
-        return CATALOG_INFO[self.name][1]
+        return CATALOG_ROWS[self.name].bianchi
 
 
 def milnor_L(L3: LieAlgebra) -> linalg.Matrix:
@@ -75,7 +66,7 @@ def _classify_unimodular(L3: LieAlgebra) -> BianchiClass:
     if neg > pos:  # flip the orientation so at most one eigenvalue is negative
         pos, neg = neg, pos
     signs = tuple([1] * pos + [-1] * neg + [0] * zero)
-    name = _UNIMODULAR_BY_SIGNS[(pos, neg)]
+    name = next(tag for tag, row in CATALOG_ROWS.items() if row.signs == (pos, neg))
     return BianchiClass(name=name, eigen_signs=signs)
 
 

@@ -26,7 +26,7 @@ from . import corpus, obstruct
 from .classify3d import classify
 from .errors import HalfFlatError, JacobiError, ParseError, _clipped
 from .exterior import DIM, KForm, sorted_monomial
-from .liealg import CATALOG_INFO, LieAlgebra, catalog, direct_sum
+from .liealg import CATALOG_ROWS, LieAlgebra, catalog, direct_sum
 from .stable import TARGET_KINDS
 from .verify import verify
 
@@ -59,7 +59,7 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
         # dim and basis, and d, form and param per name, may each be given once
         key = (head, tokens[1] if head in ("d", "form", "param") and len(tokens) > 1 else "")
         if key in seen:
-            raise ParseError(f"repeated {' '.join(key).strip()} line", line_no, _column(line, 0))
+            raise ParseError(f"repeated {' '.join(map(_clipped, key)).strip()} line", line_no, _column(line, 0))
         seen.add(key)
         if head == "dim":
             if len(tokens) != 2 or tokens[1] not in ("3", "6"):
@@ -72,7 +72,7 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
                 raise _shape_error(f"basis needs exactly {dim} names", line_no, line, [None] * (dim + 1))
             if any("^" in name for name in tokens[1:]):  # no monomial could name it
                 k = next(k for k in range(1, dim + 1) if "^" in tokens[k])
-                raise ParseError(f"basis name {tokens[k]!r} contains '^'", line_no, _column(line, k))
+                raise ParseError(f"basis name {_clipped(tokens[k])!r} contains '^'", line_no, _column(line, k))
             index = {name: k for k, name in enumerate(tokens[1:], start=1)}
             if len(index) != dim:
                 k = next(k for k in range(2, dim + 1) if tokens[k] in tokens[1:k])
@@ -93,7 +93,7 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
                 raise _shape_error("expected 'param <name> = <rational>'", line_no, line, allowed)
             params[tokens[1]] = _rational(tokens, 3, line_no, line, "bad rational ")
         else:
-            raise ParseError(f"unknown directive {head!r}", line_no, _column(line, 0))
+            raise ParseError(f"unknown directive {_clipped(head)!r}", line_no, _column(line, 0))
 
     if dim is None or not index:
         raise HalfFlatError("file must declare dim and basis")
@@ -117,7 +117,7 @@ def _shape_error(message: str, line_no: int, line: str, allowed: list) -> ParseE
 def _index_of(index: dict[str, int], name: str, line_no: int, line: str, k: int) -> int:
     """1-based index of a basis name, read in token k; a ParseError at that token's column without one."""
     if name not in index:  # an empty index: no basis line yet
-        message = f"unknown basis name {name!r}" if index else "basis line must precede this line"
+        message = f"unknown basis name {_clipped(name)!r}" if index else "basis line must precede this line"
         raise ParseError(message, line_no, _column(line, k))
     return index[name]
 
@@ -127,7 +127,7 @@ def _rational(tokens: list[str], k: int, line_no: int, line: str, refusal: str) 
     try:
         if _TOKEN_RAT.match(tokens[k]):
             return Fraction(tokens[k])
-        message = f"{refusal}{tokens[k]!r}"
+        message = f"{refusal}{_clipped(tokens[k])!r}"
     except ValueError:  # an integer past the interpreter's digit limit, which Fraction reads with int()
         message = f"rational with more than {sys.get_int_max_str_digits()} digits in a numerator or denominator"
     raise ParseError(message, line_no, _column(line, k))
@@ -146,7 +146,8 @@ def _parse_terms(tokens: list[str], line: str, index: dict[str, int], line_no: i
             if i >= len(tokens):
                 raise ParseError("sign without a term", line_no, _column(line, i))
         elif i > 3:
-            raise ParseError(f"expected '+' or '-' between terms, got {tokens[i]!r}", line_no, _column(line, i))
+            message = f"expected '+' or '-' between terms, got {_clipped(tokens[i])!r}"
+            raise ParseError(message, line_no, _column(line, i))
         coeff = sign * _rational(tokens, i, line_no, line, "expected a coefficient, got ")
         i += 1
         if i >= len(tokens):
@@ -225,13 +226,13 @@ def _cmd_obstruct(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.restarts < 1:
-        raise HalfFlatError(f"--restarts must be at least 1, got {args.restarts}")
+        raise HalfFlatError(f"--restarts must be at least 1, got {_clipped(str(args.restarts))}")
     if not 0 <= args.tol < float("inf"):  # nan or inf would switch the residual gate off
         raise HalfFlatError(f"--tol must be a finite nonnegative number, got {args.tol}")
     if args.max_den < 0:  # 0 skips the rationalization; a negative one would skip it silently
-        raise HalfFlatError(f"--max-den must be at least 0, got {args.max_den}")
+        raise HalfFlatError(f"--max-den must be at least 0, got {_clipped(str(args.max_den))}")
     if args.seed < 0:  # numpy's generator refuses a negative seed with a traceback
-        raise HalfFlatError(f"--seed must be at least 0, got {args.seed}")
+        raise HalfFlatError(f"--seed must be at least 0, got {_clipped(str(args.seed))}")
     L, _, _ = _load(args, 6)
     from . import search  # scipy is loaded only for this command, once its input is checked
 
@@ -256,8 +257,9 @@ def _cmd_catalog(args) -> int:
     if args.name is None and args.sum is not None:
         raise HalfFlatError("--sum needs a class name")
     if args.name is None:
-        for tag, (display, bianchi, unimod) in CATALOG_INFO.items():
-            print(f"{tag}: {display} (Bianchi {bianchi}, {'unimodular' if unimod else 'non-unimodular'})")
+        for tag, row in CATALOG_ROWS.items():
+            kind = "non-unimodular" if row.signs is None else "unimodular"
+            print(f"{tag}: {row.display} (Bianchi {row.bianchi}, {kind})")
         return EXIT_POSITIVE
     L1 = catalog(args.name, _printable("--mu", args.mu))
     if args.sum is None:

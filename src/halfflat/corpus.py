@@ -33,13 +33,13 @@ from typing import Iterable
 from . import linalg, stable
 from .errors import CatalogError
 from .exterior import KForm, form
-from .liealg import CATALOG_INFO, MU_SAMPLES, LieAlgebra, catalog, direct_sum
+from .liealg import CATALOG_ROWS, MU_SAMPLES, LieAlgebra, catalog, direct_sum
 from .scalars import Scalar, scalar_abs, scalar_is_zero, scalar_sign, sqrt_scalar
 from .verify import OMEGA_TYPE_I, HalfFlatReport, ortho_type_I, verify
 
 F = Fraction
 
-UNIMODULAR = tuple(tag for tag, (_, _, unimodular) in CATALOG_INFO.items() if unimodular)
+UNIMODULAR = tuple(tag for tag, row in CATALOG_ROWS.items() if row.signs is not None)
 
 
 @dataclass

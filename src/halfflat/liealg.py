@@ -8,13 +8,23 @@ denominator ``den`` (``scalars.cleared``); every d reads that table through
 ``exterior._D_SPLIT``, and only ``LieAlgebra.d`` divides by den.  The module
 provides the catalog of standard three-dimensional brackets, direct sums,
 unimodularity tests, closed-form spaces and basis changes.
+
+``CATALOG_ROWS`` is the catalog, one ``ClassRow`` per tag, and every reader
+takes its facts from it: the display name and Bianchi type (``classify3d``'s
+report and the ``halfflat catalog`` listing); Milnor's sign pattern, which
+``classify3d`` inverts, None exactly for the non-unimodular tags; the terms
+of d e^1, d e^2, d e^3 with ``MU`` for mu, which ``catalog`` builds; and for
+the families r3mu and r3pmu the rule mu meets, the statement of that rule a
+refusal prints, and the classes with their open mu intervals, from which
+``catalog_classes`` draws its samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import inf
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import CatalogError, DegreeError, JacobiError, _clipped
@@ -215,72 +225,62 @@ def change_basis(L: LieAlgebra, b_cols: Sequence[Sequence[Scalar]]) -> LieAlgebr
 
 # -- catalog of standard three-dimensional brackets ---------------------------
 
-_STANDARD: dict[str, dict[str, list[tuple[str, int]]]] = {
-    "su2": {"e1": [("e23", 1)], "e2": [("e31", 1)], "e3": [("e12", 1)]},
-    "sl2": {"e1": [("e23", 1)], "e2": [("e31", 1)], "e3": [("e21", 1)]},
-    "e2": {"e2": [("e31", 1)], "e3": [("e12", 1)]},
-    "e11": {"e2": [("e31", 1)], "e3": [("e21", 1)]},
-    "h3": {"e3": [("e12", 1)]},
-    "R3": {},
-    "r2R": {"e2": [("e21", 1)]},
-    "r3": {"e2": [("e21", 1), ("e31", 1)], "e3": [("e31", 1)]},
-    "r31": {"e2": [("e21", 1)], "e3": [("e31", 1)]},
+#: the placeholder for mu among the coefficients of ``ClassRow.d``
+MU = "mu"
+
+
+class ClassRow(NamedTuple):
+    """Everything the catalog knows about one tag; the module docstring says which reader takes which column."""
+
+    display: str
+    bianchi: str
+    signs: tuple[int, int] | None  # Milnor's sign pattern (n_pos, n_neg) of L; None: not unimodular
+    d: tuple[list[tuple[str, int | str]], ...]  # the terms of d e1, d e2, d e3
+    rule: Callable[[Fraction], bool] | None  # the mu a family takes; None for a tag without parameter
+    statement: str | None  # the rule as its refusal states it
+    classes: tuple[tuple[str, int, int | float], ...]  # (class key, open interval of mu) for a family
+
+
+#: one row per catalog tag, in the listing's order; mu = 1 of r3mu coincides with r3,1
+CATALOG_ROWS: dict[str, ClassRow] = {
+    "su2": ClassRow("su(2)", "IX", (3, 0), ([("e23", 1)], [("e31", 1)], [("e12", 1)]), None, None, ()),
+    "sl2": ClassRow("sl(2,R)", "VIII", (2, 1), ([("e23", 1)], [("e31", 1)], [("e21", 1)]), None, None, ()),
+    "e2": ClassRow("e(2)", "VII_0", (2, 0), ([], [("e31", 1)], [("e12", 1)]), None, None, ()),
+    "e11": ClassRow("e(1,1)", "VI_0", (1, 1), ([], [("e31", 1)], [("e21", 1)]), None, None, ()),
+    "h3": ClassRow("h3", "II", (1, 0), ([], [], [("e12", 1)]), None, None, ()),
+    "R3": ClassRow("R^3", "I", (0, 0), ([], [], []), None, None, ()),
+    "r2R": ClassRow("r2+R", "III", None, ([], [("e21", 1)], []), None, None, ()),
+    "r3": ClassRow("r3", "IV", None, ([], [("e21", 1), ("e31", 1)], [("e31", 1)]), None, None, ()),
+    "r31": ClassRow("r3,1", "V", None, ([], [("e21", 1)], [("e31", 1)]), None, None, ()),
+    "r3mu": ClassRow("r3,mu", "VI", None, ([], [("e21", 1)], [("e31", MU)]), lambda m: -1 < m < 0 or 0 < m <= 1,
+                     "-1 < mu < 0 or 0 < mu <= 1", (("r3mu-", -1, 0), ("r3mu+", 0, 1))),
+    "r3pmu": ClassRow("r3',mu", "VII", None, ([], [("e21", MU), ("e13", 1)], [("e21", 1), ("e31", MU)]),
+                      lambda m: m > 0, "mu > 0", (("r3pmu", 0, inf),)),
 }
 
-#: display name, Bianchi type and unimodularity per catalog tag
-CATALOG_INFO: dict[str, tuple[str, str, bool]] = {
-    "su2": ("su(2)", "IX", True),
-    "sl2": ("sl(2,R)", "VIII", True),
-    "e2": ("e(2)", "VII_0", True),
-    "e11": ("e(1,1)", "VI_0", True),
-    "h3": ("h3", "II", True),
-    "R3": ("R^3", "I", True),
-    "r2R": ("r2+R", "III", False),
-    "r3": ("r3", "IV", False),
-    "r31": ("r3,1", "V", False),
-    "r3mu": ("r3,mu", "VI", False),
-    "r3pmu": ("r3',mu", "VII", False),
-}
 
 def catalog(name: str, mu: Fraction | int | str | None = None) -> LieAlgebra:
-    """Standard bracket of the named class, exactly as tabulated.
+    """Standard bracket of the named class, exactly as ``CATALOG_ROWS`` tabulates it.
 
-    Parameterized families require a rational mu inside the legal range:
-    r3mu needs -1 < mu < 0 or 0 < mu <= 1 (mu = 1 coincides with r3,1) and
-    r3pmu needs mu > 0.
+    A tag with a mu rule requires a rational mu that meets it, and the others take no parameter.
     """
-    if name in _STANDARD:
-        if mu is not None:
-            raise CatalogError(f"{name} takes no parameter")
-        table = _STANDARD[name]
-        diffs = [form(2, table.get(f"e{k}", [])) for k in (1, 2, 3)]
-        return LieAlgebra(3, diffs, name=name)
-    if name == "r3mu":
-        m = _check_mu(name, mu)
-        if not (Fraction(-1) < m < 0 or 0 < m <= 1):
-            raise CatalogError("r3mu requires -1 < mu < 0 or 0 < mu <= 1")
-        diffs = [form(2), form(2, [("e21", 1)]), form(2, [("e31", m)])]
-        return LieAlgebra(3, diffs, name=name, params={"mu": m})
-    if name == "r3pmu":
-        m = _check_mu(name, mu)
-        if not m > 0:
-            raise CatalogError("r3pmu requires mu > 0")
-        diffs = [
-            form(2),
-            form(2, [("e21", m), ("e13", 1)]),
-            form(2, [("e21", 1), ("e31", m)]),
-        ]
-        return LieAlgebra(3, diffs, name=name, params={"mu": m})
-    raise CatalogError(f"unknown catalog name {_clipped(name)!r}")
-
-
-def _check_mu(name: str, mu) -> Fraction:
-    if mu is None:
-        raise CatalogError(f"{name} requires a rational parameter mu")
-    try:
-        return Fraction(mu)
-    except (ValueError, ZeroDivisionError):
-        raise CatalogError(f"{name} requires a rational parameter mu, got {_clipped(mu)!r}") from None
+    row = CATALOG_ROWS.get(name)
+    if row is None:
+        raise CatalogError(f"unknown catalog name {_clipped(name)!r}")
+    m = None
+    if row.rule is None and mu is not None:
+        raise CatalogError(f"{name} takes no parameter")
+    if row.rule is not None:
+        if mu is None:
+            raise CatalogError(f"{name} requires a rational parameter mu")
+        try:
+            m = Fraction(mu)
+        except (ValueError, ZeroDivisionError):
+            raise CatalogError(f"{name} requires a rational parameter mu, got {_clipped(mu)!r}") from None
+        if not row.rule(m):
+            raise CatalogError(f"{name} requires {row.statement}")
+    diffs = [form(2, [(mono, m if c == MU else c) for mono, c in terms]) for terms in row.d]
+    return LieAlgebra(3, diffs, name=name, params=None if m is None else {"mu": m})
 
 
 #: default rational sample set for parameterized families
@@ -303,25 +303,14 @@ class ClassSpec:
     mu_samples: tuple[Fraction, ...]
 
     def instances(self) -> list[LieAlgebra]:
-        if not self.mu_samples:
-            return [catalog(self.family)]
-        return [catalog(self.family, m) for m in self.mu_samples]
+        return [catalog(self.family, m) for m in self.mu_samples or (None,)]
 
 
 def catalog_classes() -> list[ClassSpec]:
-    """The twelve classes underlying the 78 direct-sum classes."""
-    legal = lambda lo, hi: tuple(m for m in MU_SAMPLES if lo < m < hi)
-    return [
-        ClassSpec("su2", "su2", ()),
-        ClassSpec("sl2", "sl2", ()),
-        ClassSpec("e2", "e2", ()),
-        ClassSpec("e11", "e11", ()),
-        ClassSpec("h3", "h3", ()),
-        ClassSpec("R3", "R3", ()),
-        ClassSpec("r2R", "r2R", ()),
-        ClassSpec("r3", "r3", ()),
-        ClassSpec("r31", "r31", ()),
-        ClassSpec("r3mu-", "r3mu", legal(Fraction(-1), Fraction(0))),
-        ClassSpec("r3mu+", "r3mu", legal(Fraction(0), Fraction(1))),
-        ClassSpec("r3pmu", "r3pmu", tuple(m for m in MU_SAMPLES if m > 0)),
-    ]
+    """The twelve classes underlying the 78 direct-sum classes: a tag, or a family's ``MU_SAMPLES`` in one class."""
+    specs = []
+    for tag, row in CATALOG_ROWS.items():
+        if not row.classes:
+            specs.append(ClassSpec(tag, tag, ()))
+        specs += [ClassSpec(key, tag, tuple(m for m in MU_SAMPLES if lo < m < hi)) for key, lo, hi in row.classes]
+    return specs

@@ -322,7 +322,7 @@ def find_halfflat(
         )
         if res.fun > 1e-14:
             continue
-        gate = _gate(kern, pen, res.x, target, tol)
+        gate = _gate(kern, pen, res.x, tol)
         if gate is not None:
             w, r, residuals = gate
             return SearchResult(
@@ -337,8 +337,8 @@ def find_halfflat(
     return SearchResult(found=False, target=target, seed=seed, restarts_used=restarts)
 
 
-def _gate(kern, pen, x, target, tol):
-    """Float acceptance gate by the rule of ``pen`` (``target`` is ``pen.target``): residuals, lambda sign, metric."""
+def _gate(kern, pen, x, tol):
+    """Float acceptance gate by the rule of ``pen``: residuals, lambda sign, metric."""
     w, z = pen.split(x)
     rho_raw = kern.z3 @ z
     n = np.linalg.norm(rho_raw)

@@ -113,6 +113,19 @@ CASES = [
     _column("basis-before-dim", "basis e1 e2 e3\n", 1, 1, "dim line must precede basis"),
     _column("form-name", _BASIS3 + "form phi = 1 e1^e2", 3, 6, "expected 'form omega|rho = <terms>'"),
     _column("param-equals", _BASIS3 + "param mu 1/2", 3, 10, "expected 'param <name> = <rational>'"),
+    # an echoed token or name is cut to its first 20 characters
+    _column("directive-long", _BASIS3 + f"{'x' * 30}\n", 3, 1, f"unknown directive '{'x' * 20}...'"),
+    _column("target-long", _BASIS3 + f"d {'e' * 30} = 1 e1^e2\n", 3, 3, f"unknown basis name '{'e' * 20}...'"),
+    _column("monomial-long", _BASIS3 + f"d e2 = 1 e1^{'e' * 30}\n", 3, 10, f"unknown basis name '{'e' * 20}...'"),
+    _column("caret-name-long", f"dim 3\nbasis {'a^' * 15} c d\n", 2, 7, f"basis name '{'a^' * 10}...' contains '^'"),
+    _column("coeff-long", _BASIS3 + f"d e2 = {'x' * 30} e1^e3\n", 3, 8, f"expected a coefficient, got '{'x' * 20}...'"),
+    _column("no-sign-between-long", _BASIS3 + f"d e1 = 1 e1^e2 {'1' * 30} e1^e3\n", 3, 16,
+            f"expected '+' or '-' between terms, got '{'1' * 20}...'"),
+    _column("param-long", _BASIS3 + f"param mu = {'x' * 30}\n", 3, 12, f"bad rational '{'x' * 20}...'"),
+    _column("repeated-d-long", f"dim 3\nbasis {'a' * 30} e2 e3\n" + f"d {'a' * 30} = 1 e2^e3\n" * 2, 4, 1,
+            f"repeated d {'a' * 20}... line"),
+    _column("repeated-param-long", _BASIS3 + f"param {'m' * 30} = 1/2\nparam {'m' * 30} = 1/3\n", 4, 1,
+            f"repeated param {'m' * 20}... line"),
 
     Case("rational/mu-abc", "catalog r3mu --mu abc", None, 2,
          r"error: r3mu requires a rational parameter mu, got 'abc'\n"),
@@ -171,6 +184,8 @@ CASES = [
          r"error: --restarts must be at least 1, got -1\n"),
     Case("restarts/0", "search {file} --restarts 0", _SU2_SU2, 2,
          r"error: --restarts must be at least 1, got 0\n"),
+    Case("restarts/long", f"search {{file}} --restarts -{'1' * 30}", _SU2_SU2, 2,
+         rf"error: --restarts must be at least 1, got -{'1' * 19}\.\.\.\n"),
     # -1 rejects every point, nan and inf would switch the residual gate off
     *(Case(f"tol/{tol}", f"search {{file}} --tol {tol}", _SU2_SU2, 2,
            rf"error: --tol must be a finite nonnegative number, got {shown}\n")
@@ -185,6 +200,12 @@ CASES = [
     Case("exit/catalog-negative-mu", "catalog r3mu --mu -1/2", None, 0, "", quiet=False),
     Case("exit/catalog-sum", "catalog h3 --sum r2R", None, 0, "", quiet=False),
     Case("exit/catalog-long-name", f"catalog {'x' * 30}", None, 2, rf"error: unknown catalog name '{'x' * 20}\.\.\.'\n"),
+    Case("exit/catalog-su2-mu", "catalog su2 --mu 1/2", None, 2, r"error: su2 takes no parameter\n"),
+    *(Case(f"exit/catalog-r3mu-mu-{mu}", f"catalog r3mu --mu {mu}", None, 2,
+           r"error: r3mu requires -1 < mu < 0 or 0 < mu <= 1\n") for mu in ("0", "2")),
+    Case("exit/catalog-r3pmu-negative-mu", "catalog r3pmu --mu -1/2", None, 2, r"error: r3pmu requires mu > 0\n"),
+    *(Case(f"exit/catalog-{tag}-no-mu", f"catalog {tag}", None, 2, rf"error: {tag} requires a rational parameter mu\n")
+      for tag in ("r3mu", "r3pmu")),
     Case("exit/mu2-without-sum", "catalog su2 --mu2 1/2", None, 2, r"error: --mu2 needs --sum\n"),
     Case("exit/mu2-without-sum-with-mu", "catalog r3mu --mu 1/2 --mu2 1/3", None, 2, r"error: --mu2 needs --sum\n"),
     Case("exit/obstruct-refined", "obstruct {file}", _H3_R2R, 1, "", quiet=False),
@@ -199,6 +220,10 @@ CASES = [
          r"error: cannot read /nonexistent/file\.alg: .*\n"),
     # numpy refuses a negative seed with a traceback, which would exit 1 ("nothing found")
     Case("exit/search-seed", "search {file} --seed -1", _T41, 2, r"error: --seed must be at least 0, got -1\n"),
+    Case("exit/search-seed-long", f"search {{file}} --seed -{'1' * 30}", _T41, 2,
+         rf"error: --seed must be at least 0, got -{'1' * 19}\.\.\.\n"),
+    Case("exit/search-max-den-long", f"search {{file}} --max-den -{'1' * 30}", _T41, 2,
+         rf"error: --max-den must be at least 0, got -{'1' * 19}\.\.\.\n"),
 ]
 
 #: the interpreter's integer-digit limit, which a literal one digit longer exceeds; with none (0), no row needs it

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from halfflat import liealg, linalg
+from halfflat import cli, liealg, linalg
+from halfflat.classify3d import classify
 from halfflat.errors import CatalogError, JacobiError
 from halfflat.exterior import DIM, KForm, basis_masks, covector, evaluate, form, wedge
-from halfflat.liealg import LieAlgebra, catalog, catalog_classes, direct_sum
+from halfflat.liealg import MU_SAMPLES, LieAlgebra, catalog, catalog_classes, change_basis, direct_sum
 from halfflat.scalars import QuadExt, cleared, unscaled
 
 from .conftest import basis, random_fraction, random_form
@@ -53,6 +58,46 @@ def test_catalog_rejects_bad_parameters():
     for bad in ("abc", "1/0", "1/2/3"):
         with pytest.raises(CatalogError):
             catalog("r3mu", bad)
+
+
+#: sha256 of json.dumps(_catalog_records()), computed before the classes were read from one table
+CATALOG_GOLDEN = "c23063d395b1f7d29a6f2aa889ee892432ae034d35af5c9049a0e2351857b6b3"
+
+
+def _catalog_records(rng):
+    """What the catalog shows: every tag's algebra or refusal over a grid of mu, the listing, the classes, and
+    ``classify`` on every class instance and on three seeded rational basis changes of each."""
+    tags = ["su2", "sl2", "e2", "e11", "h3", "R3", "r2R", "r3", "r31", "r3mu", "r3pmu", "x" * 30]
+    grid = []
+    for tag in tags:
+        for mu in [None, *MU_SAMPLES, -1, 0, 5, Fraction(-1, 3), "abc", "1/0"]:
+            try:
+                L = catalog(tag, mu)
+            except Exception as exc:
+                grid.append([type(exc).__name__, str(exc)])
+            else:
+                grid.append([cli.emit(L), repr(sorted(L.params.items())), L.name])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["catalog"]) == cli.EXIT_POSITIVE
+    classes = [[spec.key, spec.family, [str(m) for m in spec.mu_samples]] for spec in catalog_classes()]
+
+    def gl3():
+        while True:
+            m = [[random_fraction(rng, 3, 3) for _ in range(3)] for _ in range(3)]
+            if linalg.det(m) != 0:
+                return m
+
+    verdicts = []
+    for L in all_class_instances():
+        for M in [L] + [change_basis(L, gl3()) for _ in range(3)]:
+            c = classify(M)
+            verdicts.append(repr((c.name, c.display, c.bianchi, c.eigen_signs, c.det_d, c.mu)))
+    return [grid, out.getvalue(), classes, verdicts]
+
+
+def test_catalog_golden(rng):
+    assert hashlib.sha256(json.dumps(_catalog_records(rng)).encode()).hexdigest() == CATALOG_GOLDEN
 
 
 def test_abelian_d_vanishes(rng):

@@ -341,17 +341,17 @@ def test_gate_rejects_rows_under_other_targets():
         r = np.array([float(inst.rho.coeff(m)) for m in basis_masks(3)])
         x = np.concatenate([w, np.linalg.lstsq(kern.z3, r, rcond=None)[0]])
         for target in search.TARGET_KINDS:
-            gate = search._gate(kern, search._Penalty(kern, target), x, target, 1e-8)
+            gate = search._gate(kern, search._Penalty(kern, target), x, 1e-8)
             assert (gate is not None) == (target == own), (inst.label, target)
             if gate is not None:
                 seen[own] = gate[2]
         pen = search._Penalty(kern, own)
         zeroed = x.copy()
         zeroed[15:] = 0.0
-        assert search._gate(kern, pen, zeroed, own, 1e-8) is None, inst.label
+        assert search._gate(kern, pen, zeroed, 1e-8) is None, inst.label
         moved = x.copy()
         moved[0] += 1e-3
-        assert search._gate(kern, pen, moved, own, 1e-8) is None, inst.label
+        assert search._gate(kern, pen, moved, 1e-8) is None, inst.label
     assert seen["su3"]["lambda_float"] < 0 and seen["su3"]["min_eig_normalized"] > search.GATE_MARGIN
     assert seen["su12"]["lambda_float"] < 0 and seen["su12"]["signature"] in ("(2,4)", "(4,2)")
     assert seen["sl3r"]["lambda_float"] > 0 and seen["sl3r"]["signature"] == "(3,3)"
