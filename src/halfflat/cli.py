@@ -28,7 +28,7 @@ from .errors import HalfFlatError, JacobiError, ParseError, _clipped
 from .exterior import DIM, KForm, sorted_monomial
 from .liealg import CATALOG_ROWS, LieAlgebra, catalog, direct_sum
 from .stable import TARGET_KINDS
-from .verify import verify
+from .verify import report_text, verify
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -212,8 +212,7 @@ def _cmd_classify3d(args) -> int:
     c = classify(L)
     signs = None if c.eigen_signs is None else "".join("+0-"[1 - s] for s in c.eigen_signs)
     rows = [("class", c.display), ("bianchi", c.bianchi), ("eigen_signs", signs), ("D", c.det_d), ("mu", c.mu)]
-    print(_printed("a value of the classify3d report",
-                   lambda: "\n".join(f"{k}: {v}" for k, v in rows if v is not None)))
+    print(_printed("a value of the classify3d report", lambda: report_text(rows)))
     return EXIT_POSITIVE
 
 
@@ -327,10 +326,21 @@ def _load(args, dim: int):
     return L, omega, rho
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, whose refusals cut each token past 20 characters as ``_clipped`` does, a quoted one inside its quotes.
+
+    Subparsers are built of the same class.
+    """
+
+    def error(self, message):
+        cut = lambda m: _clipped(m[0]) if m[1] is None else f"'{_clipped(m[1])}'"
+        super().error(re.sub(r"'([^']*)'|\S+", cut, message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every ``main`` call."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="halfflat",
         description="Exact verification, classification, obstruction and search "
         "of half-flat structures on six-dimensional Lie algebras.",

@@ -21,6 +21,11 @@ oriented_G_raw = sqrt(|lambda| * s^2) * G0, using entrywise signs and
 squares, so no fourth or square roots are ever materialized.  Entries of
 table 5 row 7 live in Q(sqrt(2 mu + 1)) and are carried exactly as
 quadratic-extension scalars.
+
+The mu-row families of table 5 admit mu by the rule of their catalog tag,
+``liealg.CATALOG_ROWS[tag].rule``; the sign of mu splits the rule of r3mu
+between its two families.  The rows pairing su2, sl2 or e2 with e(2) or
+e(1,1) come in two shapes, one table ``_T3_E_SHAPES`` of rho and metric terms.
 """
 
 from __future__ import annotations
@@ -190,76 +195,31 @@ def row_t3_su2_sl2() -> Instance:
     )
 
 
-def _rho_t3_e_row_a() -> KForm:
-    # shared by su2+e2 and sl2+e11
-    return form(
-        3,
-        [
-            ("e23f1", -1),
-            ("e31f2", -1),
-            ("e12f3", -1),
-            ("e2f31", 1),
-            ("e3f12", 1),
-            ("f123", 1),
-        ],
-    )
-
-
-def _rho_t3_e_row_b() -> KForm:
-    # shared by sl2+e2, su2+e11 and e2+e11
-    return form(
-        3,
-        [
-            ("e23f1", -2),
-            ("e31f2", -1),
-            ("e12f3", -1),
-            ("e2f31", 1),
-            ("e3f12", -1),
-            ("f123", 1),
-        ],
-    )
-
-
-def _g_t3_e_row_a():
-    return metric_matrix(
-        [
-            ("e1", "e1", F(1)),
-            ("e2", "e2", F(1)),
-            ("e3", "e3", F(1)),
-            ("f1", "f1", F(2)),
-            ("f2", "f2", F(1)),
-            ("f3", "f3", F(1)),
-            ("e1", "f1", F(-2)),
-        ]
-    )
-
-
-def _g_t3_e_row_b():
-    return metric_matrix(
-        [
-            ("e1", "e1", F(1)),
-            ("e2", "e2", F(2)),
-            ("e3", "e3", F(2)),
-            ("f1", "f1", F(1)),
-            ("f2", "f2", F(1)),
-            ("f3", "f3", F(1)),
-            ("e2", "f2", F(2)),
-            ("e3", "f3", F(-2)),
-        ]
-    )
+#: the two shapes of the rows pairing su2, sl2 or e2 with e(2) or e(1,1): (rho terms, printed metric terms);
+#: su2+e2 and sl2+e11 take the first, sl2+e2, su2+e11 and e2+e11 the second
+_T3_E_SHAPES = (
+    (
+        [("e23f1", -1), ("e31f2", -1), ("e12f3", -1), ("e2f31", 1), ("e3f12", 1), ("f123", 1)],
+        [("e1", "e1", F(1)), ("e2", "e2", F(1)), ("e3", "e3", F(1)), ("f1", "f1", F(2)), ("f2", "f2", F(1)),
+         ("f3", "f3", F(1)), ("e1", "f1", F(-2))],
+    ),
+    (
+        [("e23f1", -2), ("e31f2", -1), ("e12f3", -1), ("e2f31", 1), ("e3f12", -1), ("f123", 1)],
+        [("e1", "e1", F(1)), ("e2", "e2", F(2)), ("e3", "e3", F(2)), ("f1", "f1", F(1)), ("f2", "f2", F(1)),
+         ("f3", "f3", F(1)), ("e2", "f2", F(2)), ("e3", "f3", F(-2))],
+    ),
+)
 
 
 def row_t3_simple_euclid(pair: tuple[str, str]) -> Instance:
-    """Rows pairing a unimodular factor with e(2) or e(1,1)."""
-    shape_a = {("su2", "e2"), ("sl2", "e11")}
-    rho = _rho_t3_e_row_a() if pair in shape_a else _rho_t3_e_row_b()
-    g0 = _g_t3_e_row_a() if pair in shape_a else _g_t3_e_row_b()
+    """Rows pairing a unimodular factor with e(2) or e(1,1), in the shape ``_T3_E_SHAPES`` gives the pair."""
+    rho, g = _T3_E_SHAPES[pair not in (("su2", "e2"), ("sl2", "e11"))]
     return Instance(
         label=f"T3[{pair[0]}+{pair[1]}]",
         factors=((pair[0], None), (pair[1], None)),
         omega=OMEGA_TYPE_I,
-        rho=rho,
-        g0=g0,
+        rho=form(3, rho),
+        g0=metric_matrix(g),
     )
 
 
@@ -443,7 +403,7 @@ def row_t5_sl2_r3() -> Instance:
 
 
 def row_t5_su2_r3mu_pos(mu: Fraction) -> Instance:
-    """su2 + r3mu for 0 < mu <= 1."""
+    """su2 + r3mu for a positive mu of the r3mu rule."""
     m = Fraction(mu)
     omega = form(2, [("e12", 1 / (m + 1)), ("e3f1", 1), ("f32", -1)])
     rho = form(
@@ -472,7 +432,7 @@ def row_t5_su2_r3mu_pos(mu: Fraction) -> Instance:
 
 
 def row_t5_sl2_r3mu_neg(mu: Fraction) -> Instance:
-    """sl2 + r3mu for -1 < mu < 0."""
+    """sl2 + r3mu for a negative mu of the r3mu rule."""
     m = Fraction(mu)
     omega = form(2, [("e23", 1 / (m + 1)), ("e1f1", 1), ("f32", 1)])
     rho = form(
@@ -501,7 +461,7 @@ def row_t5_sl2_r3mu_neg(mu: Fraction) -> Instance:
 
 
 def row_t5_su2_r3mu_neg(mu: Fraction) -> Instance:
-    """su2 + r3mu for -1 < mu < 0; fully rational row."""
+    """su2 + r3mu for a negative mu of the r3mu rule; fully rational row."""
     m = Fraction(mu)
     c = m * (2 * m + 3) / (2 * (m + 1) ** 2)
     omega = form(
@@ -556,7 +516,7 @@ def row_t5_su2_r3mu_neg(mu: Fraction) -> Instance:
 
 
 def row_t5_sl2_r3mu_pos(mu: Fraction) -> Instance:
-    """sl2 + r3mu for 0 < mu <= 1; coefficients in Q(sqrt(2 mu + 1))."""
+    """sl2 + r3mu for a positive mu of the r3mu rule; coefficients in Q(sqrt(2 mu + 1))."""
     m = Fraction(mu)
     root = sqrt_scalar(2 * m + 1)  # quadratic-extension element for sampled mu
     k = 2 * root / ((m + 1) ** 2)
@@ -767,11 +727,18 @@ def example_sl3r() -> Instance:
 
 # -- enumeration -----------------------------------------------------------------
 
-#: the mu-row families of table 5: the mu each admits and its two row builders
+
+def _admits(tag: str, sign: int | None = None):
+    """The mu that ``CATALOG_ROWS[tag].rule`` admits, of the given sign if there is one."""
+    return lambda m: CATALOG_ROWS[tag].rule(m) and (sign is None or sign * m > 0)
+
+
+#: the mu-row families of table 5: the mu each admits, by the rule of its catalog tag, and its two row builders;
+#: the sign of mu splits the rule of r3mu between two families
 _MU_FAMILIES = (
-    (lambda m: 0 < m <= 1, (row_t5_su2_r3mu_pos, row_t5_sl2_r3mu_pos)),
-    (lambda m: -1 < m < 0, (row_t5_sl2_r3mu_neg, row_t5_su2_r3mu_neg)),
-    (lambda m: m > 0, (row_t5_su2_r3pmu, row_t5_sl2_r3pmu)),
+    (_admits("r3mu", 1), (row_t5_su2_r3mu_pos, row_t5_sl2_r3mu_pos)),
+    (_admits("r3mu", -1), (row_t5_sl2_r3mu_neg, row_t5_su2_r3mu_neg)),
+    (_admits("r3pmu"), (row_t5_su2_r3pmu, row_t5_sl2_r3pmu)),
 )
 
 

@@ -77,6 +77,7 @@ from .errors import HalfFlatError
 from .exterior import _SIGN, DIM, NU_MASK, KForm, basis_masks, wedge
 from .liealg import LieAlgebra, to_block
 from .scalars import Scalar, scalar_is_zero
+from .verify import report_text
 
 VERDICT_OBSTRUCTED = "NoHalfFlatSU3"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -104,13 +105,13 @@ class ObstructionReport:
         return VERDICT_OBSTRUCTED if (self.h03 and self.h04) else VERDICT_INCONCLUSIVE
 
     def to_text(self) -> str:
-        return "\n".join([
-            f"verdict: {self.verdict}",
-            "coherent: true",
-            f"h03: {str(self.h03).lower()}",
-            f"h04: {str(self.h04).lower()}",
-            f"rank_d_lambda3W: {self.rank_d_lambda3_w}",
-            f"rank_d_lambda4W: {self.rank_d_lambda4_w}",
+        return report_text([
+            ("verdict", self.verdict),
+            ("coherent", True),
+            ("h03", self.h03),
+            ("h04", self.h04),
+            ("rank_d_lambda3W", self.rank_d_lambda3_w),
+            ("rank_d_lambda4W", self.rank_d_lambda4_w),
         ])
 
 
@@ -262,7 +263,7 @@ def decide(L: LieAlgebra) -> tuple[str, str]:
     """
     pair = coherent_splittings(L)
     if pair is None:  # both resistant class pairs are solvable
-        return VERDICT_INCONCLUSIVE, f"verdict: {VERDICT_INCONCLUSIVE}\ncoherent_splittings: 0"
+        return VERDICT_INCONCLUSIVE, report_text([("verdict", VERDICT_INCONCLUSIVE), ("coherent_splittings", 0)])
     rep = check_obstruction(L, pair)
     if rep.verdict == VERDICT_OBSTRUCTED:
         return rep.verdict, rep.to_text()
@@ -273,8 +274,8 @@ def decide(L: LieAlgebra) -> tuple[str, str]:
     elif set(names) == {"r2R", "R3"} and refined_r2R_R3(L):
         detail = "K_rho(e_2) proportional to e_2, lambda >= 0"
     if detail:
-        return VERDICT_OBSTRUCTED, f"verdict: {VERDICT_OBSTRUCTED}\ndetail: {detail}"
-    return VERDICT_INCONCLUSIVE, f"verdict: {VERDICT_INCONCLUSIVE}\ncoherent_splittings: 1"
+        return VERDICT_OBSTRUCTED, report_text([("verdict", VERDICT_OBSTRUCTED), ("detail", detail)])
+    return VERDICT_INCONCLUSIVE, report_text([("verdict", VERDICT_INCONCLUSIVE), ("coherent_splittings", 1)])
 
 
 # -- randomized certificates -----------------------------------------------------
@@ -294,16 +295,14 @@ class ScanReport:
         return self.first_negative is None
 
     def to_text(self) -> str:
-        lines = [
-            f"algebra: {self.algebra}",
-            f"samples: {self.n_samples}",
-            f"seed: {self.seed}",
-            f"lambda_nonnegative: {str(self.all_nonnegative).lower()}",
-        ]
-        if self.first_negative is not None:
-            lines.append(f"first_negative_sample: {self.first_negative}")
-        lines.append("note: randomized falsification scan, not a proof")
-        return "\n".join(lines)
+        return report_text([
+            ("algebra", self.algebra),
+            ("samples", self.n_samples),
+            ("seed", self.seed),
+            ("lambda_nonnegative", self.all_nonnegative),
+            ("first_negative_sample", self.first_negative),
+            ("note", "randomized falsification scan, not a proof"),
+        ])
 
 
 def lambda_nonneg_scan(L: LieAlgebra, n_samples: int, seed: int) -> ScanReport:

@@ -31,7 +31,7 @@ from . import stable
 from .exterior import _SIGN, DIM, KForm, basis_masks
 from .liealg import LieAlgebra
 from .stable import TARGET_KINDS
-from .verify import verify
+from .verify import report_text, verify
 
 #: eigenvalue margin, relative to |S|_F, that the penalty pushes the metric past
 MARGIN_OPT = 1e-2
@@ -55,21 +55,14 @@ class SearchResult:
     rationalized: tuple[KForm, KForm] | None = None
 
     def to_text(self) -> str:
-        lines = [
-            f"found: {str(self.found).lower()}",
-            f"target: {self.target}",
-            f"seed: {self.seed}",
-            f"restarts_used: {self.restarts_used}",
-        ]
-        for k, v in self.residuals.items():
-            lines.append(f"{k}: {v:.3e}" if isinstance(v, float) else f"{k}: {v}")
-        if self.found and self.omega is not None:
-            lines.append("float omega: " + _fmt_vec(self.omega))
-            lines.append("float rho:   " + _fmt_vec(self.rho))
+        fields = [("found", self.found), ("target", self.target), ("seed", self.seed),
+                  ("restarts_used", self.restarts_used)]
+        fields += [(k, f"{v:.3e}" if isinstance(v, float) else v) for k, v in self.residuals.items()]
+        if self.found and self.omega is not None:  # two spaces line rho's vector up under omega's
+            fields += [("float omega", _fmt_vec(self.omega)), ("float rho", "  " + _fmt_vec(self.rho))]
         if self.rationalized is not None:
-            lines.append(f"exact_omega: {self.rationalized[0]!r}")
-            lines.append(f"exact_rho: {self.rationalized[1]!r}")
-        return "\n".join(lines)
+            fields += [("exact_omega", repr(self.rationalized[0])), ("exact_rho", repr(self.rationalized[1]))]
+        return report_text(fields)
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -205,21 +198,26 @@ class _Penalty:
         self.negatives = tuple(q for _, _, q in signs)
 
     def split(self, x: np.ndarray):
-        return x[:15], x[15:]
+        """(omega, z): the coordinates of omega on the two-form basis and of rho on the basis of Z^3."""
+        return x[: len(self.k.b2)], x[len(self.k.b2) :]
+
+    def decode(self, x: np.ndarray):
+        """(omega, z, rho, n) at x: rho = Z^3 z / n with n = |Z^3 z|, or None for a degenerate n < 1e-9."""
+        w, z = self.split(x)
+        rho_raw = self.k.z3 @ z
+        n = np.linalg.norm(rho_raw)
+        return w, z, None if n < 1e-9 else rho_raw / n, n
 
     def value_grad(self, x: np.ndarray):
         kern = self.k
-        w, z = self.split(x)
-        rho_raw = kern.z3 @ z
-        n = np.linalg.norm(rho_raw)
-        if n < 1e-9:
+        w, z, r, n = self.decode(x)
+        if r is None:
             # degenerate rho: walk outward
-            return 1e6 - float(z @ z), np.concatenate([np.zeros(15), -2 * z])
-        r = rho_raw / n
+            return 1e6 - float(z @ z), np.concatenate([np.zeros(len(w)), -2 * z])
         # projector for the normalization gauge, mapped back to z-space
         dr_dz = (kern.id3 - np.outer(r, r)) @ kern.z3 / n
 
-        grad_w = np.zeros(15)
+        grad_w = np.zeros(len(w))
         grad_z = np.zeros(self.nz)
 
         # omega scale gauge: keeps the two-form away from the trivial zero
@@ -306,10 +304,8 @@ def find_halfflat(
     if target not in TARGET_KINDS:
         raise ValueError(f"target must be one of {sorted(TARGET_KINDS)}")
     kern = FloatKernels(L)
-    if kern.z3.shape[1] == 0:
-        return SearchResult(found=False, target=target, seed=seed)
     pen = _Penalty(kern, target)
-    nvar = 15 + kern.z3.shape[1]
+    nvar = len(kern.b2) + kern.z3.shape[1]
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         x0 = rng.standard_normal(nvar)
@@ -322,7 +318,7 @@ def find_halfflat(
         )
         if res.fun > 1e-14:
             continue
-        gate = _gate(kern, pen, res.x, tol)
+        gate = _gate(pen, res.x, tol)
         if gate is not None:
             w, r, residuals = gate
             return SearchResult(
@@ -337,14 +333,12 @@ def find_halfflat(
     return SearchResult(found=False, target=target, seed=seed, restarts_used=restarts)
 
 
-def _gate(kern, pen, x, tol):
-    """Float acceptance gate by the rule of ``pen``: residuals, lambda sign, metric."""
-    w, z = pen.split(x)
-    rho_raw = kern.z3 @ z
-    n = np.linalg.norm(rho_raw)
-    if n < 1e-9:
+def _gate(pen, x, tol):
+    """Float acceptance gate by the rule of ``pen`` on its kernels: residuals, lambda sign, metric."""
+    kern = pen.k
+    w, _, r, _ = pen.decode(x)
+    if r is None:
         return None
-    r = rho_raw / n
     residuals = kern.residuals(w, r)
     if max(residuals["resid_drho"], residuals["resid_domega2"], residuals["resid_omega_rho"]) > tol:
         return None

@@ -13,12 +13,17 @@ three-forms psi0, phi0.  Type I is its a = 0 frame, Hitchin's model pair of
 ``stable``, and builds the corpus rows T3.1 and T3.2.  The type II cases read
 the frame at their a with rho = psi0 - xi2 phi0 (IIb: xi2 = 0) on summands
 with d e1, d e2 in span(e13, e23) and d e3 in span(e12) (``_type_II``).
+
+``report_text`` writes every ``name: value`` report of the package (verify,
+obstruct, scan, search, classify3d) from its list of fields: a bool as
+true/false, and a field whose value is None left out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import linalg, stable
 from .errors import DomainError, JacobiError, NotStableError
@@ -65,25 +70,24 @@ class HalfFlatReport:
         return self.d_rho_zero and self.d_omega2_zero and self.compatible and self.structure.is_stabilizer
 
     def to_text(self) -> str:
-        lines = [
-            f"half_flat: {_yn(self.half_flat)}",
-            f"d_rho_zero: {_yn(self.d_rho_zero)}",
-            f"d_omega2_zero: {_yn(self.d_omega2_zero)}",
-            f"compatible: {_yn(self.compatible)}",
-            f"type: {self.structure.kind}",
-        ]
-        if self.structure.signature is not None:
-            p, q, z = self.structure.signature
-            lines.append(f"signature: ({p},{q},{z})")
-        lines.append(f"lambda: {self.lam}")
-        if self.norm_c4 is not None:
-            lines.append(f"norm_c4: {self.norm_c4}")
-            lines.append(f"norm_sign: {'+' if self.norm_sign >= 0 else '-'}")
-        return "\n".join(lines)
+        sig = self.structure.signature
+        return report_text([
+            ("half_flat", self.half_flat),
+            ("d_rho_zero", self.d_rho_zero),
+            ("d_omega2_zero", self.d_omega2_zero),
+            ("compatible", self.compatible),
+            ("type", self.structure.kind),
+            ("signature", None if sig is None else "({},{},{})".format(*sig)),
+            ("lambda", self.lam),
+            ("norm_c4", self.norm_c4),
+            ("norm_sign", None if self.norm_c4 is None else "+" if self.norm_sign >= 0 else "-"),
+        ])
 
 
-def _yn(b: bool) -> str:
-    return "true" if b else "false"
+def report_text(fields: Iterable[tuple[str, object]]) -> str:
+    """The ``name: value`` lines of a report, one per field in order: a bool as true/false, a None value left out."""
+    return "\n".join(f"{name}: {('true' if v else 'false') if isinstance(v, bool) else v}" for name, v in fields
+                     if v is not None)
 
 
 def verify(L: LieAlgebra, omega: KForm, rho: KForm) -> HalfFlatReport:

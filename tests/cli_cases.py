@@ -224,6 +224,24 @@ CASES = [
          rf"error: --seed must be at least 0, got -{'1' * 19}\.\.\.\n"),
     Case("exit/search-max-den-long", f"search {{file}} --max-den -{'1' * 30}", _T41, 2,
          rf"error: --max-den must be at least 0, got -{'1' * 19}\.\.\.\n"),
+    # argparse's own refusals cut an echoed value too, after the usage line; the choice lists vary across versions
+    Case("exit/search-restarts-not-int", f"search {{file}} --restarts {'x' * 30}", None, 2,
+         rf"(?s)usage: halfflat search .*\nhalfflat search: error: argument --restarts: invalid int value: "
+         rf"'{'x' * 20}\.\.\.'\n"),
+    Case("exit/search-tol-not-float", f"search {{file}} --tol {'x' * 30}", None, 2,
+         rf"(?s)usage: halfflat search .*\nhalfflat search: error: argument --tol: invalid float value: "
+         rf"'{'x' * 20}\.\.\.'\n"),
+    Case("exit/search-target-long", f"search {{file}} --target {'x' * 30}", None, 2,
+         rf"(?s)usage: halfflat search .*\nhalfflat search: error: argument --target: invalid choice: "
+         rf"'{'x' * 20}\.\.\.' \(choose from [^\n]*\)\n"),
+    Case("exit/appendix-table-long", f"appendix --table {'9' * 30}", None, 2,
+         rf"(?s)usage: halfflat appendix .*\nhalfflat appendix: error: argument --table: invalid choice: "
+         rf"{'9' * 20}\.\.\. \(choose from [^\n]*\)\n"),
+    Case("exit/command-long", f"{'x' * 30} {{file}}", None, 2,
+         rf"(?s)usage: halfflat .*\nhalfflat: error: argument command: invalid choice: "
+         rf"'{'x' * 20}\.\.\.' \(choose from [^\n]*\)\n"),
+    Case("exit/catalog-extra-argument-long", f"catalog su2 {'q' * 30}", None, 2,
+         rf"(?s)usage: halfflat .*\nhalfflat: error: unrecognized arguments: {'q' * 20}\.\.\.\n"),
 ]
 
 #: the interpreter's integer-digit limit, which a literal one digit longer exceeds; with none (0), no row needs it

@@ -243,6 +243,28 @@ def test_cli_obstruct_golden_over_catalog_sums(tmp_path):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == OBSTRUCT_GOLDEN
 
 
+#: sha256 of json.dumps of ``halfflat classify3d`` stdout on each of the 20 class instances and on two seeded
+#: GL(3,Q) changes of each (entries in {-3..3}/{1,2}, singular draws skipped)
+CLASSIFY3D_GOLDEN = "1e4f32c75943a73174c2166f2ece04639d2853b5ec5ae79c9e1fbf7eb866367a"
+
+
+def test_cli_classify3d_golden_over_class_instances(tmp_path):
+    rng = random.Random(3486)
+    p = tmp_path / "c.alg"
+    outs = []
+    for L in (L for spec in catalog_classes() for L in spec.instances()):
+        algebras = [L]
+        while len(algebras) < 3:
+            b = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3)] for _ in range(3)]
+            if linalg.invert(b) is not None:
+                algebras.append(change_basis(L, b))
+        for M in algebras:
+            p.write_text(cli.emit(M))
+            outs.append(run_cli(["classify3d", str(p)], expect=cli.EXIT_POSITIVE)[1])
+    assert len(outs) == 60
+    assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == CLASSIFY3D_GOLDEN
+
+
 #: a fixed basis change for each factor, as columns of new basis vectors in old coordinates
 _B1 = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(2)], [Fraction(1), Fraction(0), Fraction(1)]]
 _B2 = [[Fraction(2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]

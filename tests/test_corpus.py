@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from halfflat import corpus, stable
+from halfflat.errors import CatalogError
 from halfflat.exterior import form
 from halfflat.scalars import QuadExt, scalar_abs, scalar_is_zero, scalar_sign
 
@@ -70,6 +71,33 @@ def test_mu_filter_and_table_filter():
     labels = [i.label for i in only]
     assert any("r3mu(1/2)" in l for l in labels)
     assert not any("r3mu(1/4)" in l for l in labels)
+
+
+#: the mu values whose table-5 rows (or refusal) the golden pins: both ends of each family's interval and beyond
+_MU_PROBES = tuple(map(Fraction, ("-2", "-1", "-7/8", "-1/2", "0", "1/3", "1/2", "1", "3/2", "5")))
+
+
+def _mu_rows() -> list:
+    """For each probe mu the labels of ``iter_instances(table=5, mu=mu)``, or its CatalogError message."""
+    rows = []
+    for mu in _MU_PROBES:
+        try:
+            rows.append([inst.label for inst in corpus.iter_instances(table=5, mu=mu)])
+        except CatalogError as exc:
+            rows.append(str(exc))
+    return rows
+
+
+#: sha256 of json.dumps(_mu_rows())
+MU_ROWS_GOLDEN = "6ba808a17c7a81bccaa114e950dc744ad6d0f8f84d64ac489b03bae260e3d6ce"
+
+
+def test_mu_rows_golden():
+    rows = _mu_rows()
+    assert rows[0] == "no mu-row family admits mu = -2" and len(rows[-1]) == 6
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MU_ROWS_GOLDEN
+    with pytest.raises(CatalogError, match=r"^table 3 has no mu rows; mu goes with table 5$"):
+        corpus.iter_instances(table=3, mu=Fraction(1, 2))
 
 
 def _corpus_rows() -> list[list]:

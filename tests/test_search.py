@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -341,17 +342,17 @@ def test_gate_rejects_rows_under_other_targets():
         r = np.array([float(inst.rho.coeff(m)) for m in basis_masks(3)])
         x = np.concatenate([w, np.linalg.lstsq(kern.z3, r, rcond=None)[0]])
         for target in search.TARGET_KINDS:
-            gate = search._gate(kern, search._Penalty(kern, target), x, 1e-8)
+            gate = search._gate(search._Penalty(kern, target), x, 1e-8)
             assert (gate is not None) == (target == own), (inst.label, target)
             if gate is not None:
                 seen[own] = gate[2]
         pen = search._Penalty(kern, own)
         zeroed = x.copy()
         zeroed[15:] = 0.0
-        assert search._gate(kern, pen, zeroed, 1e-8) is None, inst.label
+        assert search._gate(pen, zeroed, 1e-8) is None, inst.label
         moved = x.copy()
         moved[0] += 1e-3
-        assert search._gate(kern, pen, moved, 1e-8) is None, inst.label
+        assert search._gate(pen, moved, 1e-8) is None, inst.label
     assert seen["su3"]["lambda_float"] < 0 and seen["su3"]["min_eig_normalized"] > search.GATE_MARGIN
     assert seen["su12"]["lambda_float"] < 0 and seen["su12"]["signature"] in ("(2,4)", "(4,2)")
     assert seen["sl3r"]["lambda_float"] > 0 and seen["sl3r"]["signature"] == "(3,3)"
@@ -429,3 +430,33 @@ def test_rationalize_fails_cleanly_on_generic_floats():
     )
     assert search.rationalize(L, result, max_den=8) is None
     assert result.rationalized is None
+
+
+def _constructed_results() -> list:
+    """Three results no search produced: not found; su12 found with float residuals and a signature; su3 found
+    with row T4.1's pair as its rationalized pair."""
+    t41 = corpus.row_t4_e2()
+    return [
+        search.SearchResult(found=False, target="su3", seed=7, restarts_used=12),
+        search.SearchResult(
+            found=True, target="su12", omega=np.linspace(-1, 1, 15), rho=np.linspace(0.5, -0.25, 20),
+            residuals={"resid_drho": 1.25e-12, "resid_domega2": 3e-10, "resid_omega_rho": 0.0,
+                       "lambda_float": -0.123456, "signature": "(2,4)"},
+            seed=3, restarts_used=5,
+        ),
+        search.SearchResult(
+            found=True, target="su3", omega=np.arange(15) / 7, rho=-np.arange(20) / 3,
+            residuals={"resid_drho": 2e-9, "lambda_float": -4.0, "min_eig_normalized": 0.05},
+            seed=1, restarts_used=2, rationalized=(t41.omega, t41.rho),
+        ),
+    ]
+
+
+#: sha256 of the three ``to_text`` outputs of ``_constructed_results``, joined by NUL
+SEARCH_TEXT_GOLDEN = "e51052c3d07b4f75758771b811fcf76ccd24e8701cab4cca5d34e452a59976cb"
+
+
+def test_search_result_text_golden():
+    texts = [r.to_text() for r in _constructed_results()]
+    assert texts[0].splitlines()[0] == "found: false" and "float rho:   [" in texts[1]
+    assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == SEARCH_TEXT_GOLDEN
