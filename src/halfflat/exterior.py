@@ -11,6 +11,8 @@ exact transposition counting, so results are bit-for-bit reproducible;
 The reference volume form is nu = e^123456; all Lambda^6-valued quantities
 are reported as rational (or quadratic-extension) multiples of nu.  A vector
 is a plain coordinate sequence over the basis e_1..e_6 dual to e^1..e^6.
+``pullback(f, A)`` changes coordinates: column j of A is the new basis vector
+b_j in old coordinates, and e^i pulls back to sum_j A[i][j] e^j.
 """
 
 from __future__ import annotations
@@ -228,6 +230,20 @@ def wedge_all(forms: Sequence[KForm]) -> KForm:
     for f in forms:
         out = wedge(out, f)
     return out
+
+
+def pullback(f: KForm, A: Sequence[Sequence[Scalar]]) -> KForm:
+    """A*f = f(A ., ..., A .) for a square A whose column j is b_j: e^i pulls back to sum_j A[i][j] e^j."""
+    partial = {(mask, 0): c for mask, c in f.terms.items()}  # (factors left, wedge of the images so far): coefficient
+    for _ in range(f.degree):  # wedge on the image of each monomial's lowest factor left, signs from _SIGN
+        step: dict[tuple[int, int], Scalar] = {}
+        for (rest, m), v in partial.items():
+            for j, a in enumerate(A[(rest & -rest).bit_length() - 1]):
+                if a and not m >> j & 1:
+                    key = (rest & rest - 1, m | 1 << j)
+                    step[key] = step.get(key, 0) + (v * a if _SIGN[(m, 1 << j)] > 0 else -(v * a))
+        partial = step
+    return KForm(f.degree, {m: v for (_, m), v in partial.items()})
 
 
 def contract(v: Sequence[Scalar], a: KForm) -> KForm:

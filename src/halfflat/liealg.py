@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import CatalogError, DegreeError, JacobiError, _clipped
-from .exterior import _D_SPLIT, _SIGN, DIM, KForm, basis_masks, form
+from .exterior import _D_SPLIT, _SIGN, DIM, KForm, basis_masks, form, pullback
 from .scalars import Scalar, cleared, scalar_is_zero, unscaled
 
 #: the e-block e^1..e^3 of a six-dimensional coframe as a monomial mask; the f-block is its shift by 3
@@ -198,29 +198,17 @@ def to_block(alpha: KForm, block: int) -> KForm:
 def change_basis(L: LieAlgebra, b_cols: Sequence[Sequence[Scalar]]) -> LieAlgebra:
     """Algebra expressed in the new basis b_j = sum_i b_cols[i][j] e_i.
 
-    ``b_cols`` is the invertible matrix whose columns are the new basis
-    vectors in old coordinates.
+    ``b_cols`` is the invertible dim x dim matrix A of the new basis vectors in old coordinates, and
+    d' = A* o d o (A^-1)* on one-forms for A* = ``exterior.pullback`` by A: d e'^k = sum_i A^-1[k][i] A*(d e^i).
     """
-    n = L.dim
+    if len(b_cols) != L.dim or any(len(row) != L.dim for row in b_cols):
+        raise ValueError(f"basis change matrix must be {L.dim} x {L.dim}")
     binv = linalg.invert([list(r) for r in b_cols])
     if binv is None:
         raise ValueError("basis change matrix is singular")
-    new_basis = linalg.transpose(b_cols)
-    # [b_i, b_j] in new coordinates, once per pair i < j
-    brackets = {
-        (1 << i) | (1 << j): linalg.mat_vec(binv, L.bracket(new_basis[i], new_basis[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    diffs = []
-    for k in range(n):
-        # new constants: c'_ij^k = -(new e^k)([b_i, b_j])
-        terms: dict[int, Scalar] = {}
-        for mask, newc in brackets.items():
-            if not scalar_is_zero(newc[k]):
-                terms[mask] = -newc[k]
-        diffs.append(KForm(2, terms))
-    return LieAlgebra(n, diffs, name=L.name, params=L.params)
+    pulled = [pullback(dk, b_cols) for dk in L.diffs]
+    diffs = [sum((p.scale(c) for c, p in zip(row, pulled)), KForm(2)) for row in binv]
+    return LieAlgebra(L.dim, diffs, name=L.name, params=L.params)
 
 
 # -- catalog of standard three-dimensional brackets ---------------------------

@@ -40,10 +40,6 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat
     ]
 
 
-def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def mat_eq(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:
     return all(
         scalar_is_zero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)

@@ -237,3 +237,19 @@ def antiderivation_d(L, a):
                     out = out + wedge(L.diffs[i], rest)
                 sign = -sign
     return out
+
+
+def pullback_by_evaluation(f, A):
+    """The form f(A ., ..., A .) for a 6 x 6 matrix A, one ``exterior.evaluate`` per coefficient.
+
+    Column i of A is the image of e_i, so the coefficient on e^J is f evaluated on the
+    columns indexed by J: one determinant per term of f, the definition of the pullback.
+    """
+    from halfflat.exterior import KForm, basis_masks, evaluate
+
+    cols = [[A[r][c] for r in range(6)] for c in range(6)]
+    terms = {}
+    for mask in basis_masks(f.degree):
+        vectors = [cols[i] for i in range(6) if mask >> i & 1]
+        terms[mask] = evaluate(f, vectors)
+    return KForm(f.degree, terms)

@@ -10,7 +10,7 @@ from halfflat.classify3d import classify, milnor_L
 from halfflat.liealg import LieAlgebra, catalog, catalog_classes, change_basis, direct_sum
 from halfflat.exterior import form
 
-from .conftest import random_fraction
+from .conftest import mat_vec, random_fraction
 
 
 def _reversed(m):
@@ -60,7 +60,7 @@ def test_milnor_matrix_defines_the_bracket(rng):
                 vectors = [[random_fraction(rng) for _ in range(3)] for _ in range(8)]
                 pairs += list(zip(vectors[::2], vectors[1::2]))
                 for u, v in pairs:
-                    assert list(M.bracket(u, v)) == linalg.mat_vec(m, _cross(u, v)), (spec.key, u, v)
+                    assert list(M.bracket(u, v)) == mat_vec(m, _cross(u, v)), (spec.key, u, v)
                 # tr(ad_{e_m}) = sum over k of [e_m, e_k]^k, also read from d
                 basis = linalg.identity(3)
                 assert M.trace_ad() == [sum(M.bracket(x, basis[k])[k] for k in range(3)) for x in basis]

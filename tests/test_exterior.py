@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,12 +16,14 @@ from halfflat.exterior import (
     form,
     kappa,
     mono,
+    pullback,
     volume_ratio,
     wedge,
 )
+from halfflat import linalg
 from halfflat.scalars import QuadExt, is_square, scalar_sign, sqrt_scalar
 
-from .conftest import basis, random_form
+from .conftest import basis, random_form, random_fraction, random_unimodular_triangular, sparse_gl6
 from . import oracles
 
 
@@ -141,6 +144,42 @@ def test_contract_matches_dense_oracle(rng):
         v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(6))
         kd, dense = oracles.dense_contract(v, *oracles.dense_from_sparse(a))
         assert oracles.dense_equal_sparse(kd, dense, contract(v, a))
+
+
+def _pullback_matrices(rng):
+    """Rational and Q(sqrt 5) matrices: sparse triangular, dense of determinant 1, and a singular dense one."""
+    quad = lambda: QuadExt.make(random_fraction(rng, 3, max_den=5), random_fraction(rng, 3, max_den=5), 5)
+    singular = [[random_fraction(rng, 3) for _ in range(6)] for _ in range(6)]
+    singular[4] = [2 * x for x in singular[1]]
+    return [sparse_gl6(rng, lambda: random_fraction(rng, 3, max_den=7)), sparse_gl6(rng, quad),
+            random_unimodular_triangular(rng, 6), singular]
+
+
+def test_pullback_matches_evaluation_oracle(rng):
+    # every coefficient of A*f is f evaluated on the columns of A: the same values, of the same types
+    r5 = QuadExt(0, 1, 5)
+    for A in _pullback_matrices(rng):
+        for k in range(7):
+            for density in (0.3, 1.0):
+                f = random_form(rng, k, density=density)
+                for g in (f, KForm(k, {m: c + random_fraction(rng, 2) * r5 for m, c in f.terms.items()})):
+                    got, want = pullback(g, A), oracles.pullback_by_evaluation(g, A)
+                    assert got == want, (k, g)
+                    assert [type(c) for _, c in sorted(got.terms.items())] == [
+                        type(c) for _, c in sorted(want.terms.items())
+                    ]
+
+
+def test_pullback_is_multiplicative_and_functorial(rng):
+    # A*(a ^ b) = A*a ^ A*b, and B*(A*f) = (A B)*f
+    mats = _pullback_matrices(rng) + [random_unimodular_triangular(rng, 6)]
+    for A, B in itertools.product(mats, repeat=2):
+        p = rng.randint(0, 6)
+        q = rng.randint(0, 6 - p)
+        a, b = random_form(rng, p, density=0.5), random_form(rng, q, density=0.5)
+        assert pullback(wedge(a, b), A) == wedge(pullback(a, A), pullback(b, A)), (p, q)
+        f = random_form(rng, rng.randint(0, 6), density=0.6)
+        assert pullback(pullback(f, A), B) == pullback(f, linalg.mat_mul(A, B))
 
 
 def test_mono_written_order_signs():

@@ -4,7 +4,6 @@ import hashlib
 import io
 import itertools
 import json
-import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -13,11 +12,11 @@ import pytest
 from halfflat import cli, liealg, linalg
 from halfflat.classify3d import classify
 from halfflat.errors import CatalogError, JacobiError
-from halfflat.exterior import DIM, KForm, basis_masks, covector, evaluate, form, wedge
+from halfflat.exterior import DIM, KForm, basis_masks, covector, evaluate, form, pullback, wedge
 from halfflat.liealg import MU_SAMPLES, LieAlgebra, catalog, catalog_classes, change_basis, direct_sum
 from halfflat.scalars import QuadExt, cleared, unscaled
 
-from .conftest import basis, random_fraction, random_form
+from .conftest import basis, mat_vec, random_fraction, random_form, random_unimodular_triangular
 from . import oracles
 
 
@@ -246,28 +245,48 @@ def test_change_basis_preserves_jacobi_and_unimodularity(rng):
     for name in ("su2", "e11", "r3"):
         L = catalog(name)
         for _ in range(10):
-            b = _random_unimodular_triangular(rng, 3)
+            b = random_unimodular_triangular(rng, 3)
             M = liealg.change_basis(L, b)
             assert M.check_jacobi()
             assert M.is_unimodular() == L.is_unimodular()
 
 
-def test_change_basis_brackets_each_pair_once(rng, monkeypatch):
-    """One bracket per pair i < j, and [b_i, b_j] is the new bracket of the new basis vectors."""
+def test_change_basis_makes_no_bracket_calls(rng, monkeypatch):
+    """change_basis pulls d back and brackets no vectors, and [b_i, b_j] is the new bracket of the new basis vectors."""
     real = LieAlgebra.bracket
     for L in (catalog("r3pmu", 2), direct_sum(catalog("sl2"), catalog("r3"))):
-        b = _random_unimodular_triangular(rng, L.dim)
+        b = random_unimodular_triangular(rng, L.dim)
         calls = []
         monkeypatch.setattr(LieAlgebra, "bracket", lambda self, u, v: calls.append(1) or real(self, u, v))
         M = liealg.change_basis(L, b)
         monkeypatch.undo()
-        assert len(calls) == L.dim * (L.dim - 1) // 2
+        assert calls == []
         binv = linalg.invert(b)
         cols = linalg.transpose(b)
         for i, j in itertools.combinations(range(L.dim), 2):
             new = M.bracket(basis(i + 1), basis(j + 1))
             assert len(new) == L.dim
-            assert list(new) == linalg.mat_vec(binv, L.bracket(cols[i], cols[j]))
+            assert list(new) == mat_vec(binv, L.bracket(cols[i], cols[j]))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [linalg.identity(4), linalg.identity(2), [[Fraction(x) for x in row] for row in ((1, 0), (0, 1), (1, 1))]],
+    ids=["4x4", "2x2", "3x2"],
+)
+def test_change_basis_refuses_a_matrix_of_the_wrong_size(matrix):
+    with pytest.raises(ValueError, match=r"^basis change matrix must be 3 x 3$"):
+        change_basis(catalog("su2"), matrix)
+
+
+def test_change_basis_d_commutes_with_pullback(rng):
+    # d' A* = A* d on forms of every degree, for M = change_basis(L, A): M's d is L's d in the new coframe
+    for L in _oracle_algebras(rng) + [direct_sum(catalog("h3"), catalog("r3mu", Fraction(-1, 2)))]:
+        A = random_unimodular_triangular(rng, L.dim)
+        M = liealg.change_basis(L, A)
+        for k in range(L.dim + 1):
+            f = KForm(k, {m: c for m, c in random_form(rng, k, density=0.6).terms.items() if not m >> L.dim})
+            assert M.d(pullback(f, A)) == pullback(L.d(f), A), (L.name, k)
 
 
 def test_bracket_matches_evaluate(rng):
@@ -279,18 +298,6 @@ def test_bracket_matches_evaluate(rng):
             assert L.bracket(u, v) == want and len(want) == L.dim, L.name
 
 
-def _random_unimodular_triangular(rng: random.Random, n: int):
-    lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            lower[i][j] = random_fraction(rng, 2, 2)
-            upper[j][i] = random_fraction(rng, 2, 2)
-    from halfflat import linalg
-
-    return linalg.mat_mul(lower, upper)
-
-
 def _quad_algebra(rng, dim):
     """Algebra with dense constants in Q(sqrt 3).
 
@@ -299,7 +306,7 @@ def _quad_algebra(rng, dim):
     """
     base = catalog("r3pmu", Fraction(1, 2)) if dim == 3 else direct_sum(catalog("sl2"), catalog("r3mu", Fraction(-1, 2)))
     scaled = LieAlgebra(dim, [dk.scale(QuadExt(1, 1, 3)) for dk in base.diffs], name="quad")
-    return liealg.change_basis(scaled, _random_unimodular_triangular(rng, dim))
+    return liealg.change_basis(scaled, random_unimodular_triangular(rng, dim))
 
 
 def _oracle_algebras(rng):
@@ -348,7 +355,7 @@ def test_scaled_d_and_d_matrix_match_d_on_every_monomial(rng):
     sums = [direct_sum(L1, L2) for L1, L2 in itertools.product(insts, insts)]
     assert len(sums) == 400
     conjugated = [
-        direct_sum(*(liealg.change_basis(L, _random_unimodular_triangular(rng, 3)) for L in pair))
+        direct_sum(*(liealg.change_basis(L, random_unimodular_triangular(rng, 3)) for L in pair))
         for pair in itertools.product(insts[::3], insts[1::3])
     ]
     quad = [_quad_algebra(rng, 3), _quad_algebra(rng, 6), _quad_algebra(rng, 6)]
@@ -383,7 +390,7 @@ def test_direct_sum_blocks_are_its_checked_factors():
 def test_summands_follow_the_basis(rng):
     # a block-diagonal change of basis keeps the e/f split, one that mixes e1 into f1 loses it
     L = direct_sum(catalog("h3"), catalog("r2R"))
-    a, b = _random_unimodular_triangular(rng, 3), _random_unimodular_triangular(rng, 3)
+    a, b = random_unimodular_triangular(rng, 3), random_unimodular_triangular(rng, 3)
     zero = [Fraction(0)] * 3
     M = liealg.change_basis(L, [row + zero for row in a] + [zero + row for row in b])
     assert [s.diffs for s in M.summands] == [liealg.change_basis(s, m).diffs for s, m in zip(L.summands, (a, b))]

@@ -9,7 +9,7 @@ import pytest
 
 from halfflat import corpus, linalg, stable
 from halfflat.errors import HalfFlatError, NotCompatibleError, NotStableError
-from halfflat.exterior import KForm, basis_masks, contract, evaluate, form, volume_ratio, wedge
+from halfflat.exterior import KForm, basis_masks, contract, form, pullback, volume_ratio, wedge
 from halfflat.liealg import catalog
 from halfflat.scalars import QuadExt, scalar_abs, scalar_sign, sqrt_scalar
 from halfflat.stable import (
@@ -26,7 +26,7 @@ from halfflat.stable import (
 )
 from halfflat.verify import ortho_type_I, ortho_type_II
 
-from .conftest import basis, random_fraction, random_form
+from .conftest import basis, random_fraction, random_form, sparse_gl6
 from .oracles import (
     dense_from_sparse,
     dense_k_matrix,
@@ -543,28 +543,6 @@ def _assert_pair_matches_oracle(omega, rho):
     return pair
 
 
-def _pullback(f, A):
-    """The form f(A ., ..., A .) for a 6 x 6 matrix A; column i of A is the image of e_i."""
-    cols = [[A[r][c] for r in range(6)] for c in range(6)]
-    terms = {}
-    for mask in basis_masks(f.degree):
-        vectors = [cols[i] for i in range(6) if mask >> i & 1]
-        terms[mask] = evaluate(f, vectors)
-    return KForm(f.degree, terms)
-
-
-def _sparse_gl6(rng, entry):
-    """Upper triangular with a nonzero diagonal and three entries above it, all drawn by ``entry``."""
-    A = [[Fraction(0)] * 6 for _ in range(6)]
-    for i in range(6):
-        while not A[i][i]:
-            A[i][i] = entry()
-    for _ in range(3):
-        i, j = sorted(rng.sample(range(6), 2))
-        A[i][j] = entry()
-    return A
-
-
 def test_stable_pair_equals_dense_oracle_rational(rng):
     big = lambda: random_fraction(rng, 3, max_den=10**4)
     pairs = [(random_form(rng, 2, density=0.5), random_form(rng, 3, density=0.4)) for _ in range(6)]
@@ -572,8 +550,8 @@ def test_stable_pair_equals_dense_oracle_rational(rng):
         pairs.append((KForm(2, {m: big() for m in omega.terms}), KForm(3, {m: big() for m in rho.terms})))
     for omega, rho in ((MODEL_OMEGA, MODEL_RHO), (MODEL_OMEGA, MODEL_RHO_PARA)):
         for _ in range(3):
-            A = _sparse_gl6(rng, big)
-            pairs.append((_pullback(omega, A), _pullback(rho, A).scale(big())))
+            A = sparse_gl6(rng, big)
+            pairs.append((pullback(omega, A), pullback(rho, A).scale(big())))
     pairs.append((MODEL_OMEGA.scale(Fraction(-7, 9999)), MODEL_RHO.scale(Fraction(3, 10**4))))
     # integer coefficients: nothing to clear, and still no int in the fields
     pairs += [(MODEL_OMEGA, MODEL_RHO), (MODEL_OMEGA.scale(-2), MODEL_RHO_PARA)]
@@ -588,8 +566,8 @@ def test_stable_pair_equals_dense_oracle_quadratic_extension(rng):
     pairs = [(random_form(rng, 2, density=0.5).scale(quad()), _quad_form(rng, D, density=0.4)) for _ in range(4)]
     for omega, rho in ((MODEL_OMEGA, MODEL_RHO), (MODEL_OMEGA, MODEL_RHO_PARA)):
         for _ in range(2):
-            A = _sparse_gl6(rng, quad)
-            pairs.append((_pullback(omega, A), _pullback(rho, A)))
+            A = sparse_gl6(rng, quad)
+            pairs.append((pullback(omega, A), pullback(rho, A)))
     inst = corpus.row_t5_sl2_r3mu_pos(Fraction(1, 3))
     pairs.append((inst.omega, inst.rho))
     seen_quad = False
@@ -633,10 +611,10 @@ def _random_kind_pairs(rng, count):
         a, b = rng.choice(((small(), 0), (0, small()), (small(), small())))
         flipped = [i for i in (3, 4) if rng.random() < 0.5]
         D = [[Fraction(0 if i != j else -1 if i in flipped else 1) for j in range(6)] for i in range(6)]
-        rho = _pullback(MODEL_RHO.scale(a) + MODEL_RHO_PARA.scale(b), D)
+        rho = pullback(MODEL_RHO.scale(a) + MODEL_RHO_PARA.scale(b), D)
         if n % 3 == 2:
-            A = _sparse_gl6(rng, lambda: Fraction(rng.randint(-2, 2)))
-            omega, rho = _pullback(omega, A), _pullback(rho, A)
+            A = sparse_gl6(rng, lambda: Fraction(rng.randint(-2, 2)))
+            omega, rho = pullback(omega, A), pullback(rho, A)
             if n % 10 == 2:
                 rho = rho + random_form(rng, 3, span=2, density=0.1)
         pairs.append((omega, rho))
