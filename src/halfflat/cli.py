@@ -91,7 +91,7 @@ def parse(text: str) -> tuple[LieAlgebra, KForm | None, KForm | None]:
             if len(tokens) != 4 or tokens[2] != "=":
                 allowed = [None, None, ("=",), None]
                 raise _shape_error("expected 'param <name> = <rational>'", line_no, line, allowed)
-            params[tokens[1]] = _rational(tokens, 3, line_no, line, "bad rational ")
+            params[tokens[1]] = Fraction(_rational(tokens, 3, line_no, line, "bad rational "))
         else:
             raise ParseError(f"unknown directive {_clipped(head)!r}", line_no, _column(line, 0))
 
@@ -122,20 +122,20 @@ def _index_of(index: dict[str, int], name: str, line_no: int, line: str, k: int)
     return index[name]
 
 
-def _rational(tokens: list[str], k: int, line_no: int, line: str, refusal: str) -> Fraction:
-    """The rational token k spells, an integer or p/q, signed; else a ParseError '<refusal><token>' at its column."""
+def _rational(tokens: list[str], k: int, line_no: int, line: str, refusal: str) -> int | Fraction:
+    """The signed rational token k spells, an int or a p/q Fraction; else a ParseError '<refusal><token>' there."""
     try:
         if _TOKEN_RAT.match(tokens[k]):
-            return Fraction(tokens[k])
+            return Fraction(tokens[k]) if "/" in tokens[k] else int(tokens[k])
         message = f"{refusal}{_clipped(tokens[k])!r}"
-    except ValueError:  # an integer past the interpreter's digit limit, which Fraction reads with int()
+    except ValueError:  # an integer past the interpreter's digit limit, which int() and Fraction refuse
         message = f"rational with more than {sys.get_int_max_str_digits()} digits in a numerator or denominator"
     raise ParseError(message, line_no, _column(line, k))
 
 
 def _parse_terms(tokens: list[str], line: str, index: dict[str, int], line_no: int, degree: int) -> KForm:
     """The form that tokens[3:] spell: terms 'coeff name^name^...' joined by '+'/'-' tokens; the first may carry one."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}  # KForm stores the int coefficients as Fractions
     i = 3
     if tokens[3:] == ["0"]:
         return KForm(degree)

@@ -5,9 +5,10 @@ d e^k of its basis covectors; the constants c_ij^k (i < j) are the e^ij
 coefficients of d e^k, so antisymmetry is built in and the Jacobi identity
 is d^2 = 0.  Construction clears the constants once, by their positive lcm
 denominator ``den`` (``scalars.cleared``); every d reads that table through
-``exterior._D_SPLIT``, and only ``LieAlgebra.d`` divides by den.  The module
-provides the catalog of standard three-dimensional brackets, direct sums,
-unimodularity tests, closed-form spaces and basis changes.
+``exterior._D_SPLIT``, and only ``LieAlgebra.d`` divides by den.  The e/f
+blocks of a sum come from its checked constants, each cleared on its own and
+not checked again.  The module provides the catalog of standard brackets,
+direct sums, unimodularity tests, closed-form spaces and basis changes.
 
 ``CATALOG_ROWS`` is the catalog, one ``ClassRow`` per tag, and every reader
 takes its facts from it: the display name and Bianchi type (``classify3d``'s
@@ -68,6 +69,12 @@ class LieAlgebra:
             for mask in d.terms:
                 if mask >> dim:
                     raise ValueError("differential uses indices beyond the dimension")
+        self._fill(dim, diffs, name, params)
+        if not self.check_jacobi():
+            raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
+
+    def _fill(self, dim: int, diffs: Sequence[KForm], name: str, params: Mapping[str, Fraction] | None) -> LieAlgebra:
+        """Every field from validated constants; d^2 = 0 on a sum holds on each block, so a block is filled too."""
         self.dim = dim
         self.diffs = tuple(diffs)
         self.name = name
@@ -76,13 +83,12 @@ class LieAlgebra:
         self.den, values = cleared([c for dk in self.diffs for c in dk.terms.values()])
         it = iter(values)
         self._table = [{m: next(it) for m in dk.terms} for dk in self.diffs] + [{}] * (DIM - dim)
-        if not self.check_jacobi():
-            raise JacobiError(f"structure constants of {name or 'algebra'} violate d^2 = 0")
         self.summands: tuple[LieAlgebra, LieAlgebra] | None = None
         # row k of d lies in the block of e^k exactly when there are no cross terms
         if dim == 6 and not any(m & ~(E_BLOCK << 3 * (k // 3)) for k, dk in enumerate(diffs) for m in dk.terms):
             hi = [KForm(2, {m >> 3: c for m, c in dk.terms.items()}) for dk in diffs[3:]]
-            self.summands = (LieAlgebra(3, diffs[:3]), LieAlgebra(3, hi))
+            self.summands = tuple(object.__new__(LieAlgebra)._fill(3, b, "", None) for b in (diffs[:3], hi))
+        return self
 
     # -- structure constants ------------------------------------------------
 

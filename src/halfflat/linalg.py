@@ -95,8 +95,13 @@ def rref(mat: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     return red + zeros(len(mat) - len(rows), cols), pivots
 
 
+def pivots(mat: Sequence[Sequence[Scalar]]) -> list[int]:
+    """Pivot column indices of ``rref``, read from ``_eliminate`` without dividing."""
+    return _eliminate(mat)[1]
+
+
 def rank(mat: Sequence[Sequence[Scalar]]) -> int:
-    return len(_eliminate(mat)[1])
+    return len(pivots(mat))
 
 
 def nullspace(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

@@ -16,7 +16,7 @@ V = span(alpha1, alpha2) with alpha_i a nonzero element of
 
 the closed one-forms with im(d) in alpha ^ g_i*.  It is read from the
 structure constants alone: the nullspace of d on g_i* stacked with
-Milnor's matrix L of g_i (``classify3d.milnor_L``), whose entry L[k][j]
+Milnor's matrix L of g_i (as ``classify3d.milnor_L``), whose entry L[k][j]
 is minus the e^123 coefficient of d e^k ^ e^j.  In every
 three-dimensional class A(g) is 0 (su2, sl2), a line, span{e^1, e^2} (h3)
 or all of g* (R^3), and Aut(g) acts transitively on its lines.  So one
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg, stable
-from .classify3d import classify, milnor_L
+from .classify3d import classify
 from .errors import HalfFlatError
 from .exterior import _SIGN, DIM, NU_MASK, KForm, basis_masks, wedge
 from .liealg import LieAlgebra, to_block
@@ -120,13 +120,14 @@ def annihilating_forms(L3: LieAlgebra) -> list[KForm]:
 
     The nonzero elements are the one-forms that can be a factor of a
     coherent splitting.  A(g) is the nullspace of den * d on one-forms
-    (``d_matrix(1)``) stacked with Milnor's matrix L: the e^123 coefficient
-    of d e^k ^ e^j is -L[k][j], so the second block of rows spans the
-    conditions d e^k ^ alpha = 0.
+    (``d_matrix(1)``) stacked with den * L, Milnor's matrix read from its
+    rows: the e^123 coefficient of d e^k ^ e^j is -L[k][j], so the second
+    block of rows spans the conditions d e^k ^ alpha = 0.
     """
     if L3.dim != 3:
         raise ValueError("annihilating forms are for three-dimensional algebras")
-    rows = L3.d_matrix(1) + milnor_L(L3)
+    d1 = L3.d_matrix(1)  # rows e^12, e^13, e^23; column k holds den * d e^k
+    rows = d1 + [[-d1[2][k], d1[1][k], -d1[0][k]] for k in range(3)]
     return [KForm(1, {1 << i: c for i, c in enumerate(v)}) for v in linalg.nullspace(rows)]
 
 
@@ -165,7 +166,7 @@ def is_coherent(L: LieAlgebra, v_pair: tuple[KForm, KForm]) -> bool:
 
 def _w_indices(v_pair: tuple[KForm, KForm]) -> list[int]:
     """The 0-based indices i outside the rref pivots of V; their e^i complete V to a basis."""
-    pivots = linalg.rref([[a.coeff(1 << i) for i in range(DIM)] for a in v_pair])[1]
+    pivots = linalg.pivots([[a.coeff(1 << i) for i in range(DIM)] for a in v_pair])
     return [i for i in range(DIM) if i not in pivots]
 
 

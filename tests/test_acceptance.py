@@ -466,21 +466,27 @@ def test_verdicts_hold_in_random_gl6_bases():
 
     The algebra moves by ``change_basis`` and the forms by ``exterior.pullback``
     with the same matrix, so (omega, rho) stays the same structure: half_flat,
-    kind and signature must not change, and neither may a scan's verdict.
+    kind and signature must not change, and neither may a scan's verdict.  Each
+    row also moves by diag(-1, 1, 1, 1, 1, 1) times such a matrix, which reverses
+    the orientation: phi(omega) is read against e^123456, so norm_sign flips.
     """
     t0 = time.time()
     rng = random.Random(3131)
+    flip_rng = random.Random(3132)  # a stream of its own, so the other moves keep their bases
     moved = 0
     for inst in corpus.iter_instances() + corpus.iter_instances(table=0):
         want = verify(inst.algebra, inst.omega, inst.rho)
-        for _ in range(2):
-            A = random_unimodular_triangular(rng, 6)
+        bases = [random_unimodular_triangular(rng, 6) for _ in range(2)]
+        flipped = random_unimodular_triangular(flip_rng, 6)
+        bases.append([[-x for x in flipped[0]]] + flipped[1:])
+        for n, A in enumerate(bases):
             got = verify(change_basis(inst.algebra, A), pullback(inst.omega, A), pullback(inst.rho, A))
             assert got.half_flat == want.half_flat, inst.label
             assert got.structure.kind == want.structure.kind, inst.label
             assert got.structure.signature == want.structure.signature, inst.label
+            assert got.norm_sign == (-1 if n == 2 else 1) * want.norm_sign, inst.label
             moved += 1
-    assert moved == 2 * 54
+    assert moved == 3 * 54
     # 250 samples a sum, not criterion 4's 1000: in a random basis the quartic of 6 lambda on Z^3 has
     # about 680 terms (about 5 in the catalog basis), and 39 x 1000 samples of it take about 9 s; the
     # control stops at its first negative sample
@@ -490,5 +496,5 @@ def test_verdicts_hold_in_random_gl6_bases():
     control = change_basis(direct_sum(catalog("su2"), catalog("su2")), random_unimodular_triangular(rng, 6))
     first = obstruct.lambda_nonneg_scan(control, 1000, seed=20240817).first_negative
     assert first is not None
-    print(f"BASIS GATE: {moved} corpus verdicts and 39 scans x 250 samples kept in random GL(6,Q) bases; "
-          f"control negative at sample {first}; {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"BASIS GATE: {moved} corpus verdicts (54 orientation-reversing) and 39 scans x 250 samples kept in "
+          f"random GL(6,Q) bases; control negative at sample {first}; {time.time() - t0:.1f}s", file=sys.stderr)

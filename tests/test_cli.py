@@ -54,6 +54,12 @@ def test_parse_sign_normalization():
         "dim 6\nbasis e1 e2 e3 f1 f2 f3\nform rho = 2 f1^e3^e2 + 1 e1^e2^e3 + 5 e1^f2^e1\n"
     )
     assert rho == form(3, [("e23f1", -2), ("e123", 1)])
+    # an integer token is read as an int and a p/q token as a Fraction; both reach KForm and params as Fractions
+    for token, want in [("+3", 3), ("-0", 0), ("007", 7), ("4/2", 2), ("-6/4", Fraction(-3, 2)), ("1/1", 1)]:
+        L = cli.parse(f"dim 3\nbasis e1 e2 e3\nd e3 = {token} e1^e2\nparam mu = 2\n")[0]
+        assert L.diffs[2].terms == ({0b011: Fraction(want)} if want else {}), token
+        assert all(type(c) is Fraction for dk in L.diffs for c in dk.terms.values()), token
+        assert L.params == {"mu": Fraction(2)} and type(L.params["mu"]) is Fraction, token
 
 
 def test_parse_errors_carry_position():

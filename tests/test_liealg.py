@@ -115,6 +115,29 @@ def test_jacobi_detects_invalid_constants():
         LieAlgebra(3, diffs, name="bad")
 
 
+def test_jacobi_error_from_a_block_of_a_sum():
+    # the sum's one check rejects a bad e- or f-block with the message a direct construction gives
+    bad = [form(2, [("e23", 1)]), form(2, [("e12", 1)]), form(2)]
+    su2 = list(catalog("su2").diffs)
+    for diffs in (bad + [liealg.to_block(dk, 1) for dk in su2], su2 + [liealg.to_block(dk, 1) for dk in bad]):
+        with pytest.raises(JacobiError, match=r"^structure constants of bad violate d\^2 = 0$"):
+            LieAlgebra(6, diffs, name="bad")
+        with pytest.raises(JacobiError, match=r"^structure constants of algebra violate d\^2 = 0$"):
+            LieAlgebra(6, diffs)
+
+
+def test_direct_sum_checks_jacobi_once(monkeypatch):
+    # d^2 = 0 on a sum holds exactly when it holds on each block, so the blocks are not checked again
+    calls = []
+    check = LieAlgebra.check_jacobi
+    monkeypatch.setattr(LieAlgebra, "check_jacobi", lambda self: calls.append(self.dim) or check(self))
+    for a, b in [("su2", "r2R"), ("h3", "h3"), ("r3pmu", "R3")]:
+        L1, L2 = (catalog(t, 2 if t == "r3pmu" else None) for t in (a, b))
+        calls.clear()
+        assert direct_sum(L1, L2).summands is not None
+        assert calls == [6], (a, b)
+
+
 def test_jacobi_on_catalog():
     for L in all_class_instances():
         assert L.check_jacobi()
@@ -384,6 +407,10 @@ def test_direct_sum_blocks_are_its_checked_factors():
         for L2 in instances:
             L = direct_sum(L1, L2)
             assert [s.diffs for s in L.summands] == [L1.diffs, L2.diffs]
+            assert [s.den for s in L.summands] == [L1.den, L2.den]
+            assert [s.d_matrix(1) for s in L.summands] == [L1.d_matrix(1), L2.d_matrix(1)]
+            for k in range(4):
+                assert [s.closed_forms(k) for s in L.summands] == [L1.closed_forms(k), L2.closed_forms(k)]
             assert L.check_jacobi()
 
 
